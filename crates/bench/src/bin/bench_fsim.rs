@@ -27,6 +27,8 @@
 //! ```
 
 use gdf_algebra::Logic3;
+use gdf_bench::rounded;
+use gdf_core::json::Json;
 use gdf_netlist::generator::{generate, CircuitProfile};
 use gdf_netlist::{suite, Circuit, FaultUniverse};
 use gdf_sim::{
@@ -35,7 +37,6 @@ use gdf_sim::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::fmt::Write as _;
 use std::time::Instant;
 
 struct Row {
@@ -455,9 +456,8 @@ fn obs_round(jobs: usize, workers: usize, obs: bool) -> (f64, u64) {
 /// tracer + profiler, trace documents). Three interleaved off/on pairs,
 /// aggregated over total elapsed time, so a CPU-frequency or scheduler
 /// swing hits both modes alike instead of biasing a percent-level
-/// comparison. (Interleaving does leave the process-global phase sink
-/// installed during the later off rounds; its cost — one histogram
-/// observe per span — is nanoseconds against multi-millisecond jobs.)
+/// comparison. Each server scopes its phase sink to its own threads, so
+/// an off round times nothing.
 fn obs_overhead(jobs: usize, workers: usize) -> ObsFigures {
     let mut elapsed = [0.0f64; 2];
     let mut traces_written = 0;
@@ -568,110 +568,113 @@ fn main() {
     // Timestamp each appended record so the accumulated trajectory in
     // BENCH_fsim.json stays ordered and attributable across PRs; the
     // shared `append_record` refuses records that forgot the stamp.
-    let unix_time = gdf_bench::unix_time_now();
-    let mut record = String::new();
-    let _ = writeln!(record, "  {{");
-    let _ = writeln!(record, "    \"bench\": \"fsim\",");
-    let _ = writeln!(record, "    \"unix_time\": {unix_time},");
-    let _ = writeln!(
-        record,
-        "    \"mode\": \"{}\",",
-        if smoke { "smoke" } else { "full" }
-    );
-    let _ = writeln!(record, "    \"circuits\": [");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let _ = writeln!(
-            record,
-            "      {{\"name\": \"{}\", \"gates\": {}, \"faults\": {}, \"patterns\": {}, \
-             \"scalar_faults_per_sec\": {:.0}, \"packed_faults_per_sec\": {:.0}, \
-             \"speedup\": {:.2}, \"ns_per_gate_eval\": {:.2}}}{}",
-            r.name,
-            r.gates,
-            r.faults,
-            r.patterns,
-            r.scalar_faults_per_sec,
-            r.packed_faults_per_sec,
-            r.speedup,
-            r.ns_per_gate_eval,
-            comma
-        );
-    }
-    let _ = writeln!(record, "    ],");
-    let _ = writeln!(
-        record,
-        "    \"serve\": {{\"circuit\": \"s27\", \"backend\": \"stuck-at\", \"jobs\": {serve_jobs}, \
-         \"workers\": {serve_workers}, \"jobs_per_sec\": {jobs_per_sec:.1}}}{}",
-        if fleet_figures.is_some()
-            || chaos_figures.is_some()
-            || cache_figures.is_some()
-            || obs_figures.is_some()
-        {
-            ","
-        } else {
-            ""
-        }
-    );
+    let text = |s: &str| Json::Str(s.into());
+    let circuits = rows
+        .iter()
+        .map(|r| {
+            Json::Obj(vec![
+                ("name".into(), text(&r.name)),
+                ("gates".into(), Json::Num(r.gates as f64)),
+                ("faults".into(), Json::Num(r.faults as f64)),
+                ("patterns".into(), Json::Num(r.patterns as f64)),
+                (
+                    "scalar_faults_per_sec".into(),
+                    rounded(r.scalar_faults_per_sec, 0),
+                ),
+                (
+                    "packed_faults_per_sec".into(),
+                    rounded(r.packed_faults_per_sec, 0),
+                ),
+                ("speedup".into(), rounded(r.speedup, 2)),
+                ("ns_per_gate_eval".into(), rounded(r.ns_per_gate_eval, 2)),
+            ])
+        })
+        .collect();
+    let pair = || Json::Arr(vec![text("s27"), text("s42")]);
+    let mut record = vec![
+        ("bench".into(), text("fsim")),
+        (
+            "unix_time".into(),
+            Json::Num(gdf_bench::unix_time_now() as f64),
+        ),
+        ("mode".into(), text(if smoke { "smoke" } else { "full" })),
+        ("circuits".into(), Json::Arr(circuits)),
+        (
+            "serve".into(),
+            Json::Obj(vec![
+                ("circuit".into(), text("s27")),
+                ("backend".into(), text("stuck-at")),
+                ("jobs".into(), Json::Num(serve_jobs as f64)),
+                ("workers".into(), Json::Num(serve_workers as f64)),
+                ("jobs_per_sec".into(), rounded(jobs_per_sec, 1)),
+            ]),
+        ),
+    ];
     if let Some(f) = &fleet_figures {
-        let _ = writeln!(
-            record,
-            "    \"fleet\": {{\"circuits\": [\"s27\", \"s42\"], \"backend\": \"stuck-at\", \
-             \"nodes\": {}, \"workers\": {}, \"units\": {}, \
-             \"cluster_units_per_sec\": {:.1}, \"faults_per_sec_per_node\": {:.0}}}{}",
-            f.nodes,
-            f.workers,
-            f.units,
-            f.cluster_units_per_sec,
-            f.faults_per_sec_per_node,
-            if chaos_figures.is_some() || cache_figures.is_some() || obs_figures.is_some() {
-                ","
-            } else {
-                ""
-            }
-        );
+        record.push((
+            "fleet".into(),
+            Json::Obj(vec![
+                ("circuits".into(), pair()),
+                ("backend".into(), text("stuck-at")),
+                ("nodes".into(), Json::Num(f.nodes as f64)),
+                ("workers".into(), Json::Num(f.workers as f64)),
+                ("units".into(), Json::Num(f.units as f64)),
+                (
+                    "cluster_units_per_sec".into(),
+                    rounded(f.cluster_units_per_sec, 1),
+                ),
+                (
+                    "faults_per_sec_per_node".into(),
+                    rounded(f.faults_per_sec_per_node, 0),
+                ),
+            ]),
+        ));
     }
     if let Some(c) = &chaos_figures {
-        let _ = writeln!(
-            record,
-            "    \"chaos\": {{\"circuits\": [\"s27\", \"s42\"], \"backend\": \"stuck-at\", \
-             \"nodes\": {}, \"units\": {}, \"faults_injected\": {}, \
-             \"recoveries\": {}, \"wall_secs\": {:.2}}}{}",
-            c.nodes,
-            c.units,
-            c.faults_injected,
-            c.recoveries,
-            c.wall_secs,
-            if cache_figures.is_some() || obs_figures.is_some() {
-                ","
-            } else {
-                ""
-            }
-        );
+        record.push((
+            "chaos".into(),
+            Json::Obj(vec![
+                ("circuits".into(), pair()),
+                ("backend".into(), text("stuck-at")),
+                ("nodes".into(), Json::Num(c.nodes as f64)),
+                ("units".into(), Json::Num(c.units as f64)),
+                (
+                    "faults_injected".into(),
+                    Json::Num(c.faults_injected as f64),
+                ),
+                ("recoveries".into(), Json::Num(c.recoveries as f64)),
+                ("wall_secs".into(), rounded(c.wall_secs, 2)),
+            ]),
+        ));
     }
     if let Some(c) = &cache_figures {
-        let _ = writeln!(
-            record,
-            "    \"cache\": {{\"circuit\": \"s27\", \"backend\": \"stuck-at\", \"jobs\": {}, \
-             \"cold_jobs_per_sec\": {:.1}, \"warm_jobs_per_sec\": {:.1}, \"cache_hits\": {}, \
-             \"compaction_ratio\": {:.3}}}{}",
-            c.jobs,
-            c.cold_jobs_per_sec,
-            c.warm_jobs_per_sec,
-            c.cache_hits,
-            c.compaction_ratio,
-            if obs_figures.is_some() { "," } else { "" }
-        );
+        record.push((
+            "cache".into(),
+            Json::Obj(vec![
+                ("circuit".into(), text("s27")),
+                ("backend".into(), text("stuck-at")),
+                ("jobs".into(), Json::Num(c.jobs as f64)),
+                ("cold_jobs_per_sec".into(), rounded(c.cold_jobs_per_sec, 1)),
+                ("warm_jobs_per_sec".into(), rounded(c.warm_jobs_per_sec, 1)),
+                ("cache_hits".into(), Json::Num(c.cache_hits as f64)),
+                ("compaction_ratio".into(), rounded(c.compaction_ratio, 3)),
+            ]),
+        ));
     }
     if let Some(o) = &obs_figures {
-        let _ = writeln!(
-            record,
-            "    \"obs\": {{\"circuit\": \"s27\", \"backend\": \"stuck-at\", \"jobs\": {}, \
-             \"off_jobs_per_sec\": {:.1}, \"on_jobs_per_sec\": {:.1}, \"overhead_pct\": {:.1}, \
-             \"traces_written\": {}}}",
-            o.jobs, o.off_jobs_per_sec, o.on_jobs_per_sec, o.overhead_pct, o.traces_written
-        );
+        record.push((
+            "obs".into(),
+            Json::Obj(vec![
+                ("circuit".into(), text("s27")),
+                ("backend".into(), text("stuck-at")),
+                ("jobs".into(), Json::Num(o.jobs as f64)),
+                ("off_jobs_per_sec".into(), rounded(o.off_jobs_per_sec, 1)),
+                ("on_jobs_per_sec".into(), rounded(o.on_jobs_per_sec, 1)),
+                ("overhead_pct".into(), rounded(o.overhead_pct, 1)),
+                ("traces_written".into(), Json::Num(o.traces_written as f64)),
+            ]),
+        ));
     }
-    let _ = write!(record, "  }}");
-    gdf_bench::append_record(&out_path, &record).expect("write bench record");
+    gdf_bench::append_record(&out_path, &Json::Obj(record)).expect("write bench record");
     println!("appended record to {out_path}");
 }

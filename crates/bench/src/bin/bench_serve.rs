@@ -20,12 +20,12 @@
 //! `[1/3, 3]`, so CI fails if the weighted scheduler stops doing its
 //! job under contention.
 
+use gdf_bench::rounded;
 use gdf_core::engine::{Backend, RunConfig};
 use gdf_core::json::Json;
 use gdf_serve::server::submission_for_suite;
 use gdf_serve::{Client, JobId, JobServer, ServeConfig};
 use gdf_tenant::{TenantRegistry, TenantSpec};
-use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -268,33 +268,41 @@ fn main() {
         );
     }
 
-    let mut record = String::new();
-    let _ = writeln!(record, "  {{");
-    let _ = writeln!(record, "    \"bench\": \"serve_load\",");
-    let _ = writeln!(record, "    \"unix_time\": {},", gdf_bench::unix_time_now());
-    let _ = writeln!(
-        record,
-        "    \"mode\": \"{}\",",
-        if smoke { "smoke" } else { "full" }
-    );
-    let _ = writeln!(
-        record,
-        "    \"circuit\": \"s27\", \"backend\": \"stuck-at\", \"workers\": {}, \
-         \"clients\": {{\"acme\": {}, \"zeta\": {}}}, \"jobs\": {},",
-        plan.workers, plan.clients.0, plan.clients.1, figures.jobs
-    );
-    let _ = writeln!(
-        record,
-        "    \"jobs_per_sec\": {:.1}, \"submit_p50_ms\": {:.2}, \"submit_p99_ms\": {:.2},",
-        figures.jobs_per_sec, figures.submit_p50_ms, figures.submit_p99_ms
-    );
-    let _ = writeln!(
-        record,
-        "    \"fairness\": {{\"weights\": \"2:1\", \"acme_done\": {}, \"zeta_done\": {}, \
-         \"normalized_ratio\": {:.2}}}",
-        figures.acme_done, figures.zeta_done, figures.fairness_ratio
-    );
-    let _ = write!(record, "  }}");
+    let text = |s: &str| Json::Str(s.into());
+    let record = Json::Obj(vec![
+        ("bench".into(), text("serve_load")),
+        (
+            "unix_time".into(),
+            Json::Num(gdf_bench::unix_time_now() as f64),
+        ),
+        ("mode".into(), text(if smoke { "smoke" } else { "full" })),
+        ("circuit".into(), text("s27")),
+        ("backend".into(), text("stuck-at")),
+        ("workers".into(), Json::Num(plan.workers as f64)),
+        (
+            "clients".into(),
+            Json::Obj(vec![
+                ("acme".into(), Json::Num(plan.clients.0 as f64)),
+                ("zeta".into(), Json::Num(plan.clients.1 as f64)),
+            ]),
+        ),
+        ("jobs".into(), Json::Num(figures.jobs as f64)),
+        ("jobs_per_sec".into(), rounded(figures.jobs_per_sec, 1)),
+        ("submit_p50_ms".into(), rounded(figures.submit_p50_ms, 2)),
+        ("submit_p99_ms".into(), rounded(figures.submit_p99_ms, 2)),
+        (
+            "fairness".into(),
+            Json::Obj(vec![
+                ("weights".into(), text("2:1")),
+                ("acme_done".into(), Json::Num(figures.acme_done as f64)),
+                ("zeta_done".into(), Json::Num(figures.zeta_done as f64)),
+                (
+                    "normalized_ratio".into(),
+                    rounded(figures.fairness_ratio, 2),
+                ),
+            ]),
+        ),
+    ]);
     gdf_bench::append_record(&out_path, &record).expect("write bench record");
     println!("appended record to {out_path}");
 }

@@ -1,6 +1,7 @@
 //! Regenerates **Table 3** of the paper: per-circuit fault accounting for
 //! the robust gate-delay-fault ATPG on the ISCAS'89 suite (exact `s27`,
-//! synthetic profile-matched stand-ins for the rest — see `DESIGN.md` §5).
+//! synthetic profile-matched stand-ins for the rest — see "Reproduction
+//! fidelity" in the repository README).
 //!
 //! ```text
 //! cargo run --release -p gdf-bench --bin table3_benchmarks

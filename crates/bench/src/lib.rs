@@ -4,11 +4,12 @@
 pub mod criterion;
 
 use gdf_core::driver::AtpgRun;
+use gdf_core::json::Json;
 use gdf_core::{DelayAtpg, DelayAtpgConfig};
 use gdf_netlist::suite;
 
-/// Appends `record` (one pre-formatted JSON object) to the JSON array in
-/// `path`, creating `[ … ]` if the file is missing or empty.
+/// Appends `record` to the JSON array in `path`, creating `[ … ]` if
+/// the file is missing or empty. Earlier records keep their bytes.
 ///
 /// Every appended record **must** carry a `"unix_time"` key — the
 /// accumulated trajectory files (`BENCH_fsim.json`) are ordered and
@@ -20,11 +21,13 @@ use gdf_netlist::suite;
 ///
 /// Panics if `record` lacks a `"unix_time"` key, or if the existing file
 /// is not a JSON array.
-pub fn append_record(path: &str, record: &str) -> std::io::Result<()> {
+pub fn append_record(path: &str, record: &Json) -> std::io::Result<()> {
     assert!(
-        record.contains("\"unix_time\""),
+        record.get("unix_time").is_some(),
         "bench record appended to {path} lacks the mandatory \"unix_time\" stamp"
     );
+    let lines: Vec<String> = record.pretty().lines().map(|l| format!("  {l}")).collect();
+    let record = lines.join("\n");
     let existing = std::fs::read_to_string(path).unwrap_or_default();
     let trimmed = existing.trim();
     let out = if trimmed.is_empty() || trimmed == "[]" {
@@ -38,6 +41,12 @@ pub fn append_record(path: &str, record: &str) -> std::io::Result<()> {
         format!("{body},\n{record}\n]\n")
     };
     std::fs::write(path, out)
+}
+
+/// `x` rounded to `decimals` places, as a JSON number.
+pub fn rounded(x: f64, decimals: i32) -> Json {
+    let scale = 10f64.powi(decimals);
+    Json::Num((x * scale).round() / scale)
 }
 
 /// Seconds since the Unix epoch, for stamping bench records.
@@ -95,13 +104,20 @@ mod tests {
     fn append_record_grows_a_parseable_array() {
         let path = temp_path("grow");
         let _ = std::fs::remove_file(&path);
-        append_record(&path, "  {\"bench\": \"a\", \"unix_time\": 1}").unwrap();
-        append_record(&path, "  {\"bench\": \"b\", \"unix_time\": 2}").unwrap();
+        for (bench, time) in [("a", 1.0), ("b", 2.0)] {
+            let record = Json::Obj(vec![
+                ("bench".into(), Json::Str(bench.into())),
+                ("unix_time".into(), Json::Num(time)),
+                ("ratio".into(), rounded(2.0 / 3.0, 2)),
+            ]);
+            append_record(&path, &record).unwrap();
+        }
         let text = std::fs::read_to_string(&path).unwrap();
-        let parsed = gdf_core::json::Json::parse(&text).expect("appended file stays valid JSON");
+        let parsed = Json::parse(&text).expect("appended file stays valid JSON");
         let rows = parsed.as_array().expect("top level is an array");
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[1].get("unix_time").and_then(|t| t.as_f64()), Some(2.0));
+        assert_eq!(rows[1].get("ratio").and_then(|t| t.as_f64()), Some(0.67));
         let _ = std::fs::remove_file(&path);
     }
 
@@ -109,6 +125,9 @@ mod tests {
     #[should_panic(expected = "unix_time")]
     fn append_record_rejects_unstamped_records() {
         let path = temp_path("unstamped");
-        let _ = append_record(&path, "  {\"bench\": \"oops\"}");
+        let _ = append_record(
+            &path,
+            &Json::Obj(vec![("bench".into(), Json::Str("oops".into()))]),
+        );
     }
 }

@@ -25,7 +25,7 @@
 //! when the (bounded) search space is exhausted without hitting a
 //! backtrack limit anywhere; hitting any limit yields `aborted`.
 
-use crate::engine::{AtpgError, Detection, FaultOutcome, Limits, NonScanEngine};
+use crate::engine::{AtpgEngine, AtpgError, Detection, Engine, FaultOutcome, Limits};
 use crate::pattern::TestSequence;
 use crate::phase;
 use crate::report::CircuitReport;
@@ -310,8 +310,7 @@ impl<'c> DelayAtpg<'c> {
     /// [`crate::engine::Atpg::builder`] for streaming observation,
     /// parallelism or a time budget.
     pub fn run(&self) -> AtpgRun {
-        let mut engine = NonScanEngine::with_config(self.circuit, self.config.clone());
-        crate::engine::AtpgEngine::run(&mut engine)
+        Engine::non_scan(self.circuit, self.config.clone()).run()
     }
 
     /// Figure 4 for a single fault: the per-fault entry point of the

@@ -7,8 +7,8 @@
 //! and SEMILET's standalone sequential stuck-at mode. This module gives
 //! them one surface:
 //!
-//! * [`AtpgEngine`] — the object-safe trait every backend implements:
-//!   `target` one fault, or `run` the whole universe;
+//! * [`AtpgEngine`] — the object-safe trait the builder returns for
+//!   every backend: `target` one fault, or `run` the whole universe;
 //! * [`Atpg::builder`] — the single fluent constructor
 //!   (`.backend(…)`, `.model(…)`, `.universe(…)`, `.limits(…)`,
 //!   `.seed(…)`, `.observer(…)`, `.time_budget(…)`, `.parallelism(…)`);
@@ -449,7 +449,8 @@ impl<O: Observer + ?Sized> Observer for &mut O {
     }
 }
 
-/// The object-safe engine interface implemented by all three backends.
+/// The object-safe engine interface; [`Atpg::builder`] returns one for
+/// each of the three backends.
 pub trait AtpgEngine {
     /// Stable backend name (`"non-scan"`, `"enhanced-scan"`,
     /// `"stuck-at"`).
@@ -542,18 +543,23 @@ impl Backend {
             Backend::StuckAt => model == ModelKind::Stuck,
         }
     }
-}
 
-impl fmt::Display for Backend {
     /// The stable backend name (`"non-scan"`, `"enhanced-scan"`,
-    /// `"stuck-at"`) — the single string table artifacts and the CLI
-    /// share; [`std::str::FromStr`] is its inverse.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
+    /// `"stuck-at"`) — the single string table artifacts, engines and
+    /// the CLI share; [`std::str::FromStr`] is its inverse.
+    fn name(self) -> &'static str {
+        match self {
             Backend::NonScan => NON_SCAN,
             Backend::EnhancedScan => ENHANCED_SCAN,
             Backend::StuckAt => STUCK_AT,
-        })
+        }
+    }
+}
+
+impl fmt::Display for Backend {
+    /// Writes [`Backend`]'s stable name.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 
@@ -784,65 +790,63 @@ impl<'c> AtpgBuilder<'c> {
                 model: config.model,
             });
         }
+        let faults = faults_of(self.circuit, config.model, &config.universe);
         if let Some(resume) = &self.resume {
-            let n = faults_of(self.circuit, config.model, &self.universe).len();
             assert_eq!(
                 resume.records.len(),
-                n,
+                faults.len(),
                 "resume state no longer matches the configured fault universe; do not \
                  change .backend()/.model()/.universe() after .resume_from()"
             );
         }
         if let Some(table) = &self.speculation {
-            let n = faults_of(self.circuit, config.model, &self.universe).len();
             assert_eq!(
                 table.len(),
-                n,
+                faults.len(),
                 "speculation table must be index-aligned with the fault universe"
             );
         }
-        let opts = RunOptions {
-            config,
-            parallelism: self.parallelism,
-            time_budget: self.time_budget,
-            observers: self.observers,
-            resume: self.resume,
-            speculation: self.speculation,
-        };
-        Ok(match self.backend {
-            Backend::NonScan => {
-                let driver_config = DelayAtpgConfig::new()
+        let worker: Box<dyn Worker + 'c> = match self.backend {
+            Backend::NonScan => Box::new(DelayAtpg::with_config(
+                self.circuit,
+                DelayAtpgConfig::new()
                     .with_model(config.model)
                     .with_sensitization(config.sensitization)
-                    .with_universe(self.universe)
-                    .with_xfill_seed(self.seed)
-                    .with_limits(self.limits);
-                Box::new(NonScanEngine::with_options(
-                    self.circuit,
-                    driver_config,
-                    opts,
-                ))
-            }
-            Backend::EnhancedScan => Box::new(EnhancedScanEngine::with_options(
-                self.circuit,
-                TdGenConfig {
-                    backtrack_limit: self.limits.local_backtrack_limit,
-                    sensitization: config.effective_sensitization(),
-                },
-                config.model,
-                self.universe,
-                opts,
+                    .with_universe(config.universe)
+                    .with_xfill_seed(config.seed)
+                    .with_limits(config.limits),
             )),
-            Backend::StuckAt => Box::new(StuckAtEngine::with_options(
+            Backend::EnhancedScan => Box::new(ScanWorker {
+                scan: ScanDelayAtpg::with_config(
+                    self.circuit,
+                    TdGenConfig {
+                        backtrack_limit: config.limits.local_backtrack_limit,
+                        sensitization: config.effective_sensitization(),
+                    },
+                ),
+                model: config.model,
+            }),
+            Backend::StuckAt => Box::new(StuckAtAtpg::with_config(
                 self.circuit,
                 StuckAtConfig {
-                    backtrack_limit: self.limits.sequential_backtrack_limit,
-                    max_frames: self.limits.max_stuckat_frames,
+                    backtrack_limit: config.limits.sequential_backtrack_limit,
+                    max_frames: config.limits.max_stuckat_frames,
                 },
-                self.universe,
-                opts,
             )),
-        })
+        };
+        Ok(Box::new(Engine {
+            circuit: self.circuit,
+            worker,
+            faults,
+            opts: RunOptions {
+                config,
+                parallelism: self.parallelism,
+                time_budget: self.time_budget,
+                observers: self.observers,
+                resume: self.resume,
+                speculation: self.speculation,
+            },
+        }))
     }
 }
 
@@ -854,19 +858,6 @@ struct RunOptions<'c> {
     observers: Vec<Box<dyn Observer + 'c>>,
     resume: Option<ResumeState>,
     speculation: Option<Vec<Option<FaultOutcome>>>,
-}
-
-impl Default for RunOptions<'_> {
-    fn default() -> Self {
-        RunOptions {
-            config: RunConfig::new(Backend::NonScan),
-            parallelism: 1,
-            time_budget: None,
-            observers: Vec::new(),
-            resume: None,
-            speculation: None,
-        }
-    }
 }
 
 /// The deterministic fault list an engine enumerates for a model and
@@ -971,7 +962,7 @@ impl Worker for DelayAtpg<'_> {
 
 /// The enhanced-scan generator plus the model it runs — transition
 /// faults map through [`delay_view`] onto the combinational TDgen (whose
-/// sensitization the engine constructor already forced non-robust).
+/// sensitization the builder already forced non-robust).
 struct ScanWorker {
     scan: ScanDelayAtpg,
     model: ModelKind,
@@ -1009,120 +1000,49 @@ const NON_SCAN: &str = "non-scan";
 const ENHANCED_SCAN: &str = "enhanced-scan";
 const STUCK_AT: &str = "stuck-at";
 
-/// The paper's combined TDgen + SEMILET system behind the unified API.
-pub struct NonScanEngine<'c> {
-    driver: DelayAtpg<'c>,
-    faults: Vec<Fault>,
-    opts: RunOptions<'c>,
-}
-
-impl<'c> NonScanEngine<'c> {
-    /// Default configuration (paper limits, robust delay model).
-    pub fn new(circuit: &'c Circuit) -> Self {
-        Self::with_config(circuit, DelayAtpgConfig::default())
-    }
-
-    /// Explicit driver configuration.
-    pub fn with_config(circuit: &'c Circuit, config: DelayAtpgConfig) -> Self {
-        let opts = RunOptions {
-            config: RunConfig {
-                backend: Backend::NonScan,
-                model: config.model,
-                sensitization: config.sensitization,
-                universe: config.universe,
-                limits: config.limits(),
-                seed: config.xfill_seed,
-            },
-            ..RunOptions::default()
-        };
-        Self::with_options(circuit, config, opts)
-    }
-
-    fn with_options(circuit: &'c Circuit, config: DelayAtpgConfig, opts: RunOptions<'c>) -> Self {
-        let faults = faults_of(circuit, config.model, &config.universe);
-        NonScanEngine {
-            driver: DelayAtpg::with_config(circuit, config),
-            faults,
-            opts,
-        }
-    }
-}
-
-impl AtpgEngine for NonScanEngine<'_> {
-    fn name(&self) -> &'static str {
-        NON_SCAN
-    }
-
-    fn circuit(&self) -> &Circuit {
-        self.driver.circuit()
-    }
-
-    fn faults(&self) -> &[Fault] {
-        &self.faults
-    }
-
-    fn target(&mut self, fault: Fault) -> Result<FaultOutcome, AtpgError> {
-        Worker::generate(&self.driver, fault)
-    }
-
-    fn run(&mut self) -> AtpgRun {
-        orchestrate(
-            NON_SCAN,
-            self.driver.circuit(),
-            &self.driver,
-            &self.faults,
-            &mut self.opts,
-        )
-    }
-}
-
-/// The enhanced-scan combinational baseline behind the unified API.
-pub struct EnhancedScanEngine<'c> {
+/// The one [`AtpgEngine`]: a backend [`Worker`] over the circuit's fault
+/// list, run by [`orchestrate`]. [`AtpgBuilder::try_build`] picks the
+/// worker; the configuration in `opts` names the backend.
+pub(crate) struct Engine<'c> {
     circuit: &'c Circuit,
-    worker: ScanWorker,
+    worker: Box<dyn Worker + 'c>,
     faults: Vec<Fault>,
     opts: RunOptions<'c>,
 }
 
-impl<'c> EnhancedScanEngine<'c> {
-    /// Default TDgen limits over the scan view.
-    pub fn new(circuit: &'c Circuit) -> Self {
-        Self::with_options(
+impl<'c> Engine<'c> {
+    /// A serial, unobserved non-scan engine over a full driver
+    /// configuration — what [`DelayAtpg::run`] runs. The configuration
+    /// may select the scalar reference simulator, which the builder
+    /// cannot express.
+    pub(crate) fn non_scan(circuit: &'c Circuit, config: DelayAtpgConfig) -> Self {
+        let run_config = RunConfig {
+            backend: Backend::NonScan,
+            model: config.model,
+            sensitization: config.sensitization,
+            universe: config.universe,
+            limits: config.limits(),
+            seed: config.xfill_seed,
+        };
+        Engine {
             circuit,
-            TdGenConfig::default(),
-            ModelKind::Delay,
-            FaultUniverse::default(),
-            RunOptions::default(),
-        )
-    }
-
-    fn with_options(
-        circuit: &'c Circuit,
-        config: TdGenConfig,
-        model: ModelKind,
-        universe: FaultUniverse,
-        mut opts: RunOptions<'c>,
-    ) -> Self {
-        opts.config.backend = Backend::EnhancedScan;
-        opts.config.model = model;
-        opts.config.universe = universe;
-        opts.config.limits.local_backtrack_limit = config.backtrack_limit;
-        let faults = faults_of(circuit, model, &universe);
-        EnhancedScanEngine {
-            circuit,
-            worker: ScanWorker {
-                scan: ScanDelayAtpg::with_config(circuit, config),
-                model,
+            faults: faults_of(circuit, config.model, &config.universe),
+            worker: Box::new(DelayAtpg::with_config(circuit, config)),
+            opts: RunOptions {
+                config: run_config,
+                parallelism: 1,
+                time_budget: None,
+                observers: Vec::new(),
+                resume: None,
+                speculation: None,
             },
-            faults,
-            opts,
         }
     }
 }
 
-impl AtpgEngine for EnhancedScanEngine<'_> {
+impl AtpgEngine for Engine<'_> {
     fn name(&self) -> &'static str {
-        ENHANCED_SCAN
+        self.opts.config.backend.name()
     }
 
     fn circuit(&self) -> &Circuit {
@@ -1134,80 +1054,14 @@ impl AtpgEngine for EnhancedScanEngine<'_> {
     }
 
     fn target(&mut self, fault: Fault) -> Result<FaultOutcome, AtpgError> {
-        Worker::generate(&self.worker, fault)
+        self.worker.generate(fault)
     }
 
     fn run(&mut self) -> AtpgRun {
         orchestrate(
-            ENHANCED_SCAN,
+            self.name(),
             self.circuit,
-            &self.worker,
-            &self.faults,
-            &mut self.opts,
-        )
-    }
-}
-
-/// SEMILET's sequential stuck-at ATPG behind the unified API.
-pub struct StuckAtEngine<'c> {
-    atpg: StuckAtAtpg<'c>,
-    faults: Vec<Fault>,
-    opts: RunOptions<'c>,
-}
-
-impl<'c> StuckAtEngine<'c> {
-    /// Default limits over the full stuck-at universe.
-    pub fn new(circuit: &'c Circuit) -> Self {
-        Self::with_options(
-            circuit,
-            StuckAtConfig::default(),
-            FaultUniverse::default(),
-            RunOptions::default(),
-        )
-    }
-
-    fn with_options(
-        circuit: &'c Circuit,
-        config: StuckAtConfig,
-        universe: FaultUniverse,
-        mut opts: RunOptions<'c>,
-    ) -> Self {
-        opts.config.backend = Backend::StuckAt;
-        opts.config.model = ModelKind::Stuck;
-        opts.config.universe = universe;
-        opts.config.limits.sequential_backtrack_limit = config.backtrack_limit;
-        opts.config.limits.max_stuckat_frames = config.max_frames;
-        let faults = faults_of(circuit, ModelKind::Stuck, &universe);
-        StuckAtEngine {
-            atpg: StuckAtAtpg::with_config(circuit, config),
-            faults,
-            opts,
-        }
-    }
-}
-
-impl AtpgEngine for StuckAtEngine<'_> {
-    fn name(&self) -> &'static str {
-        STUCK_AT
-    }
-
-    fn circuit(&self) -> &Circuit {
-        self.atpg.circuit()
-    }
-
-    fn faults(&self) -> &[Fault] {
-        &self.faults
-    }
-
-    fn target(&mut self, fault: Fault) -> Result<FaultOutcome, AtpgError> {
-        Worker::generate(&self.atpg, fault)
-    }
-
-    fn run(&mut self) -> AtpgRun {
-        orchestrate(
-            STUCK_AT,
-            self.atpg.circuit(),
-            &self.atpg,
+            &*self.worker,
             &self.faults,
             &mut self.opts,
         )
@@ -1311,22 +1165,28 @@ fn orchestrate(
                     (0..wave.len()).map(|_| OnceLock::new()).collect();
                 let next = AtomicUsize::new(0);
                 let table_ref = table.as_deref();
+                // Wave threads time their spans into this thread's sink.
+                let sink = phase::current();
                 thread::scope(|s| {
                     for _ in 0..parallelism.min(wave.len()) {
                         let next = &next;
                         let wave = &wave;
                         let slots = &slots;
-                        s.spawn(move || loop {
-                            let k = next.fetch_add(1, Ordering::Relaxed);
-                            if k >= wave.len() {
-                                break;
+                        let sink = sink.clone();
+                        s.spawn(move || {
+                            let _sink = sink.map(phase::scoped);
+                            loop {
+                                let k = next.fetch_add(1, Ordering::Relaxed);
+                                if k >= wave.len() {
+                                    break;
+                                }
+                                if table_ref.is_some_and(|t| t[wave[k]].is_some()) {
+                                    continue; // already speculated externally
+                                }
+                                let _span = phase::start("generate");
+                                let out = worker.generate(faults[wave[k]]);
+                                slots[k].set(out).expect("each slot claimed once");
                             }
-                            if table_ref.is_some_and(|t| t[wave[k]].is_some()) {
-                                continue; // already speculated externally
-                            }
-                            let _span = phase::start("generate");
-                            let out = worker.generate(faults[wave[k]]);
-                            slots[k].set(out).expect("each slot claimed once");
                         });
                     }
                 });
@@ -1694,5 +1554,36 @@ mod tests {
                 parallel.report.dropped_by_simulation
             );
         }
+    }
+
+    #[test]
+    fn wave_threads_time_into_the_callers_scoped_sink() {
+        struct Threads(Mutex<Vec<(&'static str, std::thread::ThreadId)>>);
+        impl phase::PhaseSink for Threads {
+            fn record(&self, phase: &'static str, _: std::time::Instant, _: Duration) {
+                self.0
+                    .lock()
+                    .unwrap()
+                    .push((phase, std::thread::current().id()));
+            }
+        }
+        let c = suite::s27();
+        let sink = Arc::new(Threads(Mutex::new(Vec::new())));
+        let run = {
+            let _scope = phase::scoped(sink.clone());
+            Atpg::builder(&c)
+                .backend(Backend::NonScan)
+                .parallelism(4)
+                .build()
+                .run()
+        };
+        let caller = std::thread::current().id();
+        let got = sink.0.lock().unwrap();
+        assert!(
+            got.iter().any(|&(p, t)| p == "generate" && t != caller),
+            "no wave-thread generate span reached the caller's sink"
+        );
+        assert!(got.iter().any(|&(p, t)| p == "credit" && t == caller));
+        assert!(run.report.row.tested > 0);
     }
 }

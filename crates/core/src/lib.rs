@@ -51,8 +51,8 @@ pub use driver::{
     AtpgRun, DelayAtpg, DelayAtpgConfig, FaultClassification, FaultRecord, FsimScratch,
 };
 pub use engine::{
-    Atpg, AtpgBuilder, AtpgEngine, AtpgError, Backend, Detection, EnhancedScanEngine, FaultOutcome,
-    Limits, NonScanEngine, Observer, RunConfig, RunSnapshot, StuckAtEngine,
+    Atpg, AtpgBuilder, AtpgEngine, AtpgError, Backend, Detection, FaultOutcome, Limits, Observer,
+    RunConfig, RunSnapshot,
 };
 pub use gdf_netlist::{Fault, FaultModel, FaultSet, ModelKind};
 pub use gdf_tdgen::Sensitization;

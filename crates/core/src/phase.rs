@@ -3,12 +3,18 @@
 //!
 //! Hot paths in the orchestrator and the fault-simulation driver mark
 //! their stages (`generate`, `credit`, `fill`, `fsim`, `checkpoint`, …)
-//! by opening a [`PhaseSpan`]. With no sink installed — the default —
-//! [`start`] is one relaxed atomic load and the span is inert: no clock
-//! read, no allocation, nothing. An observability layer (`gdf-obs` via
-//! `gdf-serve`) installs a process-global [`PhaseSink`] to receive
-//! `(phase, start, duration)` triples, which it folds into histograms
-//! and per-job traces.
+//! by opening a [`PhaseSpan`]. With no sink in effect — the default —
+//! [`start`] is one atomic load plus one thread-local read and the span
+//! is inert: no clock read, no allocation, nothing. An observability
+//! layer receives `(phase, start, duration)` triples through a
+//! [`PhaseSink`], which it folds into histograms and per-job traces.
+//!
+//! A sink is in effect on a thread in one of two ways. [`scoped`]
+//! routes one thread's spans to a sink until its guard drops; this is
+//! how `gdf-serve` gives every in-process server its own timings, and
+//! the orchestrator hands the spawning thread's [`current`] sink to the
+//! generation threads it spawns. [`set_phase_sink`] installs a
+//! process-global fallback for threads with no scoped sink.
 //!
 //! Nothing recorded here can reach a canonical artifact: the facade
 //! only *observes* wall time, and every consumer keeps its output in
@@ -16,6 +22,8 @@
 //! invariants (serial ≡ parallel ≡ resumed ≡ served ≡ fleet) hold with
 //! any sink installed.
 
+use std::cell::RefCell;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
@@ -30,7 +38,14 @@ pub trait PhaseSink: Send + Sync {
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static SINK: RwLock<Option<Arc<dyn PhaseSink>>> = RwLock::new(None);
 
-/// Installs the process-global phase sink.
+thread_local! {
+    /// This thread's sink from [`scoped`]; it takes precedence over the
+    /// process-global one.
+    static SCOPED: RefCell<Option<Arc<dyn PhaseSink>>> = const { RefCell::new(None) };
+}
+
+/// Installs the process-global phase sink: the fallback for threads
+/// with no [`scoped`] sink.
 pub fn set_phase_sink(sink: Arc<dyn PhaseSink>) {
     *SINK.write().unwrap_or_else(|e| e.into_inner()) = Some(sink);
     ENABLED.store(true, Ordering::Release);
@@ -43,13 +58,52 @@ pub fn reset_phase_sink() {
     *SINK.write().unwrap_or_else(|e| e.into_inner()) = None;
 }
 
-/// Whether a sink is installed.
+/// Whether a sink is in effect on this thread.
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Acquire)
+    ENABLED.load(Ordering::Acquire) || SCOPED.with(|s| s.borrow().is_some())
 }
 
-/// An in-flight phase measurement; records to the sink on drop. Inert
-/// (no clock was even read) when no sink is installed.
+/// The sink this thread's spans record to: its [`scoped`] sink, else
+/// the process-global one. A thread that spawns workers hands this to
+/// [`scoped`] in each of them, so their spans land where its own do.
+pub fn current() -> Option<Arc<dyn PhaseSink>> {
+    SCOPED.with(|s| s.borrow().clone()).or_else(|| {
+        ENABLED
+            .load(Ordering::Acquire)
+            .then(|| SINK.read().unwrap_or_else(|e| e.into_inner()).clone())
+            .flatten()
+    })
+}
+
+/// Routes this thread's spans to `sink` until the returned guard drops,
+/// which restores the thread's previous scoped sink. Several in-process
+/// servers each scope their own sink on their own threads, so none of
+/// them sees another's timings.
+pub fn scoped(sink: Arc<dyn PhaseSink>) -> ScopedSink {
+    ScopedSink {
+        previous: SCOPED.with(|s| s.replace(Some(sink))),
+        _thread_bound: PhantomData,
+    }
+}
+
+/// Guard returned by [`scoped`]. It restores a thread-local, so it
+/// cannot leave its thread.
+#[must_use = "the sink is unscoped when the guard drops; binding it to `_` drops immediately"]
+pub struct ScopedSink {
+    previous: Option<Arc<dyn PhaseSink>>,
+    _thread_bound: PhantomData<*const ()>,
+}
+
+impl Drop for ScopedSink {
+    fn drop(&mut self) {
+        let previous = self.previous.take();
+        SCOPED.with(|s| *s.borrow_mut() = previous);
+    }
+}
+
+/// An in-flight phase measurement; records to the thread's
+/// [`current`] sink on drop. Inert (no clock was even read) when no
+/// sink is in effect.
 #[must_use = "the span records on drop; binding it to `_` drops immediately"]
 pub struct PhaseSpan {
     phase: &'static str,
@@ -70,8 +124,7 @@ impl Drop for PhaseSpan {
         let Some(started) = self.started else {
             return;
         };
-        let sink = SINK.read().unwrap_or_else(|e| e.into_inner()).clone();
-        if let Some(sink) = sink {
+        if let Some(sink) = current() {
             sink.record(self.phase, started, started.elapsed());
         }
     }
@@ -112,5 +165,46 @@ mod tests {
         let got = sink.0.lock().unwrap();
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].0, "fill");
+    }
+
+    #[test]
+    fn scoped_sinks_keep_each_threads_spans_apart() {
+        let sinks: Vec<Arc<Collect>> = (0..2)
+            .map(|_| Arc::new(Collect(Mutex::new(Vec::new()))))
+            .collect();
+        std::thread::scope(|s| {
+            for (sink, phase) in sinks.iter().zip(["left", "right"]) {
+                s.spawn(move || {
+                    let _scope = scoped(sink.clone());
+                    for _ in 0..50 {
+                        let _span = start(phase);
+                    }
+                });
+            }
+        });
+        for (sink, phase) in sinks.iter().zip(["left", "right"]) {
+            let got = sink.0.lock().unwrap();
+            assert_eq!(got.len(), 50);
+            assert!(got.iter().all(|(p, _)| *p == phase));
+        }
+        // Nesting restores the outer sink; the last guard unscopes.
+        let outer = Arc::new(Collect(Mutex::new(Vec::new())));
+        let inner = Arc::new(Collect(Mutex::new(Vec::new())));
+        std::thread::spawn({
+            let (outer, inner) = (outer.clone(), inner.clone());
+            move || {
+                let _outer = scoped(outer);
+                {
+                    let _inner = scoped(inner);
+                    let _span = start("inner");
+                }
+                let _span = start("outer");
+            }
+        })
+        .join()
+        .unwrap();
+        assert_eq!(outer.0.lock().unwrap()[0].0, "outer");
+        assert_eq!(inner.0.lock().unwrap().len(), 1);
+        assert!(SCOPED.with(|s| s.borrow().is_none()));
     }
 }

@@ -3,9 +3,10 @@
 //! `s27` is the exact ISCAS'89 netlist (it is printed in full in the
 //! benchmark literature and is small enough to verify by hand). The
 //! remaining Table 3 circuits are *synthetic profile-matched* stand-ins
-//! produced by [`crate::generator`]; see `DESIGN.md` §5 for the
-//! substitution rationale. Each synthetic circuit carries the suffix
-//! `_syn` to make the substitution impossible to miss in any output.
+//! produced by [`crate::generator`]; see "Reproduction fidelity" in the
+//! repository README for the substitution rationale. Each synthetic
+//! circuit carries the suffix `_syn` to make the substitution impossible
+//! to miss in any output.
 
 use crate::circuit::Circuit;
 use crate::generator::{generate, CircuitProfile};
@@ -54,8 +55,9 @@ pub fn s27() -> Circuit {
 /// The *salt* disambiguates the per-circuit generation seed: a handful of
 /// profiles draw a degenerate random instance (logic that is largely
 /// robustly untestable) under salt 0, so a fixed salt was chosen once to
-/// get a structurally typical instance; see `DESIGN.md` §5. All salts are
-/// hard-coded — the suite is fully deterministic.
+/// get a structurally typical instance; see "Reproduction fidelity" in
+/// the repository README. All salts are hard-coded — the suite is fully
+/// deterministic.
 pub const TABLE3_PROFILES: &[(&str, usize, usize, usize, usize, u64)] = &[
     ("s27", 4, 1, 3, 10, 0),
     ("s208", 10, 1, 8, 96, 2),

@@ -19,11 +19,12 @@
 //! complete per-frame branch-and-bound and the paper's backtrack-limit
 //! abort.
 //!
-//! One deliberate design difference from the paper is documented in
-//! `DESIGN.md`: propagation here never *assumes* unjustified side values at
-//! pseudo primary inputs (forward frames use only what the state actually
-//! provides), so the paper's separate "propagation justification" pass
-//! reduces to the fast-frame re-entry implemented in the driver crate.
+//! One deliberate design difference from the paper is documented under
+//! "Reproduction fidelity" in the repository README: propagation here
+//! never *assumes* unjustified side values at pseudo primary inputs
+//! (forward frames use only what the state actually provides), so the
+//! paper's separate "propagation justification" pass reduces to the
+//! fast-frame re-entry implemented in the driver crate.
 
 pub mod frame;
 pub mod justify;

@@ -367,24 +367,31 @@ fn connect(addr: &str, timeout: Duration) -> Result<TcpStream, HttpError> {
     Err(last)
 }
 
-fn write_request_head(
+/// Sends a whole request with one `write_all`. A peer may answer and
+/// close before it reads the request; a request written piecemeal then
+/// hits `EPIPE` on a later piece and never reads the answer waiting in
+/// its receive buffer.
+fn write_request(
     stream: &mut impl Write,
     method: &str,
     path: &str,
     addr: &str,
-    body_len: usize,
+    body: &[u8],
     extra_headers: &[(&str, &str)],
 ) -> Result<(), HttpError> {
-    write!(
-        stream,
+    let mut request = format!(
         "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nAccept: application/json\r\n\
-         Content-Length: {body_len}\r\nConnection: close\r\n"
-    )
-    .map_err(io_err)?;
+         Content-Length: {}\r\nConnection: close\r\n",
+        body.len()
+    );
     for (name, value) in extra_headers {
-        write!(stream, "{name}: {value}\r\n").map_err(io_err)?;
+        request.push_str(&format!("{name}: {value}\r\n"));
     }
-    write!(stream, "\r\n").map_err(io_err)
+    request.push_str("\r\n");
+    let mut request = request.into_bytes();
+    request.extend_from_slice(body);
+    stream.write_all(&request).map_err(io_err)?;
+    stream.flush().map_err(io_err)
 }
 
 fn read_status_line<R: BufRead>(reader: &mut R) -> Result<u16, HttpError> {
@@ -448,16 +455,7 @@ pub fn client_request_with_headers(
     let stream = connect(addr, timeout)?;
     let mut writer = stream.try_clone().map_err(io_err)?;
     let body_bytes = body.map(str::as_bytes).unwrap_or_default();
-    write_request_head(
-        &mut writer,
-        method,
-        path,
-        addr,
-        body_bytes.len(),
-        extra_headers,
-    )?;
-    writer.write_all(body_bytes).map_err(io_err)?;
-    writer.flush().map_err(io_err)?;
+    write_request(&mut writer, method, path, addr, body_bytes, extra_headers)?;
 
     let mut reader = BufReader::new(stream);
     let status = read_status_line(&mut reader)?;
@@ -516,8 +514,7 @@ pub fn client_stream(
 ) -> Result<(u16, Vec<u8>), HttpError> {
     let stream = connect(addr, idle_timeout)?;
     let mut writer = stream.try_clone().map_err(io_err)?;
-    write_request_head(&mut writer, "GET", path, addr, 0, &[])?;
-    writer.flush().map_err(io_err)?;
+    write_request(&mut writer, "GET", path, addr, &[], &[])?;
 
     let mut reader = BufReader::new(stream);
     let status = read_status_line(&mut reader)?;
@@ -548,6 +545,28 @@ mod tests {
 
     fn parse(text: &str) -> Result<Option<Request>, HttpError> {
         read_request(&mut Cursor::new(text.as_bytes()), DEFAULT_BODY_LIMIT)
+    }
+
+    #[test]
+    fn a_request_goes_out_in_one_write() {
+        struct Writes(Vec<Vec<u8>>);
+        impl Write for Writes {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut out = Writes(Vec::new());
+        write_request(&mut out, "POST", "/jobs", "h:1", b"abcd", &[("X-A", "1")]).unwrap();
+        assert_eq!(out.0.len(), 1, "request split over several writes");
+        let r = parse(std::str::from_utf8(&out.0[0]).unwrap())
+            .unwrap()
+            .unwrap();
+        assert_eq!((r.method.as_str(), r.path.as_str()), ("POST", "/jobs"));
+        assert_eq!(r.body, b"abcd");
     }
 
     #[test]

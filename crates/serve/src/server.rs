@@ -31,8 +31,8 @@
 //! down", `503` means "my capacity, try another node". Queued jobs
 //! dispatch through a weighted deficit round-robin scheduler
 //! ([`gdf_tenant::FairScheduler`]) within priority bands, with
-//! deterministic tie-breaks. Without a registry nothing changes: the
-//! server runs the exact pre-tenancy open path.
+//! deterministic tie-breaks. Without a registry no route needs a token
+//! and every job waits on the queue's one ownerless lane, in FIFO order.
 //!
 //! # Determinism over the wire
 //!
@@ -60,17 +60,18 @@ use crate::job::{
     decode_record, encode_record, write_atomic, Job, JobId, JobSpec, JobState, ReportSummary,
     ShardSpec,
 };
-use crate::queue::{FairQueue, JobQueue, PushError, ShardedQueue};
+use crate::queue::{JobQueue, PushError};
 use crate::ServeError;
 use gdf_core::artifact::{encode_config, CircuitSource, PatternSet, RunArtifact};
 use gdf_core::engine::{Atpg, AtpgBuilder, AtpgError, Backend, Limits, Observer, RunConfig};
 use gdf_core::json::{Json, ParseLimits};
+use gdf_core::phase::PhaseSink;
 use gdf_core::session::{Checkpointer, EventObserver, ProgressEvent};
 use gdf_core::ShardArtifact;
 use gdf_netlist::{Circuit, FaultUniverse};
 use gdf_obs::{
     capture_begin, capture_take, Counter, Gauge, Histogram, ProfileData, ProfileHandle, Profiler,
-    Registry, TraceCtx, Tracer, PHASE_HELP, PHASE_METRIC, TRACE_HEADER,
+    Registry, RegistrySink, TraceCtx, Tracer, PHASE_HELP, PHASE_METRIC, TRACE_HEADER,
 };
 use gdf_store::{CacheKey, Store};
 use gdf_tenant::{TenantRegistry, TokenBucket};
@@ -83,8 +84,8 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How long an idle worker blocks on its shard before re-checking
-/// shutdown and the other shards.
+/// How long an idle worker blocks on the queue before re-checking
+/// shutdown.
 const WORKER_POLL: Duration = Duration::from_millis(50);
 /// How long an `/events` subscriber blocks per wait round.
 const EVENT_POLL: Duration = Duration::from_secs(2);
@@ -124,9 +125,10 @@ pub struct ServeConfig {
     pub addr: String,
     /// The persistent job directory.
     pub dir: PathBuf,
-    /// Worker threads (= queue shards), clamped to ≥ 1.
+    /// Worker threads, clamped to ≥ 1.
     pub workers: usize,
-    /// Queued jobs accepted per shard before `503`, clamped to ≥ 1.
+    /// Queued jobs accepted per worker, clamped to ≥ 1: the queue holds
+    /// `workers × queue_capacity` jobs before it answers `503`.
     pub queue_capacity: usize,
     /// Default checkpoint cadence for jobs that do not specify one.
     pub checkpoint_every: usize,
@@ -141,12 +143,12 @@ pub struct ServeConfig {
     /// route behind bearer-token auth, enforces per-tenant quotas and
     /// rate limits (`429 + Retry-After`), and dispatches through the
     /// weighted-fair scheduler. `None` (the default) is the open
-    /// pre-tenancy server, byte-for-byte.
+    /// server: no auth, no quotas, FIFO dispatch.
     pub tenants: Option<TenantRegistry>,
 }
 
 impl ServeConfig {
-    /// Defaults: 4 workers, 64 queued jobs per shard, checkpoint every
+    /// Defaults: 4 workers, 64 queued jobs per worker, checkpoint every
     /// 16 outcomes, 8 MiB bodies.
     pub fn new(addr: impl Into<String>, dir: impl Into<PathBuf>) -> Self {
         ServeConfig {
@@ -167,7 +169,8 @@ impl ServeConfig {
         self
     }
 
-    /// Replaces the per-shard queue capacity.
+    /// Replaces the queued jobs accepted per worker: the queue holds
+    /// `workers × capacity` jobs.
     pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = capacity.max(1);
         self
@@ -230,7 +233,7 @@ struct Metrics {
 impl Metrics {
     fn new(registry: &Registry) -> Self {
         // Registration order is render order; keep the historical one.
-        let queue_depth = registry.gauge("gdf_queue_depth", "Jobs waiting in the sharded queue.");
+        let queue_depth = registry.gauge("gdf_queue_depth", "Jobs waiting in the job queue.");
         let jobs_running = registry.gauge(
             "gdf_jobs_running",
             "Jobs currently being driven by a worker.",
@@ -395,6 +398,8 @@ struct ServerState {
     jobs: Mutex<BTreeMap<JobId, Arc<Job>>>,
     next_id: AtomicU64,
     queue: JobQueue,
+    /// Worker-pool size, for `/healthz` and the utilization gauges.
+    workers: usize,
     /// `Some` when a tenant registry is loaded; `None` is open mode.
     tenancy: Option<Tenancy>,
     /// Recovered in-flight jobs that did not fit the bounded queue at
@@ -418,6 +423,10 @@ struct ServerState {
     registry: Registry,
     /// Tracing + profiling enabled ([`ServeConfig::obs`]).
     obs: bool,
+    /// Folds engine phase spans into `registry`; `Some` iff `obs`. Every
+    /// worker and connection thread scopes it, so in-process servers
+    /// never time each other's jobs.
+    phase_sink: Option<Arc<dyn PhaseSink>>,
     /// The content-addressed result cache under `<dir>/store`. Always
     /// on: publishing costs one extra write per completed run, and a hit
     /// saves an entire generation run.
@@ -495,6 +504,18 @@ impl ServerState {
         }
     }
 
+    /// Whether a job whose run just returned stays as it is for the
+    /// next server instead of reaching a terminal state: always after a
+    /// server stop (crash-style: the `running` record and the last
+    /// checkpoint stay untouched), and after a drain that stopped the
+    /// run early (`stopped_early`) when no client cancel did.
+    fn leaves_job(&self, job: &Job, stopped_early: bool) -> bool {
+        self.stopping.load(Ordering::Acquire)
+            || (stopped_early
+                && self.draining.load(Ordering::Acquire)
+                && !job.cancel.load(Ordering::Acquire))
+    }
+
     /// Moves a job to a terminal state, persists it, closes its stream.
     fn finalize(
         &self,
@@ -551,31 +572,24 @@ impl JobServer {
             HTTP_HELP,
             &[("method", "GET"), ("path", "/metrics"), ("status", "200")],
         );
-        if config.obs {
-            // Route engine phase spans (parse/generate/fill/fsim/…)
-            // into this registry. The sink is process-global: with
-            // several in-process servers the last one started wins,
-            // which the tests and the bench harness account for.
-            gdf_obs::install_phase_sink(registry.clone());
-        }
+        // Engine phase spans (parse/generate/fill/fsim/…) on this
+        // server's threads fold into this registry.
+        let phase_sink = config
+            .obs
+            .then(|| Arc::new(RegistrySink::new(registry.clone())) as Arc<dyn PhaseSink>);
         // Tenancy registers its per-tenant families after every
         // pre-existing one, so open-mode scrapes render unchanged.
         let tenancy = config.tenants.clone().map(|r| Tenancy::new(r, &registry));
-        let queue = match &tenancy {
-            // The fair queue bounds *total* queued jobs at the same
-            // global capacity open mode has (workers × per-shard cap).
-            Some(t) => JobQueue::Fair(FairQueue::new(
-                workers,
-                workers * config.queue_capacity.max(1),
-                &t.registry,
-            )),
-            None => JobQueue::Open(ShardedQueue::new(workers, config.queue_capacity.max(1))),
-        };
+        let queue = JobQueue::new(
+            workers * config.queue_capacity.max(1),
+            tenancy.as_ref().map(|t| &t.registry),
+        );
         let state = Arc::new(ServerState {
             dir: config.dir.clone(),
             jobs: Mutex::new(BTreeMap::new()),
             next_id: AtomicU64::new(1),
             queue,
+            workers,
             tenancy,
             backlog: Mutex::new(std::collections::VecDeque::new()),
             default_checkpoint_every: config.checkpoint_every.max(1),
@@ -586,6 +600,7 @@ impl JobServer {
             metrics,
             registry,
             obs: config.obs,
+            phase_sink,
             store,
         });
         recover_jobs(&state)?;
@@ -596,7 +611,7 @@ impl JobServer {
             worker_handles.push(
                 std::thread::Builder::new()
                     .name(format!("gdf-serve-worker-{index}"))
-                    .spawn(move || worker_loop(state, index))
+                    .spawn(move || worker_loop(state))
                     .map_err(|e| ServeError::Io(format!("spawn worker: {e}")))?,
             );
         }
@@ -883,13 +898,14 @@ impl JobObs {
     }
 }
 
-fn worker_loop(state: Arc<ServerState>, index: usize) {
+fn worker_loop(state: Arc<ServerState>) {
+    let _sink = state.phase_sink.clone().map(gdf_core::phase::scoped);
     loop {
         if state.stopping.load(Ordering::Acquire) {
             return;
         }
         state.drain_backlog();
-        let Some(id) = state.queue.pop(index, WORKER_POLL) else {
+        let Some(id) = state.queue.pop(WORKER_POLL) else {
             if state.queue.is_closed() {
                 return;
             }
@@ -899,8 +915,8 @@ fn worker_loop(state: Arc<ServerState>, index: usize) {
         state.metrics.busy.fetch_add(1, Ordering::AcqRel);
         run_job(&state, &job);
         state.metrics.busy.fetch_sub(1, Ordering::AcqRel);
-        // Release the fair-scheduler dispatch slot (no-op in open
-        // mode): the owner's lane may have been at `max_running`.
+        // Release the dispatch slot: the owner's lane may have been at
+        // `max_running`.
         state.queue.finish(job.spec.tenant.as_deref());
     }
 }
@@ -914,14 +930,27 @@ fn publish_run(state: &ServerState, spec: &JobSpec, artifact: &RunArtifact) {
     }
 }
 
+/// How a job body ended; [`run_job`] makes the terminal transition.
+enum Ending {
+    /// Completed; a full job carries its report summary.
+    Done(Option<ReportSummary>),
+    /// A client cancel stopped it.
+    Cancelled,
+    /// It failed with this message.
+    Failed(String),
+    /// A server stop or drain stopped it: the `running` record and the
+    /// checkpoint stay on disk for the next server.
+    Interrupted,
+}
+
+/// The job lifecycle: start checks, the `running` record, parse, the
+/// full or the shard body, then one terminal transition for whatever
+/// the body reports.
 fn run_job(state: &Arc<ServerState>, job: &Arc<Job>) {
-    if state.stopping.load(Ordering::Acquire) {
-        return;
-    }
-    if state.draining.load(Ordering::Acquire) {
-        // Draining: start nothing new. The job's `queued` record is
-        // already on disk; a restarted server (or a stealing
-        // coordinator) picks it up.
+    if state.stopping.load(Ordering::Acquire) || state.draining.load(Ordering::Acquire) {
+        // Start nothing new. The job's `queued` record is already on
+        // disk; a restarted server (or a stealing coordinator) picks it
+        // up.
         return;
     }
     if job.cancel.load(Ordering::Acquire) {
@@ -933,32 +962,51 @@ fn run_job(state: &Arc<ServerState>, job: &Arc<Job>) {
     state.persist(job);
     let mut obs = JobObs::begin(state, job);
 
-    let spec = &job.spec;
     let resolved = {
         let _span = gdf_core::phase::start("parse");
-        spec.source.resolve()
+        job.spec.source.resolve()
     };
-    let circuit = match resolved {
-        Ok(circuit) => circuit,
-        Err(e) => {
+    let ending = match resolved {
+        Err(e) => Ending::Failed(e.to_string()),
+        // Shard jobs take the pure-generation path: target the tagged
+        // universe range, checkpoint a shard document, never touch the
+        // credit RNG (see `gdf_core::shard` for the contract).
+        Ok(circuit) => match &job.spec.shard {
+            Some(shard) => run_shard_body(state, job, &circuit, shard),
+            None => run_full_body(state, job, &circuit, &mut obs),
+        },
+    };
+    let (terminal, error, report) = match ending {
+        Ending::Interrupted => return,
+        Ending::Done(report) => {
+            state.metrics.record_done(started.elapsed());
+            (JobState::Done, None, report)
+        }
+        Ending::Cancelled => (JobState::Cancelled, None, None),
+        Ending::Failed(e) => {
             state.metrics.failed.inc();
-            obs.finish(state, job, started);
-            state.finalize(job, JobState::Failed, Some(e.to_string()), None);
-            return;
+            (JobState::Failed, Some(e), None)
         }
     };
-    // Shard jobs take the pure-generation path: target the tagged
-    // universe range, checkpoint a shard document, never touch the
-    // credit RNG (see `gdf_core::shard` for the contract).
-    if let Some(shard) = spec.shard.clone() {
-        run_shard_job(state, job, &circuit, &shard, started, obs);
-        return;
-    }
+    obs.finish(state, job, started);
+    state.finalize(job, terminal, error, report);
+}
+
+/// A full job's body: adopt a complete artifact or resume a checkpoint
+/// left on disk under the same config, run the engine with the job's
+/// observers, then save and publish the artifact.
+fn run_full_body(
+    state: &Arc<ServerState>,
+    job: &Arc<Job>,
+    circuit: &Circuit,
+    obs: &mut JobObs,
+) -> Ending {
+    let spec = &job.spec;
     let config = spec.config;
     let artifact_path = Job::artifact_path(&state.dir, job.id);
 
     let make_builder = || -> AtpgBuilder<'_> {
-        Atpg::builder(&circuit)
+        Atpg::builder(circuit)
             .backend(config.backend)
             .model(config.model)
             .sensitization(config.sensitization)
@@ -980,10 +1028,7 @@ fn run_job(state: &Arc<ServerState>, job: &Arc<Job>) {
                     let _span = gdf_core::phase::start("publish");
                     publish_run(state, spec, &artifact);
                 }
-                state.metrics.record_done(started.elapsed());
-                obs.finish(state, job, started);
-                state.finalize(job, JobState::Done, None, report);
-                return;
+                return Ending::Done(report);
             }
             Ok(artifact) if artifact.config() == config => {
                 match make_builder().resume_from(&artifact) {
@@ -1037,33 +1082,17 @@ fn run_job(state: &Arc<ServerState>, job: &Arc<Job>) {
     // job rather than a worker panic.
     let mut engine = match builder.try_build() {
         Ok(engine) => engine,
-        Err(e) => {
-            state.metrics.failed.inc();
-            obs.finish(state, job, started);
-            state.finalize(job, JobState::Failed, Some(e.to_string()), None);
-            return;
-        }
+        Err(e) => return Ending::Failed(e.to_string()),
     };
     let run = engine.run();
 
-    if state.stopping.load(Ordering::Acquire) {
-        // Crash-style stop: the last checkpoint and the `running` record
-        // stay exactly as they are; the next server resumes from them.
-        return;
-    }
-    if state.draining.load(Ordering::Acquire)
-        && !job.cancel.load(Ordering::Acquire)
-        && matches!(run.stopped, Some(AtpgError::Cancelled))
-    {
-        // Drain stopped the run at a fault boundary (not a client
-        // cancel): keep the checkpoint and `running` record so a
-        // restart resumes; the Checkpointer's cadence bounds the
-        // recomputed tail.
-        return;
+    // The Checkpointer's cadence bounds the tail a resume recomputes.
+    if state.leaves_job(job, matches!(run.stopped, Some(AtpgError::Cancelled))) {
+        return Ending::Interrupted;
     }
     match run.stopped {
         None => {
-            let artifact = RunArtifact::from_run(&circuit, &run, config, Some(spec.source.clone()));
+            let artifact = RunArtifact::from_run(circuit, &run, config, Some(spec.source.clone()));
             let saved = {
                 let _span = gdf_core::phase::start("publish");
                 let saved = artifact.save(&artifact_path);
@@ -1073,44 +1102,20 @@ fn run_job(state: &Arc<ServerState>, job: &Arc<Job>) {
                 saved
             };
             match saved {
-                Ok(()) => {
-                    let report = ReportSummary::from(&run.report);
-                    state.metrics.record_done(started.elapsed());
-                    obs.finish(state, job, started);
-                    state.finalize(job, JobState::Done, None, Some(report));
-                }
-                Err(e) => {
-                    state.metrics.failed.inc();
-                    obs.finish(state, job, started);
-                    state.finalize(job, JobState::Failed, Some(e.to_string()), None);
-                }
+                Ok(()) => Ending::Done(Some(ReportSummary::from(&run.report))),
+                Err(e) => Ending::Failed(e.to_string()),
             }
         }
-        Some(AtpgError::Cancelled) => {
-            obs.finish(state, job, started);
-            state.finalize(job, JobState::Cancelled, None, None);
-        }
-        Some(e) => {
-            state.metrics.failed.inc();
-            obs.finish(state, job, started);
-            state.finalize(job, JobState::Failed, Some(e.to_string()), None);
-        }
+        Some(AtpgError::Cancelled) => Ending::Cancelled,
+        Some(e) => Ending::Failed(e.to_string()),
     }
 }
 
-/// The shard-job work loop: resume the shard document if one is on
-/// disk, target every remaining fault of the range, checkpoint every
-/// `checkpoint_every` outcomes, and finalize like an ordinary job —
-/// except the artifact is a `gdf-shard` document and there is no
-/// report (a shard classifies nothing; the merge does).
-fn run_shard_job(
-    state: &Arc<ServerState>,
-    job: &Arc<Job>,
-    circuit: &Circuit,
-    shard: &ShardSpec,
-    started: Instant,
-    obs: JobObs,
-) {
+/// A shard job's body: resume the shard document if one is on disk,
+/// target every remaining fault of the range, checkpoint every
+/// `checkpoint_every` outcomes, then save the document. There is no
+/// report: a shard classifies nothing; the merge does.
+fn run_shard_body(state: &ServerState, job: &Job, circuit: &Circuit, shard: &ShardSpec) -> Ending {
     let spec = &job.spec;
     let artifact_path = Job::artifact_path(&state.dir, job.id);
     let mut artifact = match ShardArtifact::new(
@@ -1121,12 +1126,7 @@ fn run_shard_job(
         shard.hi,
     ) {
         Ok(artifact) => artifact,
-        Err(e) => {
-            state.metrics.failed.inc();
-            obs.finish(state, job, started);
-            state.finalize(job, JobState::Failed, Some(e.to_string()), None);
-            return;
-        }
+        Err(e) => return Ending::Failed(e.to_string()),
     };
     // A pre-existing shard document under the same spec is a checkpoint
     // from an interrupted attempt: resume at its first hole. Foreign
@@ -1172,23 +1172,16 @@ fn run_shard_job(
             || job.cancel.load(Ordering::Acquire))
     });
 
-    if state.stopping.load(Ordering::Acquire) {
-        // Crash-style stop, same as full jobs: last checkpoint + the
-        // `running` record stay; the next server resumes the shard.
-        return;
-    }
-    if state.draining.load(Ordering::Acquire)
-        && !job.cancel.load(Ordering::Acquire)
-        && matches!(result, Ok(false))
-    {
-        // Drain stopped the shard between outcomes: persist a final
-        // checkpoint (shard documents resume at their first hole), keep
-        // the `running` record, and let the restart or the stealing
-        // coordinator finish the range.
-        if let Err(e) = artifact.save(&artifact_path, circuit) {
-            eprintln!("gdf-serve: job {} drain checkpoint failed: {e}", job.id);
+    if state.leaves_job(job, matches!(result, Ok(false))) {
+        if !state.stopping.load(Ordering::Acquire) {
+            // A drain stopped the shard between outcomes: persist a
+            // final checkpoint (shard documents resume at their first
+            // hole) for the restart or the stealing coordinator.
+            if let Err(e) = artifact.save(&artifact_path, circuit) {
+                eprintln!("gdf-serve: job {} drain checkpoint failed: {e}", job.id);
+            }
         }
-        return;
+        return Ending::Interrupted;
     }
     match result {
         Ok(true) => {
@@ -1205,26 +1198,13 @@ fn run_shard_job(
                         patterns: 0,
                         sequences: 0,
                     });
-                    state.metrics.record_done(started.elapsed());
-                    obs.finish(state, job, started);
-                    state.finalize(job, JobState::Done, None, None);
+                    Ending::Done(None)
                 }
-                Err(e) => {
-                    state.metrics.failed.inc();
-                    obs.finish(state, job, started);
-                    state.finalize(job, JobState::Failed, Some(e.to_string()), None);
-                }
+                Err(e) => Ending::Failed(e.to_string()),
             }
         }
-        Ok(false) => {
-            obs.finish(state, job, started);
-            state.finalize(job, JobState::Cancelled, None, None);
-        }
-        Err(e) => {
-            state.metrics.failed.inc();
-            obs.finish(state, job, started);
-            state.finalize(job, JobState::Failed, Some(e.to_string()), None);
-        }
+        Ok(false) => Ending::Cancelled,
+        Err(e) => Ending::Failed(e.to_string()),
     }
 }
 
@@ -1269,6 +1249,7 @@ fn accept_loop(state: Arc<ServerState>, listener: TcpListener) {
 }
 
 fn handle_connection(state: Arc<ServerState>, stream: TcpStream) {
+    let _sink = state.phase_sink.clone().map(gdf_core::phase::scoped);
     let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
     let Ok(read_half) = stream.try_clone() else {
@@ -1394,7 +1375,7 @@ fn handle_health(state: &Arc<ServerState>) -> Response {
             ("jobs".into(), Json::Num(jobs.len() as f64)),
             ("running".into(), Json::Num(active as f64)),
             ("queued".into(), Json::Num(state.queue.len() as f64)),
-            ("workers".into(), Json::Num(state.queue.shards() as f64)),
+            ("workers".into(), Json::Num(state.workers as f64)),
         ]),
     )
 }
@@ -1418,7 +1399,7 @@ fn handle_metrics(state: &Arc<ServerState>) -> Response {
         }
         (running, queued)
     };
-    let workers = state.queue.shards();
+    let workers = state.workers;
     let busy = state.metrics.busy.load(Ordering::Acquire).min(workers);
     let store_stats = state.store.stats().unwrap_or_default();
     let m = &state.metrics;
@@ -1427,11 +1408,7 @@ fn handle_metrics(state: &Arc<ServerState>) -> Response {
     m.jobs_queued.set(queued_jobs as f64);
     m.workers.set(workers as f64);
     m.workers_busy.set(busy as f64);
-    m.worker_utilization.set(if workers == 0 {
-        0.0
-    } else {
-        busy as f64 / workers as f64
-    });
+    m.worker_utilization.set(busy as f64 / workers as f64);
     m.draining.set(if state.draining.load(Ordering::Acquire) {
         1.0
     } else {
@@ -1439,10 +1416,10 @@ fn handle_metrics(state: &Arc<ServerState>) -> Response {
     });
     m.store_bytes.set(store_stats.bytes as f64);
     m.store_objects.set(store_stats.objects as f64);
-    if let (Some(t), JobQueue::Fair(q)) = (&state.tenancy, &state.queue) {
+    if let Some(t) = &state.tenancy {
         // Lanes the scheduler has not seen yet keep their pre-registered
         // zero; the ownerless "" lane has no gauge and is skipped.
-        for (tenant, queued, running) in q.snapshot() {
+        for (tenant, queued, running) in state.queue.snapshot() {
             if let Some(g) = t.queued.get(&tenant) {
                 g.set(queued as f64);
             }

@@ -23,7 +23,7 @@
 //!   (`gdf run` / `resume` / `grade` / `campaign` / `report`) drives all
 //!   of it from the command line over `.bench` files and JSON artifacts;
 //! * [`serve`] — the **job server**: a hand-rolled HTTP/1.1 service on
-//!   `std::net` with a bounded sharded queue, a fixed worker pool,
+//!   `std::net` with a bounded job queue, a fixed worker pool,
 //!   streaming progress events and checkpoint-backed crash recovery
 //!   (`gdf serve`, with `gdf submit` / `status` / `fetch` / `cancel` as
 //!   its remote controls);

@@ -184,6 +184,48 @@ fn live_exposition_is_valid_and_keeps_every_seed_series() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The `gdf_engine_phase_seconds_count` sample of `phase`.
+fn phase_count(text: &str, phase: &str) -> f64 {
+    let series = format!("gdf_engine_phase_seconds_count{{phase=\"{phase}\"}}");
+    text.lines()
+        .find_map(|l| l.strip_prefix(series.as_str()))
+        .and_then(|rest| rest.trim().parse::<f64>().ok())
+        .unwrap_or_else(|| panic!("no {series} sample"))
+}
+
+#[test]
+fn each_server_times_only_its_own_jobs() {
+    // Two servers in one process; the second starts last, and only the
+    // first runs a job.
+    let (dir_a, dir_b) = (temp_dir("own-a"), temp_dir("own-b"));
+    let (server_a, client_a) = start_server(&dir_a, 1);
+    let (server_b, client_b) = start_server(&dir_b, 1);
+    let submission = submission_for_suite("suite:s27", &RunConfig::new(Backend::NonScan));
+    let id = client_a.submit(&submission).expect("submit");
+    client_a
+        .wait(
+            id,
+            Duration::from_millis(25),
+            Some(Duration::from_secs(120)),
+        )
+        .expect("job finishes");
+
+    let text_a = client_a.metrics().expect("scrape a");
+    let text_b = client_b.metrics().expect("scrape b");
+    for phase in ["parse", "generate", "fill", "fsim", "publish"] {
+        assert!(
+            phase_count(&text_a, phase) > 0.0,
+            "a lost its {phase} spans"
+        );
+        assert_eq!(phase_count(&text_b, phase), 0.0, "b timed a's {phase}");
+    }
+
+    server_a.shutdown();
+    server_b.shutdown();
+    let _ = std::fs::remove_dir_all(&dir_a);
+    let _ = std::fs::remove_dir_all(&dir_b);
+}
+
 #[test]
 fn draining_server_still_exposes_a_valid_exposition() {
     let dir = temp_dir("drain");

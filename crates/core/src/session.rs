@@ -926,8 +926,9 @@ impl std::fmt::Display for GradeReport {
 /// # Errors
 ///
 /// [`ArtifactError::Mismatch`] when the pattern set names a different
-/// circuit, references signals the circuit does not have, or asks for
-/// the stuck-at model.
+/// circuit, has a frame whose width is not the circuit's input count,
+/// references signals the circuit does not have, or asks for the
+/// stuck-at model.
 ///
 /// # Example
 ///
@@ -970,6 +971,18 @@ pub fn grade_patterns(
              (grade delay or transition)"
                 .into(),
         ));
+    }
+    for (pi, pattern) in set.patterns.iter().enumerate() {
+        for (frame, v) in pattern.sequence.vectors().iter().enumerate() {
+            if v.pi.len() != circuit.num_inputs() {
+                return Err(ArtifactError::Mismatch(format!(
+                    "pattern {pi} frame {frame} has {} inputs, circuit `{}` has {}",
+                    v.pi.len(),
+                    circuit.name(),
+                    circuit.num_inputs()
+                )));
+            }
+        }
     }
     let faults: Vec<Fault> = model.model().enumerate(circuit, universe).collect();
     let driver = DelayAtpg::with_config(

@@ -9,10 +9,10 @@
 //! (value changes) in level order, which is the classic selective-trace
 //! technique the 1990s fault simulators (including FAUSIM) were built on.
 
-use gdf_algebra::logic3::{eval_gate3, Logic3};
+use crate::goodsim::eval3_indexed;
+use crate::packed::LevelQueue;
+use gdf_algebra::logic3::Logic3;
 use gdf_netlist::{Circuit, NodeId};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Incremental 3-valued simulator with selective trace.
 ///
@@ -40,20 +40,20 @@ use std::collections::BinaryHeap;
 pub struct EventSimulator<'c> {
     circuit: &'c Circuit,
     values: Vec<Logic3>,
-    /// Gates awaiting re-evaluation, ordered by level (a gate is evaluated
+    /// Gates awaiting re-evaluation, in level order (a gate is evaluated
     /// at most once per settle pass).
-    queue: BinaryHeap<Reverse<(u32, u32)>>,
-    queued: Vec<bool>,
+    queue: LevelQueue,
 }
 
 impl<'c> EventSimulator<'c> {
     /// Creates a simulator with every net at `X`.
     pub fn new(circuit: &'c Circuit) -> Self {
+        let mut queue = LevelQueue::default();
+        queue.prepare(circuit);
         EventSimulator {
             circuit,
             values: vec![Logic3::X; circuit.num_nodes()],
-            queue: BinaryHeap::new(),
-            queued: vec![false; circuit.num_nodes()],
+            queue,
         }
     }
 
@@ -116,46 +116,19 @@ impl<'c> EventSimulator<'c> {
             return;
         }
         self.values[id.index()] = v;
-        self.schedule_fanout(id);
-    }
-
-    fn schedule_fanout(&mut self, id: NodeId) {
-        let sinks: Vec<NodeId> = self
-            .circuit
-            .node(id)
-            .fanout()
-            .iter()
-            .map(|&(s, _)| s)
-            .filter(|&s| self.circuit.node(s).kind().is_combinational())
-            .collect();
-        for sink in sinks {
-            if !self.queued[sink.index()] {
-                self.queued[sink.index()] = true;
-                self.queue.push(Reverse((self.circuit.level(sink), sink.0)));
-            }
-        }
+        self.queue.schedule_fanout(self.circuit, id);
     }
 
     /// Propagates all pending events to a fixpoint; returns the number of
     /// gate evaluations performed (the "activity" of this settle pass).
     pub fn settle(&mut self) -> usize {
-        let mut evaluated = 0;
-        while let Some(Reverse((_, raw))) = self.queue.pop() {
-            let id = NodeId(raw);
-            self.queued[id.index()] = false;
-            let node = self.circuit.node(id);
-            let ins: Vec<Logic3> = node
-                .fanin()
-                .iter()
-                .map(|&f| self.values[f.index()])
-                .collect();
-            let new = eval_gate3(node.kind(), &ins);
-            evaluated += 1;
-            if new != self.values[id.index()] {
-                self.values[id.index()] = new;
-                self.schedule_fanout(id);
-            }
-        }
+        let circuit = self.circuit;
+        let evaluated = self.queue.run(circuit, &mut self.values, |gate, values| {
+            let node = circuit.node(gate);
+            eval3_indexed(node.kind(), node.fanin(), values)
+        });
+        // The values stay resident: nothing is restored.
+        self.queue.forget_touched();
         evaluated
     }
 

@@ -15,9 +15,15 @@
 //! Both run the good and the faulty machine side by side in 3-valued logic;
 //! a fault is observed at a PO only when both machines have *known,
 //! differing* values there (the safe criterion under unknown state bits).
+//!
+//! [`Fausim::propagate_state_diffs_packed`] runs 64 state differences at
+//! once against good-machine frames computed once by the caller. Each
+//! frame starts from the good values and selectively traces only the
+//! gates a differing flip-flop reaches, in level order; it stops early
+//! once every faulty machine has fallen back into the good state.
 
 use crate::goodsim::GoodSimulator;
-use crate::packed::{PackedGoodSim, PackedLogic, SimScratch};
+use crate::packed::{eval_packed3_indexed, PackedLogic, SimScratch};
 use gdf_algebra::logic3::{eval_gate3, Logic3};
 use gdf_netlist::{Circuit, NodeId, StuckFault};
 
@@ -100,38 +106,50 @@ impl<'c> Fausim<'c> {
 
     /// Word-parallel variant of [`Fausim::propagate_state_diff`]: one
     /// faulty machine per bit lane, all lanes sharing the fault-free
-    /// frames. Lane `k` starts in `good_state` with flip-flop
+    /// frames. Lane `k` starts in the good state with flip-flop
     /// `diff_dffs[k]` inverted; the returned mask has bit `k` set iff that
     /// lane's difference provably reaches a primary output — lane-wise
     /// identical to `diff_dffs.len()` sequential scalar calls, at the
     /// cost of roughly one.
     ///
+    /// `good_frames` holds the fault-free machine's node values for each
+    /// frame, as [`GoodSimulator::run`] returns them for the good state
+    /// and the frame vectors. Compute them once and hand them to every
+    /// chunk of up to 64 differences. Each frame then starts from the
+    /// good values and evaluates, in level order, only the gates that a
+    /// differing flip-flop reaches.
+    ///
     /// # Panics
     ///
     /// Panics if `diff_dffs` has more than 64 entries, or any entry is out
-    /// of range or indexes an unknown (`X`) state bit.
+    /// of range or indexes an unknown (`X`) state bit, or a frame does
+    /// not have one value per node.
     pub fn propagate_state_diffs_packed(
         &self,
-        good_state: &[Logic3],
+        good_frames: &[Vec<Logic3>],
         diff_dffs: &[usize],
-        vectors: &[Vec<Logic3>],
         scratch: &mut SimScratch,
     ) -> u64 {
         assert!(diff_dffs.len() <= 64, "at most 64 lanes per word");
         let circuit = self.circuit;
-        let sim = GoodSimulator::new(circuit);
-        let packed = PackedGoodSim::new(circuit);
+        assert!(
+            diff_dffs.iter().all(|&d| d < circuit.num_dffs()),
+            "diff_dff out of range"
+        );
+        let Some(first) = good_frames.first() else {
+            return 0;
+        };
 
-        // Good machine state (shared) and per-lane faulty states.
-        scratch.state.clear();
-        scratch.state.extend_from_slice(good_state);
+        // Per-lane faulty states, starting from the good state.
         scratch.packed_state.clear();
-        scratch
-            .packed_state
-            .extend(good_state.iter().map(|&v| PackedLogic::splat(v)));
+        scratch.packed_state.extend(
+            circuit
+                .dffs()
+                .iter()
+                .map(|&ff| PackedLogic::splat(first[ff.index()])),
+        );
         for (k, &d) in diff_dffs.iter().enumerate() {
-            assert!(d < circuit.num_dffs(), "diff_dff out of range");
-            let flipped = good_state[d]
+            let flipped = first[circuit.dffs()[d].index()]
                 .to_bool()
                 .map(|b| Logic3::from_bool(!b))
                 .expect("state difference must be on a known bit");
@@ -144,27 +162,46 @@ impl<'c> Fausim<'c> {
             (1u64 << diff_dffs.len()) - 1
         };
         let mut observed = 0u64;
-        let mut pi = std::mem::take(&mut scratch.packed_ins);
-        for v in vectors {
-            sim.eval_comb_into(v, &scratch.state, &mut scratch.logic);
-            pi.clear();
-            pi.extend(v.iter().map(|&b| PackedLogic::splat(b)));
-            packed.eval_comb_into(&pi, &scratch.packed_state, &mut scratch.packed);
+        let queue = &mut scratch.queue;
+        queue.prepare(circuit);
+        for good in good_frames {
+            assert_eq!(good.len(), circuit.num_nodes(), "good frame length");
+            let values = &mut scratch.packed;
+            values.clear();
+            values.extend(good.iter().map(|&v| PackedLogic::splat(v)));
+            // Seed the trace with the flip-flops whose lanes differ from
+            // the good machine.
+            for (i, &ff) in circuit.dffs().iter().enumerate() {
+                let state = scratch.packed_state[i];
+                if state != values[ff.index()] {
+                    queue.inject(circuit, values, ff, state);
+                }
+            }
+            queue.run(circuit, values, |gate, values| {
+                let node = circuit.node(gate);
+                eval_packed3_indexed(node.kind(), node.fanin(), values)
+            });
+            // The next frame rewrites every node.
+            queue.forget_touched();
             for &po in circuit.outputs() {
-                let f = scratch.packed[po.index()];
-                match scratch.logic[po.index()].to_bool() {
+                let f = values[po.index()];
+                match good[po.index()].to_bool() {
                     Some(true) => observed |= f.zeros,
                     Some(false) => observed |= f.ones,
                     None => {}
                 }
             }
-            // Step both machines.
-            sim.next_state_into(&scratch.logic, &mut scratch.state_next);
-            std::mem::swap(&mut scratch.state, &mut scratch.state_next);
-            packed.next_state_into(&scratch.packed, &mut scratch.packed_next);
-            std::mem::swap(&mut scratch.packed_state, &mut scratch.packed_next);
+            // Latch the faulty states. Once every lane equals the good
+            // machine, nothing can differ in a later frame.
+            let mut alive = false;
+            for (state, &ppo) in scratch.packed_state.iter_mut().zip(circuit.ppos()) {
+                *state = values[ppo.index()];
+                alive |= *state != PackedLogic::splat(good[ppo.index()]);
+            }
+            if !alive || observed & lanes_mask == lanes_mask {
+                break;
+            }
         }
-        scratch.packed_ins = pi;
         observed & lanes_mask
     }
 
@@ -482,8 +519,8 @@ mod tests {
                     })
                     .collect();
                 let diffs: Vec<usize> = (0..3).collect();
-                let mask =
-                    fausim.propagate_state_diffs_packed(&good, &diffs, &vectors, &mut scratch);
+                let (frames, _) = GoodSimulator::new(&c).run(&good, &vectors);
+                let mask = fausim.propagate_state_diffs_packed(&frames, &diffs, &mut scratch);
                 for (k, &d) in diffs.iter().enumerate() {
                     let scalar = fausim.propagate_state_diff(&good, d, &vectors);
                     assert_eq!(
@@ -503,7 +540,8 @@ mod tests {
         let mut scratch = crate::SimScratch::default();
         let good = vec![Zero; 3];
         let vectors = vec![vec![Zero, One]; 3];
-        let mask = fausim.propagate_state_diffs_packed(&good, &[0, 1, 2], &vectors, &mut scratch);
+        let (frames, _) = GoodSimulator::new(&c).run(&good, &vectors);
+        let mask = fausim.propagate_state_diffs_packed(&frames, &[0, 1, 2], &mut scratch);
         for d in 0..3 {
             let scalar = fausim.propagate_state_diff(&good, d, &vectors);
             assert_eq!(mask >> d & 1 == 1, scalar.is_observed(), "dff {d}");

@@ -9,11 +9,19 @@
 //!    ([`crate::goodsim`]),
 //! 2. packed PPO state-difference propagation through the slow-clock
 //!    frames ([`crate::fausim::Fausim::propagate_state_diffs_packed`],
-//!    one PPO per lane),
+//!    one PPO per lane): the good machine runs the propagation frames
+//!    once per sequence, and every 64-PPO chunk selectively traces its
+//!    differences against those frames,
 //! 3. packed critical-path tracing of the fast frame
 //!    ([`crate::tdsim::detected_delay_faults_packed`], 64 candidate
-//!    faults per word) with the invalidation check against the relied
-//!    PPOs.
+//!    faults per word, each batch evaluating only the gates its marks
+//!    reach) with the invalidation check against the relied PPOs.
+//!
+//! Phase 3 starts from the waveform of
+//! [`crate::waveform::two_frame_values_into`] and phase 2 from the good
+//! machine's frames, so both start from consistent values — every gate
+//! holds its gate function of its fanins' values — which is what makes
+//! skipping unreached gates exact.
 //!
 //! The ATPG driver (`gdf_core::DelayAtpg::fault_simulate_sequence`)
 //! X-fills a `TestSequence` and calls straight into this function; the
@@ -54,14 +62,12 @@ use rand::Rng;
 /// after warm-up.
 #[derive(Debug, Default, Clone)]
 pub struct GradeScratch {
-    /// 3-valued conversion of the propagation frames.
-    prop: Vec<Vec<Logic3>>,
-    /// One PI frame in 3-valued form (phase-1 stepping).
+    /// One PI frame in 3-valued form (good-machine stepping).
     pi: Vec<Logic3>,
     /// Flip-flop state in the initial (V1) frame after X-fill.
     state1: Vec<bool>,
-    /// Flip-flop state in the fast (V2) frame.
-    state2: Vec<Logic3>,
+    /// Fault-free node values of each propagation frame.
+    good: Vec<Vec<Logic3>>,
     /// Frame-1 binary node values of the waveform evaluation.
     bits: Vec<bool>,
     /// The fault-free two-frame waveform.
@@ -193,49 +199,44 @@ fn run_phases_one_two(
 
     // Phase 2: which PPOs with non-steady values are observable through
     // the propagation frames? One lane per candidate PPO.
-    fill_logic_frames(&filled[fast + 1..], &mut scratch.prop);
-    scratch.state2.clear();
-    scratch.state2.extend(
-        circuit
-            .ppos()
-            .iter()
-            .map(|&ppo| Logic3::from_bool(scratch.wave[ppo.index()].final_value())),
-    );
+    let prop = &filled[fast + 1..];
     scratch.observable.clear();
-    if !scratch.prop.is_empty() {
-        let fausim = Fausim::new(circuit);
-        scratch.diff_dffs.clear();
+    scratch.diff_dffs.clear();
+    if !prop.is_empty() {
         for (i, &ppo) in circuit.ppos().iter().enumerate() {
             if !scratch.wave[ppo.index()].is_steady_clean() {
                 scratch.diff_dffs.push(i);
             }
         }
-        for chunk in scratch.diff_dffs.chunks(64) {
-            let mask = fausim.propagate_state_diffs_packed(
-                &scratch.state2,
-                chunk,
-                &scratch.prop,
-                &mut scratch.sim,
-            );
-            for (k, &i) in chunk.iter().enumerate() {
-                if mask >> k & 1 == 1 {
-                    scratch.observable.push(circuit.ppos()[i]);
-                }
+    }
+    if scratch.diff_dffs.is_empty() {
+        return;
+    }
+    // The good machine runs the propagation frames once, from the state
+    // the fast frame latches; every chunk of 64 PPOs shares its values.
+    scratch.sim.state.clear();
+    scratch.sim.state.extend(
+        circuit
+            .ppos()
+            .iter()
+            .map(|&ppo| Logic3::from_bool(scratch.wave[ppo.index()].final_value())),
+    );
+    scratch.good.resize_with(prop.len(), Vec::new);
+    for (v, values) in prop.iter().zip(&mut scratch.good) {
+        scratch.pi.clear();
+        scratch.pi.extend(v.iter().map(|&b| Logic3::from_bool(b)));
+        sim.eval_comb_into(&scratch.pi, &scratch.sim.state, values);
+        sim.next_state_into(values, &mut scratch.sim.state_next);
+        std::mem::swap(&mut scratch.sim.state, &mut scratch.sim.state_next);
+    }
+    let fausim = Fausim::new(circuit);
+    for chunk in scratch.diff_dffs.chunks(64) {
+        let mask = fausim.propagate_state_diffs_packed(&scratch.good, chunk, &mut scratch.sim);
+        for (k, &i) in chunk.iter().enumerate() {
+            if mask >> k & 1 == 1 {
+                scratch.observable.push(circuit.ppos()[i]);
             }
         }
-    }
-}
-
-/// Converts boolean frames into 3-valued frames, reusing `dst`'s outer and
-/// inner buffer capacity.
-fn fill_logic_frames(src: &[Vec<bool>], dst: &mut Vec<Vec<Logic3>>) {
-    dst.truncate(src.len());
-    while dst.len() < src.len() {
-        dst.push(Vec::new());
-    }
-    for (d, s) in dst.iter_mut().zip(src) {
-        d.clear();
-        d.extend(s.iter().map(|&b| Logic3::from_bool(b)));
     }
 }
 

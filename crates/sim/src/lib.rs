@@ -19,18 +19,27 @@
 //!    it through fault-free (slow-clock) frames.
 //!    [`Fausim::propagate_state_diffs_packed`] runs **one lane per PPO**:
 //!    all candidate state differences of a sequence propagate in a single
-//!    pass instead of `num_dffs` sequential walks.
+//!    pass instead of `num_dffs` sequential walks, against good-machine
+//!    frames simulated once per sequence.
 //! 3. *"Delay fault simulation of the fast time frame by critical path
 //!    tracing"* — [`tdsim`], working on the two-frame 8-valued waveform
 //!    produced by [`waveform`], including the paper's *invalidation* check
 //!    for faults observed through a PPO.
 //!    [`detected_delay_faults_packed`] packs **one candidate fault per
 //!    lane** ([`gdf_algebra::packed::PackedWave`] bit-planes) and
-//!    classifies up to 64 faults per netlist sweep over the union of their
-//!    output cones.
+//!    classifies up to 64 faults per selective trace.
 //!
-//! The packed sweeps share [`SimScratch`], a bundle of reusable node-value
-//! buffers: per-sequence hot loops allocate nothing after warm-up.
+//! The packed simulators run on *selective trace*: they start from the
+//! fault-free values, visit gates in level order, evaluate a gate only
+//! when one of its fanins differs from its fault-free value, and reset
+//! only the nodes that changed. A fault mark changes only the `car`
+//! plane of a [`gdf_algebra::packed::PackedWave`], and a gate whose
+//! fanins all hold their fault-free values outputs its fault-free value,
+//! so the work follows the paths fault effects take, not the circuit's
+//! size — with results identical to a full sweep. They share
+//! [`SimScratch`], a bundle of reusable node-value buffers and the one
+//! level-ordered queue (also behind [`EventSimulator`]): per-sequence
+//! hot loops allocate nothing after warm-up.
 
 pub mod event;
 pub mod fausim;

@@ -14,11 +14,15 @@
 //!
 //! [`SimScratch`] bundles the reusable node-value buffers of every packed
 //! sweep so per-sequence hot loops allocate nothing after warm-up.
+//!
+//! `LevelQueue` is the crate's one selective-trace scheduler, shared by
+//! the packed fault simulators and the
+//! [`EventSimulator`](crate::EventSimulator).
 
 use gdf_algebra::delay::DelayValue;
 use gdf_algebra::logic3::Logic3;
 use gdf_algebra::packed::PackedWave;
-use gdf_netlist::{Circuit, GateKind};
+use gdf_netlist::{Circuit, GateKind, NodeId};
 
 /// 64 Kleene logic values, one per bit lane, in two-rail encoding.
 ///
@@ -147,12 +151,12 @@ pub fn eval_gate_packed3(kind: GateKind, ins: &[PackedLogic]) -> PackedLogic {
 /// so identical results), without gathering an input slice. Mirrors
 /// `eval3_indexed` (scalar 3-valued) and `eval_packed_indexed` (packed
 /// waveform) at the other two sweep sites.
-fn eval_packed3_indexed(
+pub(crate) fn eval_packed3_indexed(
     kind: GateKind,
-    fanins: &[gdf_netlist::NodeId],
+    fanins: &[NodeId],
     values: &[PackedLogic],
 ) -> PackedLogic {
-    let v = |f: &gdf_netlist::NodeId| values[f.index()];
+    let v = |f: &NodeId| values[f.index()];
     let first = v(&fanins[0]);
     match kind {
         GateKind::Buf => first,
@@ -178,16 +182,10 @@ pub struct SimScratch {
     pub packed: Vec<PackedLogic>,
     /// Packed current state, one entry per flip-flop.
     pub packed_state: Vec<PackedLogic>,
-    /// Packed next state, one entry per flip-flop.
-    pub packed_next: Vec<PackedLogic>,
-    /// One broadcast PI frame for the packed sweeps.
-    pub packed_ins: Vec<PackedLogic>,
     /// Packed waveform node values (64 marked machines).
     pub packed_wave: Vec<PackedWave>,
     /// Per-gate input gather for packed waveform evaluation.
     pub wave_ins: Vec<PackedWave>,
-    /// Union-of-cones bitset for one fault batch.
-    pub cone_union: Vec<u64>,
     /// Scalar good-machine state (phase-1/2 stepping).
     pub state: Vec<Logic3>,
     /// Scalar good-machine next state (swapped with `state` per frame).
@@ -211,6 +209,141 @@ pub struct SimScratch {
     /// Per-batch transition branch-fault overrides: (sink node index,
     /// pin, lane mask).
     pub tf_branch_list: Vec<(u32, u8, u64)>,
+    /// Node-indexed flags, all clear between uses (marks the observable
+    /// PPOs while they are put in flip-flop order).
+    pub node_flag: Vec<bool>,
+    /// The observable PPOs of one phase-3 call, in flip-flop order.
+    pub observe: Vec<NodeId>,
+    /// The selective-trace scheduler every packed sweep runs on.
+    pub(crate) queue: LevelQueue,
+}
+
+/// Level-ordered selective-trace scheduler: level buckets of scheduled
+/// gates, a queued flag per node and the list of nodes whose value
+/// changed.
+///
+/// A sweep injects its changed sources ([`LevelQueue::inject`]) and then
+/// [`LevelQueue::run`]s: gates leave the buckets in level order, so every
+/// fanin is final before its sink is evaluated; a gate whose new value
+/// equals its stored one schedules nothing. Given node values that are
+/// *consistent* (every gate holds its gate function of its fanins'
+/// values), the result equals a full levelized sweep while evaluating
+/// only the gates a change reaches. [`LevelQueue::restore`] then resets
+/// just the touched nodes.
+///
+/// Between sweeps every bucket is empty and every flag clear, and after
+/// warm-up nothing is allocated.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct LevelQueue {
+    /// Scheduled gates, one bucket per combinational level.
+    buckets: Vec<Vec<u32>>,
+    /// Whether a node sits in a bucket.
+    queued: Vec<bool>,
+    /// Lowest level that may hold a scheduled gate (empty when
+    /// `next >= end`).
+    next: usize,
+    /// One past the highest level holding a scheduled gate.
+    end: usize,
+    /// Nodes whose value changed since the last restore.
+    touched: Vec<u32>,
+}
+
+impl LevelQueue {
+    /// Sizes the buckets and flags for `circuit`; call before a sweep.
+    pub(crate) fn prepare(&mut self, circuit: &Circuit) {
+        debug_assert!(
+            self.next >= self.end && self.touched.is_empty(),
+            "a sweep left gates queued or nodes unrestored"
+        );
+        let levels = circuit.max_level() as usize + 1;
+        if self.buckets.len() < levels {
+            self.buckets.resize_with(levels, Vec::new);
+        }
+        if self.queued.len() < circuit.num_nodes() {
+            self.queued.resize(circuit.num_nodes(), false);
+        }
+    }
+
+    /// Schedules combinational `gate` for evaluation (once per sweep).
+    pub(crate) fn schedule(&mut self, circuit: &Circuit, gate: NodeId) {
+        let level = circuit.level(gate) as usize;
+        debug_assert!(level > 0, "only gates are scheduled");
+        if std::mem::replace(&mut self.queued[gate.index()], true) {
+            return;
+        }
+        self.buckets[level].push(gate.0);
+        if self.next >= self.end {
+            self.next = level;
+            self.end = level + 1;
+        } else {
+            self.next = self.next.min(level);
+            self.end = self.end.max(level + 1);
+        }
+    }
+
+    /// Schedules the combinational sinks of `node`.
+    pub(crate) fn schedule_fanout(&mut self, circuit: &Circuit, node: NodeId) {
+        for &(sink, _) in circuit.node(node).fanout() {
+            // Gates sit at level 1 and up; a level-0 sink is a flip-flop.
+            if circuit.level(sink) > 0 {
+                self.schedule(circuit, sink);
+            }
+        }
+    }
+
+    /// Overwrites `node` with the changed value `v`, records it as touched
+    /// and schedules its fanout.
+    pub(crate) fn inject<V>(&mut self, circuit: &Circuit, values: &mut [V], node: NodeId, v: V) {
+        values[node.index()] = v;
+        self.touched.push(node.0);
+        self.schedule_fanout(circuit, node);
+    }
+
+    /// The next scheduled gate of the lowest level, if any.
+    fn pop(&mut self) -> Option<NodeId> {
+        while self.next < self.end {
+            if let Some(gate) = self.buckets[self.next].pop() {
+                self.queued[gate as usize] = false;
+                return Some(NodeId(gate));
+            }
+            self.next += 1;
+        }
+        None
+    }
+
+    /// Evaluates scheduled gates in level order until none is left.
+    /// `eval(gate, values)` returns the gate's new value; a changed value
+    /// is stored, touched and propagated to the fanout. Returns the number
+    /// of evaluations.
+    pub(crate) fn run<V: Copy + PartialEq>(
+        &mut self,
+        circuit: &Circuit,
+        values: &mut [V],
+        mut eval: impl FnMut(NodeId, &[V]) -> V,
+    ) -> usize {
+        let mut evaluated = 0;
+        while let Some(gate) = self.pop() {
+            evaluated += 1;
+            let out = eval(gate, values);
+            if out != values[gate.index()] {
+                self.inject(circuit, values, gate, out);
+            }
+        }
+        evaluated
+    }
+
+    /// Resets every touched node to `reference(node index)`.
+    pub(crate) fn restore<V>(&mut self, values: &mut [V], reference: impl Fn(usize) -> V) {
+        for &i in &self.touched {
+            values[i as usize] = reference(i as usize);
+        }
+        self.touched.clear();
+    }
+
+    /// Forgets the touched nodes (for callers that rewrite every node).
+    pub(crate) fn forget_touched(&mut self) {
+        self.touched.clear();
+    }
 }
 
 /// 64-way parallel 3-valued simulator: one independent Kleene pattern per

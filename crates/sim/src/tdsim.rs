@@ -7,9 +7,15 @@
 //! through the fault's output cone using the 8-valued algebra itself, so
 //! the sensitization and robustness conditions are *identical by
 //! construction* to the ones TDgen generates with. This is the
-//! critical-path-tracing pass of the paper implemented as cone-limited mark
+//! critical-path-tracing pass of the paper implemented as forward mark
 //! propagation (same results, evaluated from the fault site toward the
 //! observation points instead of backwards from the outputs).
+//!
+//! [`detected_delay_faults`] re-evaluates each fault's output cone; the
+//! packed [`detected_delay_faults_packed`] traces 64 faults per word and
+//! evaluates only the gates a mark actually reaches, in level order,
+//! restoring only those afterwards — so its cost follows the paths the
+//! fault effects take. The scalar function is its oracle.
 //!
 //! The paper's *invalidation* rule is enforced: a fault observed only at a
 //! PPO counts as detected only if (a) that PPO was shown observable by the
@@ -184,10 +190,17 @@ fn trace_one(
 }
 
 /// Word-parallel variant of [`detected_delay_faults`]: classifies up to 64
-/// candidate faults per packed netlist sweep (one fault per bit lane)
+/// candidate faults per packed selective trace (one fault per bit lane)
 /// instead of one cone-limited re-evaluation per fault. Results are
 /// element-identical to the scalar function — same faults, same
 /// observations, same order — which the differential tests pin down.
+///
+/// Each batch injects its fault marks and evaluates, in level order, only
+/// the gates one of whose fanins carries a mark; every other gate keeps
+/// its fault-free value. That is exact because `waveform` must be
+/// *consistent*: every gate holds its gate function of its fanins'
+/// values, as [`crate::waveform::two_frame_values`] and
+/// [`crate::waveform::two_frame_values_into`] produce it.
 ///
 /// # Panics
 ///
@@ -202,15 +215,17 @@ pub fn detected_delay_faults_packed(
 ) -> Vec<(usize, DelayObservation)> {
     assert_eq!(waveform.len(), circuit.num_nodes(), "waveform length");
     // Broadcast the fault-free waveform once; every batch injects into it
-    // and restores exactly the nodes its union cone touched.
+    // and restores exactly the nodes its trace changed.
     scratch.packed_wave.clear();
     scratch
         .packed_wave
         .extend(waveform.iter().map(|&v| PackedWave::splat(v)));
+    scratch.queue.prepare(circuit);
+    observation_order(circuit, observable_ppos, scratch);
     let mut detected = Vec::new();
     // Lanes are precious: unprovoked faults are screened out up front and
     // the direct branch-to-DFF case needs no simulation, so only faults
-    // that actually need the sweep occupy lanes — a waveform that
+    // that actually need the trace occupy lanes — a waveform that
     // provokes half the universe still fills whole 64-lane batches.
     let placeholder = DelayFault {
         site: gdf_netlist::FaultSite::on_stem(NodeId(0)),
@@ -248,7 +263,6 @@ pub fn detected_delay_faults_packed(
                 circuit,
                 waveform,
                 &batch[..filled],
-                observable_ppos,
                 required_state_ppos,
                 scratch,
                 &mut detected,
@@ -261,7 +275,6 @@ pub fn detected_delay_faults_packed(
             circuit,
             waveform,
             &batch[..filled],
-            observable_ppos,
             required_state_ppos,
             scratch,
             &mut detected,
@@ -271,6 +284,82 @@ pub fn detected_delay_faults_packed(
     // in fault-list order.
     detected.sort_unstable_by_key(|&(idx, _)| idx);
     detected
+}
+
+/// Puts the `observable` PPOs into `scratch.observe` in flip-flop order —
+/// the order the scalar trace tries them in.
+pub(crate) fn observation_order(
+    circuit: &Circuit,
+    observable: &[NodeId],
+    scratch: &mut SimScratch,
+) {
+    let flag = &mut scratch.node_flag;
+    flag.resize(circuit.num_nodes(), false);
+    for &ppo in observable {
+        flag[ppo.index()] = true;
+    }
+    scratch.observe.clear();
+    scratch
+        .observe
+        .extend(circuit.ppos().iter().filter(|ppo| flag[ppo.index()]));
+    for &ppo in observable {
+        flag[ppo.index()] = false;
+    }
+}
+
+/// Resolves the `lanes` of one traced batch a word at a time, in the
+/// scalar trace's order: the first PO in output order that carries a
+/// lane's fault effect observes it; otherwise the first PPO of `observe`
+/// (flip-flop order) that carries it does, unless the invalidation rule
+/// strikes the lane. `carried(node)` is the lane mask of fault effects at
+/// `node`; `hit(lane, observation)` receives each detection.
+pub(crate) fn observe_lanes(
+    circuit: &Circuit,
+    lanes: u64,
+    observe: &[NodeId],
+    waveform: &[DelayValue],
+    required_state_ppos: &[NodeId],
+    carried: impl Fn(NodeId) -> u64,
+    mut hit: impl FnMut(usize, DelayObservation),
+) {
+    let mut report = |mut lanes: u64, obs: DelayObservation| {
+        while lanes != 0 {
+            hit(lanes.trailing_zeros() as usize, obs);
+            lanes &= lanes - 1;
+        }
+    };
+    let mut open = lanes;
+    for &po in circuit.outputs() {
+        if open == 0 {
+            return;
+        }
+        let hits = carried(po) & open;
+        open &= !hits;
+        report(hits, DelayObservation::AtPo(po));
+    }
+    for &ppo in observe {
+        if open == 0 {
+            return;
+        }
+        let hits = carried(ppo) & open;
+        if hits == 0 {
+            continue;
+        }
+        open &= !hits;
+        // Invalidation: the fault effect must not reach any other state
+        // bit the propagation phase relies on, and those bits must be
+        // steady and hazard-free in the good waveform.
+        let mut invalid = 0u64;
+        for &req in required_state_ppos {
+            if req != ppo {
+                invalid |= carried(req);
+                if !waveform[req.index()].is_steady_clean() {
+                    invalid = !0;
+                }
+            }
+        }
+        report(hits & !invalid, DelayObservation::AtPpo(ppo));
+    }
 }
 
 /// Evaluates one gate over packed node values addressed through its fanin
@@ -296,18 +385,16 @@ fn eval_packed_indexed(kind: GateKind, fanins: &[NodeId], values: &[PackedWave])
 }
 
 /// Classifies one ≤64-fault batch — every entry provoked, with a
-/// combinational observation path — in a single packed sweep over the
-/// union of the faults' output cones.
+/// combinational observation path — in one packed selective trace from
+/// the injected marks.
 fn classify_batch(
     circuit: &Circuit,
     waveform: &[DelayValue],
     batch: &[(usize, DelayFault)],
-    observable_ppos: &[NodeId],
     required_state_ppos: &[NodeId],
     scratch: &mut SimScratch,
     detected: &mut Vec<(usize, DelayObservation)>,
 ) {
-    let mut resolved: [Option<DelayObservation>; 64] = [None; 64];
     let sim_lanes = if batch.len() == 64 {
         !0u64
     } else {
@@ -318,15 +405,13 @@ fn classify_batch(
     scratch.branch_flag.resize(circuit.num_nodes(), false);
     scratch.stem_nodes.clear();
     scratch.branch_list.clear();
-    scratch.cone_union.clear();
-    scratch.cone_union.resize(circuit.cone_stride(), 0);
 
     // Injection bookkeeping, one lane per fault.
     for (k, &(_, fault)) in batch.iter().enumerate() {
         let marked_stem = waveform[fault.site.stem.index()]
             .with_fault_mark()
             .expect("batched faults are provoked transitions");
-        let seed = match fault.site.branch {
+        match fault.site.branch {
             None => {
                 let stem = fault.site.stem.index();
                 if scratch.stem_mask[stem] == 0 {
@@ -335,7 +420,6 @@ fn classify_batch(
                 }
                 debug_assert_eq!(scratch.stem_val[stem], marked_stem);
                 scratch.stem_mask[stem] |= 1 << k;
-                fault.site.stem
             }
             Some((sink, pin)) => {
                 if let Some(entry) = scratch
@@ -349,112 +433,70 @@ fn classify_batch(
                     scratch.branch_list.push((sink.0, pin, 1 << k, marked_stem));
                     scratch.branch_flag[sink.index()] = true;
                 }
-                sink
             }
-        };
-        for (u, &w) in scratch.cone_union.iter_mut().zip(circuit.cone_words(seed)) {
-            *u |= w;
         }
     }
 
-    {
-        // One packed sweep: all lanes start from the broadcast fault-free
-        // waveform (prepared by the caller); marks are injected per lane
-        // and propagated through the union of the cones (outside a lane's
-        // own cone its values equal the broadcast, exactly as the scalar
-        // cone-limited trace).
-        let values = &mut scratch.packed_wave;
-        for &node in &scratch.stem_nodes {
-            let i = node as usize;
-            values[i] =
-                values[i].select(scratch.stem_mask[i], PackedWave::splat(scratch.stem_val[i]));
-        }
-        let wave_ins = &mut scratch.wave_ins;
-        for (gate, kind, fanins) in circuit.gates_levelized() {
-            let gi = gate.index();
-            if scratch.cone_union[gi / 64] >> (gi % 64) & 1 == 0 {
-                continue;
-            }
-            let mut out = if scratch.branch_flag[gi] {
-                // Rare: gather the inputs with the per-lane branch
-                // overrides applied.
-                wave_ins.clear();
-                for (pin, &f) in fanins.iter().enumerate() {
-                    let mut v = values[f.index()];
-                    for &(sink, fpin, mask, marked) in &scratch.branch_list {
-                        if sink == gate.0 && fpin == pin as u8 {
-                            v = v.select(mask, PackedWave::splat(marked));
-                        }
+    // All lanes start from the broadcast fault-free waveform. A stem mark
+    // changes its node; a branch mark changes only what its sink sees.
+    let queue = &mut scratch.queue;
+    let values = &mut scratch.packed_wave;
+    for &node in &scratch.stem_nodes {
+        let i = node as usize;
+        let marked = values[i].select(scratch.stem_mask[i], PackedWave::splat(scratch.stem_val[i]));
+        queue.inject(circuit, values, NodeId(node), marked);
+    }
+    for &(sink, ..) in &scratch.branch_list {
+        queue.schedule(circuit, NodeId(sink));
+    }
+    let (stem_mask, stem_val) = (&scratch.stem_mask, &scratch.stem_val);
+    let (branch_flag, branch_list) = (&scratch.branch_flag, &scratch.branch_list);
+    let wave_ins = &mut scratch.wave_ins;
+    queue.run(circuit, values, |gate, values| {
+        let gi = gate.index();
+        let node = circuit.node(gate);
+        let mut out = if branch_flag[gi] {
+            // Rare: gather the inputs with the per-lane branch overrides
+            // applied.
+            wave_ins.clear();
+            for (pin, &f) in node.fanin().iter().enumerate() {
+                let mut v = values[f.index()];
+                for &(sink, fpin, mask, marked) in branch_list {
+                    if sink == gate.0 && fpin == pin as u8 {
+                        v = v.select(mask, PackedWave::splat(marked));
                     }
-                    wave_ins.push(v);
                 }
-                eval_gate_packed(kind, wave_ins)
-            } else {
-                eval_packed_indexed(kind, fanins, values)
-            };
-            let stem_lanes = scratch.stem_mask[gi];
-            if stem_lanes != 0 {
-                // Keep the injected mark on the stem itself.
-                out = out.select(stem_lanes, PackedWave::splat(scratch.stem_val[gi]));
+                wave_ins.push(v);
             }
-            values[gi] = out;
+            eval_gate_packed(node.kind(), wave_ins)
+        } else {
+            eval_packed_indexed(node.kind(), node.fanin(), values)
+        };
+        if stem_mask[gi] != 0 {
+            // Keep the injected mark on the stem itself.
+            out = out.select(stem_mask[gi], PackedWave::splat(stem_val[gi]));
         }
+        out
+    });
 
-        // Per-lane observation, mirroring trace_one's order: first PO in
-        // output order wins; otherwise the first observable PPO, subject
-        // to the invalidation rule.
-        let mut lanes = sim_lanes;
-        while lanes != 0 {
-            let k = lanes.trailing_zeros() as usize;
-            lanes &= lanes - 1;
-            let bit = |w: &PackedWave| w.car >> k & 1 == 1;
-            let po_hit = circuit
-                .outputs()
-                .iter()
-                .find(|&&po| bit(&values[po.index()]));
-            if let Some(&po) = po_hit {
-                resolved[k] = Some(DelayObservation::AtPo(po));
-                continue;
-            }
-            let ppo_hit = circuit
-                .ppos()
-                .iter()
-                .find(|&&ppo| bit(&values[ppo.index()]) && observable_ppos.contains(&ppo));
-            if let Some(&ppo) = ppo_hit {
-                let invalidated = required_state_ppos.iter().any(|&req| {
-                    req != ppo
-                        && (bit(&values[req.index()]) || !waveform[req.index()].is_steady_clean())
-                });
-                if !invalidated {
-                    resolved[k] = Some(DelayObservation::AtPpo(ppo));
-                }
-            }
-        }
+    observe_lanes(
+        circuit,
+        sim_lanes,
+        &scratch.observe,
+        waveform,
+        required_state_ppos,
+        |n| values[n.index()].car,
+        |k, obs| detected.push((batch[k].0, obs)),
+    );
 
-        // Restore the broadcast for the next chunk: every node this chunk
-        // could have dirtied has its union-cone bit set (each seed lies in
-        // its own cone, so injected sources are covered too). The sparse
-        // injection tables reset the same way.
-        for (w, &dirty) in scratch.cone_union.iter().enumerate() {
-            let mut bits = dirty;
-            while bits != 0 {
-                let i = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                scratch.packed_wave[i] = PackedWave::splat(waveform[i]);
-            }
-        }
-        for &node in &scratch.stem_nodes {
-            scratch.stem_mask[node as usize] = 0;
-        }
-        for &(sink, ..) in &scratch.branch_list {
-            scratch.branch_flag[sink as usize] = false;
-        }
+    // Restore the broadcast for the next batch, and reset the sparse
+    // injection tables the same way.
+    queue.restore(values, |i| PackedWave::splat(waveform[i]));
+    for &node in &scratch.stem_nodes {
+        scratch.stem_mask[node as usize] = 0;
     }
-
-    for (k, obs) in resolved.iter().take(batch.len()).enumerate() {
-        if let Some(obs) = obs {
-            detected.push((batch[k].0, *obs));
-        }
+    for &(sink, ..) in &scratch.branch_list {
+        scratch.branch_flag[sink as usize] = false;
     }
 }
 

@@ -15,13 +15,13 @@
 //! difference cannot corrupt any state bit the propagation relies on.
 //!
 //! [`detected_transition_faults_packed`] classifies 64 candidate faults
-//! per sweep: one `u64` word per node, one fault per bit lane, plain
-//! boolean gate evaluation over the union of the faults' output cones.
-//! The scalar [`detected_transition_faults`] is the reference the packed
-//! path is differential-tested against.
+//! per selective trace: one `u64` word per node, one fault per bit lane,
+//! plain boolean evaluation of only the gates a flipped final value
+//! reaches, in level order. The scalar [`detected_transition_faults`] is
+//! the reference the packed path is differential-tested against.
 
 use crate::packed::SimScratch;
-use crate::tdsim::DelayObservation;
+use crate::tdsim::{observation_order, observe_lanes, DelayObservation};
 use gdf_algebra::delay::DelayValue;
 use gdf_netlist::{Circuit, DelayFaultKind, GateKind, NodeId, TransitionFault};
 
@@ -149,9 +149,15 @@ pub fn detected_transition_faults(
 }
 
 /// Word-parallel variant of [`detected_transition_faults`]: classifies up
-/// to 64 candidate faults per sweep, one fault per bit lane, with plain
-/// boolean `u64` gate evaluation over the union of the faults' output
-/// cones. Results are element-identical to the scalar function.
+/// to 64 candidate faults per selective trace, one fault per bit lane,
+/// with plain boolean `u64` gate evaluation of only the gates a flipped
+/// final value reaches. Results are element-identical to the scalar
+/// function.
+///
+/// Skipping the other gates is exact because `waveform` must be
+/// *consistent*: every gate holds its gate function of its fanins'
+/// values, as [`crate::waveform::two_frame_values`] and
+/// [`crate::waveform::two_frame_values_into`] produce it.
 ///
 /// # Panics
 ///
@@ -165,6 +171,14 @@ pub fn detected_transition_faults_packed(
     scratch: &mut SimScratch,
 ) -> Vec<(usize, DelayObservation)> {
     assert_eq!(waveform.len(), circuit.num_nodes(), "waveform length");
+    // Broadcast the good final values once; every batch flips its sites
+    // and restores exactly the nodes its trace changed.
+    scratch.tf_vals.clear();
+    scratch
+        .tf_vals
+        .extend(waveform.iter().map(|&v| broadcast(v.final_value())));
+    scratch.queue.prepare(circuit);
+    observation_order(circuit, observable_ppos, scratch);
     let mut detected = Vec::new();
     let placeholder = TransitionFault {
         site: gdf_netlist::FaultSite::on_stem(NodeId(0)),
@@ -193,7 +207,6 @@ pub fn detected_transition_faults_packed(
                 circuit,
                 waveform,
                 &batch[..filled],
-                observable_ppos,
                 required_state_ppos,
                 scratch,
                 &mut detected,
@@ -206,7 +219,6 @@ pub fn detected_transition_faults_packed(
             circuit,
             waveform,
             &batch[..filled],
-            observable_ppos,
             required_state_ppos,
             scratch,
             &mut detected,
@@ -214,6 +226,15 @@ pub fn detected_transition_faults_packed(
     }
     detected.sort_unstable_by_key(|&(idx, _)| idx);
     detected
+}
+
+/// One boolean value in all 64 lanes.
+fn broadcast(v: bool) -> u64 {
+    if v {
+        !0
+    } else {
+        0
+    }
 }
 
 /// Boolean gate evaluation over 64 lanes at once.
@@ -234,13 +255,12 @@ fn eval_bool_packed(kind: GateKind, first: u64, rest: impl Iterator<Item = u64>)
 }
 
 /// Classifies one ≤64-fault batch — every entry provoked, with a
-/// combinational observation path — in one boolean sweep over the union
-/// of the faults' output cones.
+/// combinational observation path — in one boolean selective trace from
+/// the flipped sites.
 fn classify_batch(
     circuit: &Circuit,
     waveform: &[DelayValue],
     batch: &[(usize, TransitionFault)],
-    observable_ppos: &[NodeId],
     required_state_ppos: &[NodeId],
     scratch: &mut SimScratch,
     detected: &mut Vec<(usize, DelayObservation)>,
@@ -250,32 +270,19 @@ fn classify_batch(
     } else {
         (1u64 << batch.len()) - 1
     };
-    let broadcast = |v: bool| if v { !0u64 } else { 0u64 };
-
-    // Per-lane faulty final values: start from the broadcast good final
-    // values over the union cone only (nodes outside any cone are never
-    // read with a stale value because lanes outside a node's own cone
-    // equal the broadcast by construction).
-    scratch.tf_vals.clear();
-    scratch
-        .tf_vals
-        .extend(waveform.iter().map(|&v| broadcast(v.final_value())));
     scratch.stem_mask.resize(circuit.num_nodes(), 0);
     scratch.branch_flag.resize(circuit.num_nodes(), false);
     scratch.stem_nodes.clear();
     scratch.tf_branch_list.clear();
-    scratch.cone_union.clear();
-    scratch.cone_union.resize(circuit.cone_stride(), 0);
 
     for (k, &(_, fault)) in batch.iter().enumerate() {
-        let seed = match fault.site.branch {
+        match fault.site.branch {
             None => {
                 let stem = fault.site.stem.index();
                 if scratch.stem_mask[stem] == 0 {
                     scratch.stem_nodes.push(fault.site.stem.0);
                 }
                 scratch.stem_mask[stem] |= 1 << k;
-                fault.site.stem
             }
             Some((sink, pin)) => {
                 if let Some(entry) = scratch
@@ -288,29 +295,31 @@ fn classify_batch(
                     scratch.tf_branch_list.push((sink.0, pin, 1 << k));
                     scratch.branch_flag[sink.index()] = true;
                 }
-                sink
             }
-        };
-        for (u, &w) in scratch.cone_union.iter_mut().zip(circuit.cone_words(seed)) {
-            *u |= w;
         }
     }
 
-    // Inject: flip the stem's final value in its fault lanes.
+    // Inject: flip the stem's final value in its fault lanes; a branch
+    // fault changes only what its sink sees.
+    let queue = &mut scratch.queue;
+    let values = &mut scratch.tf_vals;
     for &node in &scratch.stem_nodes {
         let i = node as usize;
-        scratch.tf_vals[i] ^= scratch.stem_mask[i];
+        let flipped = values[i] ^ scratch.stem_mask[i];
+        queue.inject(circuit, values, NodeId(node), flipped);
     }
-
-    for (gate, kind, fanins) in circuit.gates_levelized() {
+    for &(sink, ..) in &scratch.tf_branch_list {
+        queue.schedule(circuit, NodeId(sink));
+    }
+    let (stem_mask, branch_flag) = (&scratch.stem_mask, &scratch.branch_flag);
+    let branch_list = &scratch.tf_branch_list;
+    queue.run(circuit, values, |gate, values| {
         let gi = gate.index();
-        if scratch.cone_union[gi / 64] >> (gi % 64) & 1 == 0 {
-            continue;
-        }
+        let node = circuit.node(gate);
         let input = |pin: usize, f: NodeId| -> u64 {
-            let mut v = scratch.tf_vals[f.index()];
-            if scratch.branch_flag[gi] {
-                for &(sink, fpin, mask) in &scratch.tf_branch_list {
+            let mut v = values[f.index()];
+            if branch_flag[gi] {
+                for &(sink, fpin, mask) in branch_list {
                     if sink == gate.0 && fpin == pin as u8 {
                         // The branch carries the stale frame-1 value of
                         // its stem in the fault's lanes.
@@ -321,52 +330,37 @@ fn classify_batch(
             }
             v
         };
-        let first = input(0, fanins[0]);
+        let fanins = node.fanin();
         let mut out = eval_bool_packed(
-            kind,
-            first,
+            node.kind(),
+            input(0, fanins[0]),
             fanins[1..]
                 .iter()
                 .enumerate()
                 .map(|(i, &f)| input(i + 1, f)),
         );
-        let stem_lanes = scratch.stem_mask[gi];
+        let stem_lanes = stem_mask[gi];
         if stem_lanes != 0 {
             // The slow site holds its stale value in its own lanes.
             let good = broadcast(waveform[gi].final_value());
             out = (out & !stem_lanes) | (!good & stem_lanes);
         }
-        scratch.tf_vals[gi] = out;
-    }
+        out
+    });
 
-    // Per-lane observation, mirroring the scalar order.
-    let diff =
-        |n: NodeId| scratch.tf_vals[n.index()] ^ broadcast(waveform[n.index()].final_value());
-    let mut lanes = lanes_in_use;
-    while lanes != 0 {
-        let k = lanes.trailing_zeros() as usize;
-        lanes &= lanes - 1;
-        let bit = |n: NodeId| diff(n) >> k & 1 == 1;
-        if let Some(&po) = circuit.outputs().iter().find(|&&po| bit(po)) {
-            detected.push((batch[k].0, DelayObservation::AtPo(po)));
-            continue;
-        }
-        let Some(&ppo) = circuit
-            .ppos()
-            .iter()
-            .find(|&&ppo| bit(ppo) && observable_ppos.contains(&ppo))
-        else {
-            continue;
-        };
-        let invalidated = required_state_ppos
-            .iter()
-            .any(|&req| req != ppo && (bit(req) || !waveform[req.index()].is_steady_clean()));
-        if !invalidated {
-            detected.push((batch[k].0, DelayObservation::AtPpo(ppo)));
-        }
-    }
+    observe_lanes(
+        circuit,
+        lanes_in_use,
+        &scratch.observe,
+        waveform,
+        required_state_ppos,
+        |n| values[n.index()] ^ broadcast(waveform[n.index()].final_value()),
+        |k, obs| detected.push((batch[k].0, obs)),
+    );
 
-    // Reset the sparse injection tables for the next batch.
+    // Restore the broadcast and reset the sparse injection tables for the
+    // next batch.
+    queue.restore(values, |i| broadcast(waveform[i].final_value()));
     for &node in &scratch.stem_nodes {
         scratch.stem_mask[node as usize] = 0;
     }
@@ -434,26 +428,47 @@ mod tests {
     }
 
     #[test]
-    fn packed_matches_scalar_exhaustively_on_s27() {
-        let c = gdf_netlist::suite::s27();
-        let faults = FaultUniverse::default().transition_faults(&c);
-        let all_ppos = c.ppos().to_vec();
+    fn packed_matches_scalar_on_s27_and_a_1k_gate_circuit() {
+        // s27 exhaustively, then a generated 1k-gate circuit (over 30
+        // levels deep, several batches per waveform), then s27 again —
+        // all on one scratch.
+        use gdf_netlist::generator::{generate, CircuitProfile};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let s27 = gdf_netlist::suite::s27();
+        let large = generate(&CircuitProfile::new("tf1k", 16, 12, 80, 1200, 0x7F51));
+        assert!(large.max_level() > 30, "depth {}", large.max_level());
         let mut scratch = SimScratch::default();
-        for seed in 0u32..64 {
-            let v1: Vec<bool> = (0..4).map(|i| seed & (1 << i) != 0).collect();
-            let v2: Vec<bool> = (0..4).map(|i| seed & (32 >> i) != 0).collect();
-            let st: Vec<bool> = (0..3).map(|i| seed & (1 << (i + 1)) != 0).collect();
-            let w = two_frame_values(&c, &v1, &v2, &st);
-            let cases: [(&[NodeId], &[NodeId]); 3] = [
-                (&[], &[]),
-                (&all_ppos, &[]),
-                (&all_ppos[..1], &all_ppos[1..]),
-            ];
-            for (obs, req) in cases {
-                let scalar = detected_transition_faults(&c, &w, &faults, obs, req);
-                let packed =
-                    detected_transition_faults_packed(&c, &w, &faults, obs, req, &mut scratch);
-                assert_eq!(scalar, packed, "seed {seed} obs {obs:?} req {req:?}");
+        let mut rng = StdRng::seed_from_u64(0x7F51);
+        for (c, seeds) in [(&s27, 64), (&large, 6), (&s27, 8)] {
+            let faults = FaultUniverse::default().transition_faults(c);
+            let all_ppos = c.ppos().to_vec();
+            for seed in 0u32..seeds {
+                let (v1, v2, st): (Vec<bool>, Vec<bool>, Vec<bool>) = if c.num_gates() < 100 {
+                    (
+                        (0..4).map(|i| seed & (1 << i) != 0).collect(),
+                        (0..4).map(|i| seed & (32 >> i) != 0).collect(),
+                        (0..3).map(|i| seed & (1 << (i + 1)) != 0).collect(),
+                    )
+                } else {
+                    (
+                        (0..c.num_inputs()).map(|_| rng.gen()).collect(),
+                        (0..c.num_inputs()).map(|_| rng.gen()).collect(),
+                        (0..c.num_dffs()).map(|_| rng.gen()).collect(),
+                    )
+                };
+                let w = two_frame_values(c, &v1, &v2, &st);
+                let cases: [(&[NodeId], &[NodeId]); 3] = [
+                    (&[], &[]),
+                    (&all_ppos, &[]),
+                    (&all_ppos[..1], &all_ppos[1..]),
+                ];
+                for (obs, req) in cases {
+                    let scalar = detected_transition_faults(c, &w, &faults, obs, req);
+                    let packed =
+                        detected_transition_faults_packed(c, &w, &faults, obs, req, &mut scratch);
+                    assert_eq!(scalar, packed, "seed {seed} obs {obs:?} req {req:?}");
+                }
             }
         }
     }

@@ -4,8 +4,9 @@
 //! doubles as a no-panic proof.
 
 use gdf::core::json::Json;
+use gdf::core::session::grade_patterns;
 use gdf::core::{ArtifactError, Atpg, Backend, PatternSet, RunArtifact, RunConfig};
-use gdf::netlist::suite;
+use gdf::netlist::{suite, FaultUniverse, ModelKind};
 
 fn sample_artifact() -> String {
     let c = suite::s27();
@@ -133,6 +134,27 @@ fn truncated_pattern_sets_error_instead_of_panicking() {
             PatternSet::decode(&text[..end]).is_err(),
             "truncated pattern set ({end} bytes) decoded"
         );
+    }
+}
+
+#[test]
+fn short_pattern_frames_are_a_mismatch_not_a_panic() {
+    // Delete one symbol from the first frame: the document still decodes,
+    // but the frame no longer fits the circuit's inputs.
+    let text = sample_patterns();
+    let frames = text.find("\"frames\"").expect("a sequence with frames");
+    let first = frames + text[frames..].find("[").unwrap() + 1;
+    let symbol = first + text[first..].find('"').unwrap() + 1;
+    let mut short = text.clone();
+    short.remove(symbol);
+    let set = PatternSet::decode(&short).expect("a short frame still decodes");
+    let c = suite::s27();
+    match grade_patterns(&c, &set, ModelKind::Delay, &FaultUniverse::default(), 7) {
+        Err(ArtifactError::Mismatch(message)) => assert!(
+            message.contains("pattern 0 frame 0"),
+            "error names the pattern and the frame: {message}"
+        ),
+        other => panic!("expected a mismatch, got {other:?}"),
     }
 }
 

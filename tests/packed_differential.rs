@@ -6,7 +6,9 @@
 //! state-diff propagation, 64-fault-per-word TDsim, and the batched
 //! three-phase `fault_simulate_sequence`) must be *classification-
 //! identical* to the scalar implementations — same detections, same
-//! observations, same order. These properties run over a deterministic
+//! observations, same order. The FAUSIM and TDsim properties include
+//! generated circuits of 1k gates or more, so the selective trace
+//! crosses many levels and fills several batches per call. These properties run over a deterministic
 //! random sample (the workspace's vendored `rand` shim; no crates.io
 //! proptest in this environment), with the failing case's inputs in the
 //! panic message.
@@ -43,6 +45,27 @@ fn arb_circuit(rng: &mut StdRng, tag: usize) -> Circuit {
         num_gates,
         rng.gen(),
     ))
+}
+
+/// A generated circuit of 1k gates or more: over 30 levels deep, with
+/// enough provoked faults for several 64-lane TDsim batches per waveform
+/// and more than 64 flip-flops, so FAUSIM needs two chunks.
+fn large_circuit(rng: &mut StdRng, tag: usize) -> Circuit {
+    let c = generate(&CircuitProfile::new(
+        format!("diff{tag}"),
+        rng.gen_range(12..20),
+        rng.gen_range(8..16),
+        rng.gen_range(70..100),
+        rng.gen_range(1000..1400),
+        rng.gen(),
+    ));
+    assert!(
+        c.max_level() > 30,
+        "{} is {} levels deep",
+        c.name(),
+        c.max_level()
+    );
+    c
 }
 
 fn arb_bools(rng: &mut StdRng, n: usize) -> Vec<bool> {
@@ -86,12 +109,18 @@ fn packed_goodsim_matches_scalar_on_random_circuits() {
 }
 
 /// 64-lane FAUSIM state-diff propagation equals per-PPO scalar walks.
+/// Cases 25 and 26 are large circuits; case 27 is small again, on the
+/// scratch the large ones grew.
 #[test]
 fn packed_state_diff_propagation_matches_scalar() {
     let mut rng = rng_for("packed_fausim");
     let mut scratch = SimScratch::default();
-    for case in 0..25 {
-        let c = arb_circuit(&mut rng, 1000 + case);
+    for case in 0..28 {
+        let c = if matches!(case, 25 | 26) {
+            large_circuit(&mut rng, 1000 + case)
+        } else {
+            arb_circuit(&mut rng, 1000 + case)
+        };
         let fausim = Fausim::new(&c);
         let good: Vec<Logic3> = (0..c.num_dffs())
             .map(|_| Logic3::from_bool(rng.gen()))
@@ -105,8 +134,9 @@ fn packed_state_diff_propagation_matches_scalar() {
             })
             .collect();
         let diffs: Vec<usize> = (0..c.num_dffs()).collect();
+        let (good_frames, _) = GoodSimulator::new(&c).run(&good, &vectors);
         for chunk in diffs.chunks(64) {
-            let mask = fausim.propagate_state_diffs_packed(&good, chunk, &vectors, &mut scratch);
+            let mask = fausim.propagate_state_diffs_packed(&good_frames, chunk, &mut scratch);
             for (k, &d) in chunk.iter().enumerate() {
                 let scalar = fausim.propagate_state_diff(&good, d, &vectors);
                 assert_eq!(
@@ -122,12 +152,18 @@ fn packed_state_diff_propagation_matches_scalar() {
 
 /// Packed TDsim classification (faults, observations, order) equals the
 /// scalar cone trace, including PPO observability and invalidation.
+/// Cases 25 and 26 are large circuits; case 27 is small again, on the
+/// scratch the large ones grew.
 #[test]
 fn packed_tdsim_matches_scalar_on_random_circuits() {
     let mut rng = rng_for("packed_tdsim");
     let mut scratch = SimScratch::default();
-    for case in 0..25 {
-        let c = arb_circuit(&mut rng, 2000 + case);
+    for case in 0..28 {
+        let c = if matches!(case, 25 | 26) {
+            large_circuit(&mut rng, 2000 + case)
+        } else {
+            arb_circuit(&mut rng, 2000 + case)
+        };
         let faults = FaultUniverse::default().delay_faults(&c);
         let ppos = c.ppos().to_vec();
         for _ in 0..4 {

@@ -24,9 +24,18 @@
 //! Only the AND and inverter tables are primitive (the paper's Tables 1 and
 //! 2); OR/NAND/NOR/XOR/XNOR are derived by De Morgan's rules, exactly as the
 //! paper prescribes.
+//!
+//! The scalar functions ([`and_n`], [`or_n`], [`xor_n`]) are the only
+//! definition of the algebra. The set operations the implication engine
+//! runs ([`eval_gate_sets`], [`narrow_inputs`]) are lookups in tables built
+//! once from them: for each core op (AND, OR, XOR), value `a` and set `B`,
+//! the image of `a` against every value of `B` — 3 × 8 × 256 bytes. A
+//! set-by-set image is the union of the rows of the first set's values, and
+//! [`DelaySet::not`] swaps the bit pairs Table 2 maps onto each other.
 
 use gdf_netlist::GateKind;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// One value of the 8-valued robust delay algebra.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -197,18 +206,24 @@ impl fmt::Display for DelayValue {
 ///   input is a steady, hazard-free 1 — the paper's strict robustness rule.
 pub fn and_n(vals: &[DelayValue]) -> DelayValue {
     debug_assert!(!vals.is_empty());
-    let init = vals.iter().all(|v| v.initial());
-    let fin = vals.iter().all(|v| v.final_value());
+    and_of(vals.iter().copied())
+}
+
+/// The body of [`and_n`] over any re-iterable sequence of values, so
+/// [`or_n`] can feed it inverted inputs without collecting them.
+fn and_of<I: Iterator<Item = DelayValue> + Clone>(vals: I) -> DelayValue {
+    let init = vals.clone().all(|v| v.initial());
+    let fin = vals.clone().all(|v| v.final_value());
     if init != fin {
-        let carries = vals.iter().any(|v| v.carries_fault());
+        let carries = vals.clone().any(|v| v.carries_fault());
         let robust = if fin {
             // Rising output: off-path inputs all have final value 1 here by
             // construction, which is exactly the paper's condition.
             true
         } else {
             // Falling output: every non-carrying input must be a steady 1.
-            vals.iter()
-                .all(|v| v.carries_fault() || *v == DelayValue::S1)
+            vals.clone()
+                .all(|v| v.carries_fault() || v == DelayValue::S1)
         };
         match (fin, carries && robust) {
             (true, true) => DelayValue::Rc,
@@ -217,12 +232,12 @@ pub fn and_n(vals: &[DelayValue]) -> DelayValue {
             (false, false) => DelayValue::F,
         }
     } else if fin {
-        if vals.contains(&DelayValue::H1) {
+        if vals.clone().any(|v| v == DelayValue::H1) {
             DelayValue::H1
         } else {
             DelayValue::S1
         }
-    } else if vals.contains(&DelayValue::S0) {
+    } else if vals.clone().any(|v| v == DelayValue::S0) {
         DelayValue::S0
     } else {
         DelayValue::H0
@@ -231,8 +246,8 @@ pub fn and_n(vals: &[DelayValue]) -> DelayValue {
 
 /// N-ary OR, derived by De Morgan: `OR(a,…) = NOT(AND(NOT a,…))`.
 pub fn or_n(vals: &[DelayValue]) -> DelayValue {
-    let inverted: Vec<DelayValue> = vals.iter().map(|v| v.not()).collect();
-    and_n(&inverted).not()
+    debug_assert!(!vals.is_empty());
+    and_of(vals.iter().map(|v| v.not())).not()
 }
 
 /// N-ary XOR. A transition propagates the fault effect through a parity
@@ -426,9 +441,24 @@ impl DelaySet {
     }
 
     /// Applies the inverter table to every value in the set.
+    ///
+    /// Table 2 pairs every value with its inverse in adjacent bits (`0↔1`,
+    /// `R↔F`, `0h↔1h`, `Rc↔Fc`), so inverting a set swaps bit pairs.
     #[allow(clippy::should_implement_trait)] // method-call syntax without importing std::ops::Not
     pub fn not(self) -> DelaySet {
-        DelaySet::from_values(self.iter().map(DelayValue::not))
+        DelaySet((self.0 & 0x55) << 1 | (self.0 >> 1) & 0x55)
+    }
+
+    /// The values whose first-frame value is `b`.
+    pub fn with_initial(self, b: bool) -> DelaySet {
+        // Initial 1: `1`, `F`, `1h`, `Fc` — the odd bits.
+        DelaySet(self.0 & if b { 0xAA } else { 0x55 })
+    }
+
+    /// The values whose second-frame (good-machine) value is `b`.
+    pub fn with_final(self, b: bool) -> DelaySet {
+        // Final 1: `1`, `R`, `1h`, `Rc`.
+        DelaySet(self.0 & if b { 0x66 } else { 0x99 })
     }
 }
 
@@ -482,14 +512,45 @@ fn core2(op: CoreOp, a: DelayValue, b: DelayValue) -> DelayValue {
     }
 }
 
-fn set_core2(op: CoreOp, a: DelaySet, b: DelaySet) -> DelaySet {
-    let mut out = DelaySet::EMPTY;
-    for va in a.iter() {
-        for vb in b.iter() {
-            out.insert(core2(op, va, vb));
+/// `rows[a][B]` is the image `{core2(op, a, b) : b ∈ B}` of value `a`
+/// against every set `B`, as a raw bitmask.
+type SetRows = [[u8; 256]; 8];
+
+/// The set tables of the three core ops (And, Or, Xor), 6 KiB in all,
+/// built once from the scalar [`core2`] — which stays the only definition
+/// of the algebra.
+fn set_rows(op: CoreOp) -> &'static SetRows {
+    static TABLES: OnceLock<[SetRows; 3]> = OnceLock::new();
+    let tables = TABLES.get_or_init(|| {
+        let mut tables = [[[0u8; 256]; 8]; 3];
+        for (op, rows) in [CoreOp::And, CoreOp::Or, CoreOp::Xor]
+            .into_iter()
+            .zip(&mut tables)
+        {
+            for (a, row) in DelayValue::ALL.into_iter().zip(rows.iter_mut()) {
+                // A set's image is the image of the set without its lowest
+                // value, plus that value's.
+                for set in 1..256usize {
+                    let low = DelayValue::from_index(set.trailing_zeros() as u8);
+                    row[set] = row[set & (set - 1)] | 1 << core2(op, a, low).index();
+                }
+            }
         }
+        tables
+    });
+    &tables[op as usize]
+}
+
+/// The set image `{core2(op, a, b) : a ∈ A, b ∈ B}`: the union of the
+/// table rows of the values of `A`.
+fn set_core2(rows: &SetRows, a: DelaySet, b: DelaySet) -> DelaySet {
+    let mut out = 0;
+    let mut values = a.0;
+    while values != 0 {
+        out |= rows[values.trailing_zeros() as usize][b.0 as usize];
+        values &= values - 1;
     }
-    out
+    DelaySet(out)
 }
 
 /// Forward implication: the set of output values reachable from the given
@@ -510,9 +571,10 @@ pub fn eval_gate_sets(kind: GateKind, ins: &[DelaySet]) -> DelaySet {
         }
         _ => {
             let (op, inv) = core_of(kind).expect("combinational kind");
+            let rows = set_rows(op);
             let folded = ins[1..]
                 .iter()
-                .fold(ins[0], |acc, &b| set_core2(op, acc, b));
+                .fold(ins[0], |acc, &b| set_core2(rows, acc, b));
             if inv {
                 folded.not()
             } else {
@@ -554,49 +616,47 @@ pub fn narrow_inputs(kind: GateKind, out_allowed: &mut DelaySet, ins: &mut [Dela
         }
         _ => {
             let (op, inv) = core_of(kind).expect("combinational kind");
+            let rows = set_rows(op);
             let target = if inv { out_allowed.not() } else { *out_allowed };
-            let n = ins.len();
-            // Prefix/suffix folds of the core op over the input sets.
-            let mut prefix = vec![DelaySet::EMPTY; n + 1];
-            let mut suffix = vec![DelaySet::EMPTY; n + 1];
-            prefix[0] = DelaySet::EMPTY; // identity handled positionally
-            for i in 0..n {
-                prefix[i + 1] = if i == 0 {
-                    ins[0]
-                } else {
-                    set_core2(op, prefix[i], ins[i])
+            // The core op is associative and commutative, so input `i`
+            // keeps `v` iff `v` against the fold of all *other* (original)
+            // inputs can reach the target. `prefix` folds the inputs before
+            // `i`; the ones after it are folded in place.
+            let mut prefix: Option<DelaySet> = None;
+            for i in 0..ins.len() {
+                let own = ins[i];
+                let suffix = ins[i + 1..]
+                    .iter()
+                    .copied()
+                    .reduce(|acc, b| set_core2(rows, acc, b));
+                let others = match (prefix, suffix) {
+                    (Some(p), Some(s)) => Some(set_core2(rows, p, s)),
+                    (p, s) => p.or(s),
                 };
-            }
-            for i in (0..n).rev() {
-                suffix[i] = if i == n - 1 {
-                    ins[n - 1]
-                } else {
-                    set_core2(op, ins[i], suffix[i + 1])
-                };
-            }
-            for i in 0..n {
-                let mut keep = DelaySet::EMPTY;
-                for v in ins[i].iter() {
-                    let sv = DelaySet::singleton(v);
-                    let combined = match (i == 0, i == n - 1) {
-                        (true, true) => sv,
-                        (true, false) => set_core2(op, sv, suffix[1]),
-                        (false, true) => set_core2(op, prefix[n - 1], sv),
-                        (false, false) => {
-                            set_core2(op, set_core2(op, prefix[i], sv), suffix[i + 1])
+                let keep = match others {
+                    // A one-input core gate passes its value through.
+                    None => own.intersect(target),
+                    Some(o) => {
+                        let mut keep = DelaySet::EMPTY;
+                        let mut values = own.0;
+                        while values != 0 {
+                            let v = values.trailing_zeros() as usize;
+                            if rows[v][o.0 as usize] & target.0 != 0 {
+                                keep.0 |= 1 << v;
+                            }
+                            values &= values - 1;
                         }
-                    };
-                    if !combined.intersect(target).is_empty() {
-                        keep.insert(v);
+                        keep
                     }
-                }
-                if keep != ins[i] {
+                };
+                if keep != own {
                     ins[i] = keep;
                     changed = true;
                 }
+                prefix = Some(prefix.map_or(own, |p| set_core2(rows, p, own)));
             }
             // Narrow the output to what is actually producible.
-            let producible_core = suffix[0];
+            let producible_core = prefix.expect("non-empty inputs");
             let producible = if inv {
                 producible_core.not()
             } else {
@@ -706,6 +766,30 @@ mod tests {
                     ] {
                         let fold = eval2(kind, eval2(kind, a, b), c);
                         assert_eq!(fold, f(&[a, b, c]), "{kind} {a},{b},{c}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn four_input_fold_matches_nary() {
+        // The set tables fold pairwise; that is exact only while the fold
+        // agrees with the n-ary definition at every arity in use.
+        type Nary = fn(&[DelayValue]) -> DelayValue;
+        let ops: [(GateKind, Nary); 3] = [
+            (GateKind::And, and_n),
+            (GateKind::Or, or_n),
+            (GateKind::Xor, xor_n),
+        ];
+        for a in DelayValue::ALL {
+            for b in DelayValue::ALL {
+                for c in DelayValue::ALL {
+                    for d in DelayValue::ALL {
+                        for (kind, f) in ops {
+                            let fold = eval2(kind, eval2(kind, eval2(kind, a, b), c), d);
+                            assert_eq!(fold, f(&[a, b, c, d]), "{kind} {a},{b},{c},{d}");
+                        }
                     }
                 }
             }

@@ -15,9 +15,13 @@
 //! Both algebras are exposed in the *set* form the paper works with
 //! ("during test pattern generation for each gate a set of values is
 //! maintained that are possible for that gate"): a signal's state is a
-//! bitmask of still-possible values, and [`delay::eval_gate`] /
+//! bitmask of still-possible values, and [`delay::eval_gate_sets`] /
 //! [`delay::narrow_inputs`] (and their `static5` twins) perform forward and
-//! backward implications over those sets.
+//! backward implications over those sets. The scalar gate functions
+//! ([`delay::eval_gate`], [`static5::eval_gate`]) are the only definition of
+//! each algebra; the set operations are lookups in tables built once from
+//! them (the image of each value against each set, per AND/OR/XOR core op),
+//! so an implication costs a few byte lookups and no allocation.
 //!
 //! [`logic3`] holds the plain 3-valued Kleene logic used by the good-machine
 //! simulator and the synchronizing-sequence search.

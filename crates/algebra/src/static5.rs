@@ -7,9 +7,15 @@
 //! out automatically. As in [`crate::delay`], the ATPG works with *sets*
 //! of still-possible values ([`StaticSet`]), and `X` is simply the full
 //! set.
+//!
+//! [`eval_gate`] is the only definition of the algebra. The set operations
+//! ([`eval_gate_sets`], [`narrow_inputs`]) are lookups in tables built once
+//! from it: for each core op (AND, OR, XOR), value `a` and set `B`, the
+//! image of `a` against every value of `B` — 3 × 4 × 16 bytes.
 
 use gdf_netlist::GateKind;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// One value of the static D-algebra.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -104,9 +110,10 @@ impl fmt::Display for StaticValue {
 /// Panics if `kind` is `Input`/`Dff` or `vals` is empty.
 pub fn eval_gate(kind: GateKind, vals: &[StaticValue]) -> StaticValue {
     debug_assert!(!vals.is_empty());
-    let good: Vec<bool> = vals.iter().map(|v| v.good()).collect();
-    let faulty: Vec<bool> = vals.iter().map(|v| v.faulty()).collect();
-    StaticValue::from_pair(kind.eval_bool(&good), kind.eval_bool(&faulty))
+    StaticValue::from_pair(
+        kind.eval_bools(vals.iter().map(|v| v.good())),
+        kind.eval_bools(vals.iter().map(|v| v.faulty())),
+    )
 }
 
 /// Two-input convenience wrapper around [`eval_gate`].
@@ -215,16 +222,20 @@ impl StaticSet {
     }
 
     /// Applies negation to every value in the set.
+    ///
+    /// Negation pairs the values in adjacent bits (`0↔1`, `D↔D̄`), so
+    /// negating a set swaps bit pairs.
     #[allow(clippy::should_implement_trait)] // method-call syntax without importing std::ops::Not
     pub fn not(self) -> StaticSet {
-        StaticSet::from_values(self.iter().map(StaticValue::not))
+        StaticSet((self.0 & 0b0101) << 1 | (self.0 >> 1) & 0b0101)
     }
 
     /// Restriction to the good-machine bit `b` (e.g. for slow-clock frames
     /// where the faulty machine equals the good machine the set is further
     /// intersected with [`StaticSet::GOOD`] by the caller).
     pub fn with_good(self, b: bool) -> StaticSet {
-        StaticSet::from_values(self.iter().filter(|v| v.good() == b))
+        // Good 1: `1` and `D`.
+        StaticSet(self.0 & if b { 0b0110 } else { 0b1001 })
     }
 }
 
@@ -277,14 +288,45 @@ fn core2(op: CoreOp, a: StaticValue, b: StaticValue) -> StaticValue {
     eval2(kind, a, b)
 }
 
-fn set_core2(op: CoreOp, a: StaticSet, b: StaticSet) -> StaticSet {
-    let mut out = StaticSet::EMPTY;
-    for va in a.iter() {
-        for vb in b.iter() {
-            out.insert(core2(op, va, vb));
+/// `rows[a][B]` is the image `{core2(op, a, b) : b ∈ B}` of value `a`
+/// against every set `B`, as a raw bitmask.
+type SetRows = [[u8; 16]; 4];
+
+/// The set tables of the three core ops (And, Or, Xor), 192 bytes in all,
+/// built once from the scalar [`core2`] — the component-wise
+/// [`eval_gate`] stays the only definition of the algebra.
+fn set_rows(op: CoreOp) -> &'static SetRows {
+    static TABLES: OnceLock<[SetRows; 3]> = OnceLock::new();
+    let tables = TABLES.get_or_init(|| {
+        let mut tables = [[[0u8; 16]; 4]; 3];
+        for (op, rows) in [CoreOp::And, CoreOp::Or, CoreOp::Xor]
+            .into_iter()
+            .zip(&mut tables)
+        {
+            for (a, row) in StaticValue::ALL.into_iter().zip(rows.iter_mut()) {
+                // A set's image is the image of the set without its lowest
+                // value, plus that value's.
+                for set in 1..16usize {
+                    let low = StaticValue::from_index(set.trailing_zeros() as u8);
+                    row[set] = row[set & (set - 1)] | 1 << core2(op, a, low).index();
+                }
+            }
         }
+        tables
+    });
+    &tables[op as usize]
+}
+
+/// The set image `{core2(op, a, b) : a ∈ A, b ∈ B}`: the union of the
+/// table rows of the values of `A`.
+fn set_core2(rows: &SetRows, a: StaticSet, b: StaticSet) -> StaticSet {
+    let mut out = 0;
+    let mut values = a.0;
+    while values != 0 {
+        out |= rows[values.trailing_zeros() as usize][b.0 as usize];
+        values &= values - 1;
     }
-    out
+    StaticSet(out)
 }
 
 /// Forward implication over sets; exact because the component-wise algebra
@@ -303,9 +345,10 @@ pub fn eval_gate_sets(kind: GateKind, ins: &[StaticSet]) -> StaticSet {
         }
         _ => {
             let (op, inv) = core_of(kind).expect("combinational kind");
+            let rows = set_rows(op);
             let folded = ins[1..]
                 .iter()
-                .fold(ins[0], |acc, &b| set_core2(op, acc, b));
+                .fold(ins[0], |acc, &b| set_core2(rows, acc, b));
             if inv {
                 folded.not()
             } else {
@@ -344,46 +387,45 @@ pub fn narrow_inputs(kind: GateKind, out_allowed: &mut StaticSet, ins: &mut [Sta
         }
         _ => {
             let (op, inv) = core_of(kind).expect("combinational kind");
+            let rows = set_rows(op);
             let target = if inv { out_allowed.not() } else { *out_allowed };
-            let n = ins.len();
-            let mut prefix = vec![StaticSet::EMPTY; n + 1];
-            let mut suffix = vec![StaticSet::EMPTY; n + 1];
-            for i in 0..n {
-                prefix[i + 1] = if i == 0 {
-                    ins[0]
-                } else {
-                    set_core2(op, prefix[i], ins[i])
+            // As in the delay algebra: input `i` keeps `v` iff `v` against
+            // the fold of all other (original) inputs can reach the target.
+            let mut prefix: Option<StaticSet> = None;
+            for i in 0..ins.len() {
+                let own = ins[i];
+                let suffix = ins[i + 1..]
+                    .iter()
+                    .copied()
+                    .reduce(|acc, b| set_core2(rows, acc, b));
+                let others = match (prefix, suffix) {
+                    (Some(p), Some(s)) => Some(set_core2(rows, p, s)),
+                    (p, s) => p.or(s),
                 };
-            }
-            for i in (0..n).rev() {
-                suffix[i] = if i == n - 1 {
-                    ins[n - 1]
-                } else {
-                    set_core2(op, ins[i], suffix[i + 1])
-                };
-            }
-            for i in 0..n {
-                let mut keep = StaticSet::EMPTY;
-                for v in ins[i].iter() {
-                    let sv = StaticSet::singleton(v);
-                    let combined = match (i == 0, i == n - 1) {
-                        (true, true) => sv,
-                        (true, false) => set_core2(op, sv, suffix[1]),
-                        (false, true) => set_core2(op, prefix[n - 1], sv),
-                        (false, false) => {
-                            set_core2(op, set_core2(op, prefix[i], sv), suffix[i + 1])
+                let keep = match others {
+                    // A one-input core gate passes its value through.
+                    None => own.intersect(target),
+                    Some(o) => {
+                        let mut keep = StaticSet::EMPTY;
+                        let mut values = own.0;
+                        while values != 0 {
+                            let v = values.trailing_zeros() as usize;
+                            if rows[v][o.0 as usize] & target.0 != 0 {
+                                keep.0 |= 1 << v;
+                            }
+                            values &= values - 1;
                         }
-                    };
-                    if !combined.intersect(target).is_empty() {
-                        keep.insert(v);
+                        keep
                     }
-                }
-                if keep != ins[i] {
+                };
+                if keep != own {
                     ins[i] = keep;
                     changed = true;
                 }
+                prefix = Some(prefix.map_or(own, |p| set_core2(rows, p, own)));
             }
-            let producible_core = suffix[0];
+            // Narrow the output to what is actually producible.
+            let producible_core = prefix.expect("non-empty inputs");
             let producible = if inv {
                 producible_core.not()
             } else {

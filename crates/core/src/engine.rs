@@ -683,6 +683,10 @@ impl<'c> AtpgBuilder<'c> {
     /// classified aborted and [`AtpgRun::stopped`] reports
     /// [`AtpgError::TimeBudgetExceeded`].
     ///
+    /// The budget is checked before each targeted fault, not inside the
+    /// search, so one fault's search can overrun it (a wide gate under
+    /// non-robust sensitization enumerates every input combination).
+    ///
     /// A budgeted run is *not* comparable across machines or
     /// parallelism levels — where the cut falls depends on timing.
     pub fn time_budget(mut self, budget: Duration) -> Self {

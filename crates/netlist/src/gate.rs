@@ -97,24 +97,38 @@ impl GateKind {
     /// Panics if called on `Input` or `Dff`, or with an arity the gate does
     /// not support (e.g. `Not` with two inputs).
     pub fn eval_bool(self, inputs: &[bool]) -> bool {
+        self.eval_bools(inputs.iter().copied())
+    }
+
+    /// [`GateKind::eval_bool`] over any sequence of Booleans, so callers
+    /// that derive the inputs (one component of a multi-valued signal, say)
+    /// need not collect them first.
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`GateKind::eval_bool`].
+    pub fn eval_bools<I: IntoIterator<Item = bool>>(self, inputs: I) -> bool {
+        let mut inputs = inputs.into_iter();
+        let mut single = |name: &str| {
+            let b = inputs.next();
+            assert!(
+                b.is_some() && inputs.next().is_none(),
+                "{name} takes exactly one input"
+            );
+            b.unwrap_or_default()
+        };
         match self {
             GateKind::Input | GateKind::Dff => {
                 panic!("eval_bool called on non-combinational node kind {self:?}")
             }
-            GateKind::Buf => {
-                assert_eq!(inputs.len(), 1, "BUF takes exactly one input");
-                inputs[0]
-            }
-            GateKind::Not => {
-                assert_eq!(inputs.len(), 1, "NOT takes exactly one input");
-                !inputs[0]
-            }
-            GateKind::And => inputs.iter().all(|&b| b),
-            GateKind::Nand => !inputs.iter().all(|&b| b),
-            GateKind::Or => inputs.iter().any(|&b| b),
-            GateKind::Nor => !inputs.iter().any(|&b| b),
-            GateKind::Xor => inputs.iter().filter(|&&b| b).count() % 2 == 1,
-            GateKind::Xnor => inputs.iter().filter(|&&b| b).count() % 2 == 0,
+            GateKind::Buf => single("BUF"),
+            GateKind::Not => !single("NOT"),
+            GateKind::And => inputs.all(|b| b),
+            GateKind::Nand => !inputs.all(|b| b),
+            GateKind::Or => inputs.any(|b| b),
+            GateKind::Nor => !inputs.any(|b| b),
+            GateKind::Xor => inputs.filter(|&b| b).count() % 2 == 1,
+            GateKind::Xnor => inputs.filter(|&b| b).count() % 2 == 0,
         }
     }
 

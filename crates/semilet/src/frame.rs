@@ -121,8 +121,24 @@ struct Net {
     sets: Vec<StaticSet>,
     trail: Vec<(NodeId, StaticSet)>,
     queue: VecDeque<NodeId>,
+    /// Set iff the gate is in `queue`.
     queued: Vec<bool>,
+    /// Input sets of the gate being implied, reused across gates.
+    ins: Vec<StaticSet>,
     conflict: bool,
+}
+
+/// Buffers the search loop reuses, allocated once per
+/// [`FrameEngine::solve`] call.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// The forward functional image, one set per node.
+    image: Vec<StaticSet>,
+    /// Input sets of the gate being evaluated by the image.
+    ins: Vec<StaticSet>,
+    /// Backtrace: a gate's edge sets before and after narrowing.
+    orig: Vec<StaticSet>,
+    narrowed: Vec<StaticSet>,
 }
 
 #[derive(Debug)]
@@ -156,6 +172,7 @@ impl<'c> FrameEngine<'c> {
         let mut net = self.init_net(ppis, fault);
         let mut stack: Vec<Decision> = Vec::new();
         let mut backtracks: u32 = 0;
+        let mut scratch = Scratch::default();
 
         // Seed goal constraints into the arc network where possible.
         if let FrameGoal::JustifyPpos(targets) = goal {
@@ -171,14 +188,14 @@ impl<'c> FrameEngine<'c> {
         loop {
             let consistent = self.propagate(&mut net, fault);
             if consistent {
-                let image = self.forward_image(ppis, &stack, fault);
+                self.forward_image(ppis, &stack, fault, &mut scratch);
                 if let Some(sol) =
-                    self.forward_success(goal, ppis, &stack, &image, backtracks, fault)
+                    self.forward_success(goal, ppis, &stack, &scratch.image, backtracks, fault)
                 {
                     return FrameResult::Solved(sol);
                 }
                 if self.still_possible(&net, goal, fault)
-                    && self.pick_decision(&mut net, goal, ppis, &mut stack, fault, &image)
+                    && self.pick_decision(&mut net, goal, ppis, &mut stack, fault, &mut scratch)
                 {
                     continue;
                 }
@@ -255,6 +272,7 @@ impl<'c> FrameEngine<'c> {
             trail: Vec::new(),
             queue: VecDeque::new(),
             queued: vec![false; n],
+            ins: Vec::new(),
             conflict: false,
         };
         for &g in self.circuit.topo_order() {
@@ -327,14 +345,8 @@ impl<'c> FrameEngine<'c> {
             net.queued[id.index()] = true;
             net.queue.push_back(id);
         }
-        let sinks: Vec<NodeId> = node
-            .fanout()
-            .iter()
-            .map(|&(s, _)| s)
-            .filter(|&s| self.circuit.node(s).kind().is_combinational())
-            .collect();
-        for s in sinks {
-            if !net.queued[s.index()] {
+        for &(s, _) in node.fanout() {
+            if self.circuit.node(s).kind().is_combinational() && !net.queued[s.index()] {
                 net.queued[s.index()] = true;
                 net.queue.push_back(s);
             }
@@ -348,9 +360,9 @@ impl<'c> FrameEngine<'c> {
             net.sets[id.index()] = old;
         }
         net.conflict = false;
-        net.queue.clear();
-        for q in &mut net.queued {
-            *q = false;
+        // Only queued gates carry a flag, so draining clears them all.
+        while let Some(g) = net.queue.pop_front() {
+            net.queued[g.index()] = false;
         }
     }
 
@@ -362,33 +374,33 @@ impl<'c> FrameEngine<'c> {
             }
             let node = self.circuit.node(g);
             let kind = node.kind();
-            let fanin: Vec<NodeId> = node.fanin().to_vec();
-            let mut ins: Vec<StaticSet> = (0..fanin.len())
-                .map(|p| self.edge_set(net, fault, g, p))
-                .collect();
+            let fanin = node.fanin();
+            let mut ins = std::mem::take(&mut net.ins);
+            ins.clear();
+            ins.extend((0..fanin.len()).map(|p| self.edge_set(net, fault, g, p)));
             let mut out = net.sets[g.index()];
             let image = eval_gate_sets(kind, &ins);
             out = out.intersect(image);
             narrow_inputs(kind, &mut out, &mut ins);
-            if !self.assign(net, g, out) {
-                break;
-            }
-            let mut failed = false;
-            for (p, &stem) in fanin.iter().enumerate() {
-                let pre = if Self::edge_converted(fault, stem, g, p as u8) {
-                    Self::unconvert_within(
-                        fault.expect("converted"),
-                        ins[p],
-                        net.sets[stem.index()],
-                    )
-                } else {
-                    ins[p]
-                };
-                if !self.assign(net, stem, pre) {
-                    failed = true;
-                    break;
+            let mut failed = !self.assign(net, g, out);
+            if !failed {
+                for (p, &stem) in fanin.iter().enumerate() {
+                    let pre = if Self::edge_converted(fault, stem, g, p as u8) {
+                        Self::unconvert_within(
+                            fault.expect("converted"),
+                            ins[p],
+                            net.sets[stem.index()],
+                        )
+                    } else {
+                        ins[p]
+                    };
+                    if !self.assign(net, stem, pre) {
+                        failed = true;
+                        break;
+                    }
                 }
             }
+            net.ins = ins;
             if failed {
                 break;
             }
@@ -410,36 +422,44 @@ impl<'c> FrameEngine<'c> {
         s
     }
 
+    /// Computes the forward functional image from the decided leaves into
+    /// `scratch.image`.
     fn forward_image(
         &self,
         ppis: &[PpiConstraint],
         stack: &[Decision],
         fault: Option<StuckFault>,
-    ) -> Vec<StaticSet> {
+        scratch: &mut Scratch,
+    ) {
         let circuit = self.circuit;
-        let mut f = vec![StaticSet::EMPTY; circuit.num_nodes()];
+        let Scratch { image: f, ins, .. } = scratch;
+        f.clear();
+        f.resize(circuit.num_nodes(), StaticSet::EMPTY);
         for &pi in circuit.inputs() {
             f[pi.index()] = self.leaf_set(pi, StaticSet::GOOD, stack);
         }
         for (i, &ff) in circuit.dffs().iter().enumerate() {
             f[ff.index()] = self.leaf_set(ff, ppis[i].leaf(), stack);
         }
+        self.eval_frame(f, ins, fault);
+    }
+
+    /// Evaluates every gate in topological order over the value sets `f`
+    /// (sources already set), injecting `fault`; `ins` is scratch.
+    fn eval_frame(&self, f: &mut [StaticSet], ins: &mut Vec<StaticSet>, fault: Option<StuckFault>) {
+        let circuit = self.circuit;
         for &g in circuit.topo_order() {
             let node = circuit.node(g);
-            let ins: Vec<StaticSet> = node
-                .fanin()
-                .iter()
-                .enumerate()
-                .map(|(pin, &src)| {
-                    let s = f[src.index()];
-                    if Self::edge_converted(fault, src, g, pin as u8) {
-                        Self::convert(fault.expect("converted"), s)
-                    } else {
-                        s
-                    }
-                })
-                .collect();
-            f[g.index()] = eval_gate_sets(node.kind(), &ins);
+            ins.clear();
+            ins.extend(node.fanin().iter().enumerate().map(|(pin, &src)| {
+                let s = f[src.index()];
+                if Self::edge_converted(fault, src, g, pin as u8) {
+                    Self::convert(fault.expect("converted"), s)
+                } else {
+                    s
+                }
+            }));
+            f[g.index()] = eval_gate_sets(node.kind(), ins);
         }
         // A stuck stem overrides its own observed value too.
         if let Some(flt) = fault {
@@ -448,7 +468,6 @@ impl<'c> FrameEngine<'c> {
                 f[idx] = Self::convert(flt, f[idx]);
             }
         }
-        f
     }
 
     fn forward_ppo(&self, image: &[StaticSet], i: usize) -> StaticSet {
@@ -581,11 +600,11 @@ impl<'c> FrameEngine<'c> {
         ppis: &[PpiConstraint],
         stack: &mut Vec<Decision>,
         fault: Option<StuckFault>,
-        image: &[StaticSet],
+        scratch: &mut Scratch,
     ) -> bool {
-        let objective = self.pick_objective(net, goal, fault, image);
+        let objective = self.pick_objective(net, goal, fault, &scratch.image);
         let decision = objective
-            .and_then(|(node, desired)| self.backtrace(net, ppis, stack, node, desired, fault))
+            .and_then(|objective| self.backtrace(net, ppis, stack, objective, fault, scratch))
             .or_else(|| self.fallback_variable(net, ppis, stack));
         let Some((node, mut alts)) = decision else {
             return false;
@@ -632,10 +651,7 @@ impl<'c> FrameEngine<'c> {
                         || self.any_converted_edge_effect(net, f);
                     if !any_effect {
                         let want_good = !Self::stuck_value(f);
-                        let desired: StaticSet = net.sets[f.site.stem.index()]
-                            .iter()
-                            .filter(|v| v.good() == want_good)
-                            .collect();
+                        let desired = net.sets[f.site.stem.index()].with_good(want_good);
                         if !desired.is_empty() && desired != net.sets[f.site.stem.index()] {
                             return Some((f.site.stem, desired));
                         }
@@ -680,10 +696,16 @@ impl<'c> FrameEngine<'c> {
         net: &Net,
         ppis: &[PpiConstraint],
         stack: &[Decision],
-        mut node: NodeId,
-        mut desired: StaticSet,
+        objective: (NodeId, StaticSet),
         fault: Option<StuckFault>,
+        scratch: &mut Scratch,
     ) -> Option<(NodeId, Vec<StaticSet>)> {
+        let (mut node, mut desired) = objective;
+        let Scratch {
+            orig,
+            narrowed: ins,
+            ..
+        } = scratch;
         let limit = 4 * self.circuit.num_nodes() + 16;
         for _ in 0..limit {
             desired = desired.intersect(net.sets[node.index()]);
@@ -711,17 +733,17 @@ impl<'c> FrameEngine<'c> {
                 }
                 _ => {
                     let arity = self.circuit.node(node).fanin().len();
-                    let orig: Vec<StaticSet> = (0..arity)
-                        .map(|p| self.edge_set(net, fault, node, p))
-                        .collect();
-                    let mut ins = orig.clone();
+                    orig.clear();
+                    orig.extend((0..arity).map(|p| self.edge_set(net, fault, node, p)));
+                    ins.clear();
+                    ins.extend_from_slice(orig);
                     let mut out = desired;
-                    narrow_inputs(kind, &mut out, &mut ins);
-                    let required: Vec<usize> = (0..arity)
+                    narrow_inputs(kind, &mut out, ins);
+                    let required = (0..arity)
                         .filter(|&p| ins[p] != orig[p] && !ins[p].is_empty())
-                        .collect();
+                        .max_by_key(|&p| self.edge_cost(node, p));
                     let mut advanced = false;
-                    if let Some(&p) = required.iter().max_by_key(|&&p| self.edge_cost(node, p)) {
+                    if let Some(p) = required {
                         let stem = self.circuit.node(node).fanin()[p];
                         let pre = self.pre_of(net, fault, node, p, ins[p]);
                         if !pre.is_empty() && pre != net.sets[stem.index()] {
@@ -733,12 +755,11 @@ impl<'c> FrameEngine<'c> {
                     if advanced {
                         continue;
                     }
-                    let candidates: Vec<usize> =
-                        (0..arity).filter(|&p| orig[p].len() > 1).collect();
-                    let &p = candidates
-                        .iter()
-                        .min_by_key(|&&p| self.edge_cost(node, p))?;
-                    let chosen = choose_helping_value(kind, &orig, p, desired)?;
+                    let p = (0..arity)
+                        .filter(|&p| orig[p].len() > 1)
+                        .min_by_key(|&p| self.edge_cost(node, p))?;
+                    // `ins` is free again: it becomes the pinned copy.
+                    let chosen = choose_helping_value(kind, orig, ins, p, desired)?;
                     let stem = self.circuit.node(node).fanin()[p];
                     let pre = self.pre_of(net, fault, node, p, StaticSet::singleton(chosen));
                     if pre.is_empty() {
@@ -862,10 +883,12 @@ fn to_logic3(s: StaticSet) -> Logic3 {
     }
 }
 
-/// Picks a value for input `p` that keeps `desired` producible.
+/// Picks a value for input `p` that keeps `desired` producible. `pinned`
+/// is scratch space for `orig` with input `p` pinned.
 fn choose_helping_value(
     kind: GateKind,
     orig: &[StaticSet],
+    pinned: &mut Vec<StaticSet>,
     p: usize,
     desired: StaticSet,
 ) -> Option<StaticValue> {
@@ -875,14 +898,15 @@ fn choose_helping_value(
         StaticValue::D,
         StaticValue::Db,
     ];
+    pinned.clear();
+    pinned.extend_from_slice(orig);
     let mut fallback = None;
     for v in PREFERENCE {
         if !orig[p].contains(v) {
             continue;
         }
-        let mut pinned = orig.to_vec();
         pinned[p] = StaticSet::singleton(v);
-        let image = eval_gate_sets(kind, &pinned);
+        let image = eval_gate_sets(kind, pinned);
         if image.intersect(desired).is_empty() {
             continue;
         }
@@ -922,29 +946,7 @@ impl<'c> FrameEngine<'c> {
         for (i, &ff) in circuit.dffs().iter().enumerate() {
             f[ff.index()] = state[i];
         }
-        for &g in circuit.topo_order() {
-            let node = circuit.node(g);
-            let ins: Vec<StaticSet> = node
-                .fanin()
-                .iter()
-                .enumerate()
-                .map(|(pin, &src)| {
-                    let s = f[src.index()];
-                    if Self::edge_converted(fault, src, g, pin as u8) {
-                        Self::convert(fault.expect("converted"), s)
-                    } else {
-                        s
-                    }
-                })
-                .collect();
-            f[g.index()] = eval_gate_sets(node.kind(), &ins);
-        }
-        if let Some(flt) = fault {
-            if flt.site.branch.is_none() {
-                let idx = flt.site.stem.index();
-                f[idx] = Self::convert(flt, f[idx]);
-            }
-        }
+        self.eval_frame(&mut f, &mut Vec::new(), fault);
         let pos = circuit.outputs().iter().map(|&po| f[po.index()]).collect();
         let next = (0..circuit.num_dffs())
             .map(|i| {

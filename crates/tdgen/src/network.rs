@@ -68,18 +68,9 @@ pub fn eval_gate_nonrobust(kind: GateKind, vals: &[DelayValue]) -> DelayValue {
     if !robust.is_transition() {
         return robust;
     }
-    let good_fin: Vec<bool> = vals.iter().map(|v| v.final_value()).collect();
-    let faulty_fin: Vec<bool> = vals
-        .iter()
-        .map(|v| {
-            if v.carries_fault() {
-                !v.final_value()
-            } else {
-                v.final_value()
-            }
-        })
-        .collect();
-    let differs = kind.eval_bool(&good_fin) != kind.eval_bool(&faulty_fin);
+    let good_fin = kind.eval_bools(vals.iter().map(|v| v.final_value()));
+    let faulty_fin = kind.eval_bools(vals.iter().map(|v| v.final_value() != v.carries_fault()));
+    let differs = good_fin != faulty_fin;
     if differs {
         robust.with_fault_mark().expect("transition")
     } else {
@@ -119,7 +110,8 @@ fn enumerate(
     }
 }
 
-/// Set-level non-robust backward narrowing by direct enumeration.
+/// Set-level non-robust backward narrowing by direct enumeration. Input
+/// `i` is narrowed against inputs `0..i` as already narrowed.
 fn narrow_nonrobust(kind: GateKind, out_allowed: &mut DelaySet, ins: &mut [DelaySet]) -> bool {
     if matches!(kind, GateKind::Buf | GateKind::Not) {
         return narrow_inputs(kind, out_allowed, ins);
@@ -127,15 +119,17 @@ fn narrow_nonrobust(kind: GateKind, out_allowed: &mut DelaySet, ins: &mut [Delay
     let mut changed = false;
     let n = ins.len();
     for i in 0..n {
+        let own = ins[i];
         let mut keep = DelaySet::EMPTY;
-        for v in ins[i].iter() {
-            let mut pinned: Vec<DelaySet> = ins.to_vec();
-            pinned[i] = DelaySet::singleton(v);
-            let image = eval_sets_nonrobust(kind, &pinned);
+        for v in own.iter() {
+            // Pin input `i` in place; it is restored below.
+            ins[i] = DelaySet::singleton(v);
+            let image = eval_sets_nonrobust(kind, ins);
             if !image.intersect(*out_allowed).is_empty() {
                 keep.insert(v);
             }
         }
+        ins[i] = own;
         if keep != ins[i] {
             ins[i] = keep;
             changed = true;
@@ -180,7 +174,12 @@ pub struct ImplicationNet<'c> {
     sets: Vec<DelaySet>,
     trail: Vec<(NodeId, DelaySet)>,
     queue: VecDeque<Constraint>,
+    /// Set iff the constraint is in `queue`.
     queued: Vec<bool>,
+    /// Flip-flop index of each DFF node (unused for other nodes).
+    dff_index: Vec<u32>,
+    /// Input sets of the gate being implied, reused across gates.
+    ins: Vec<DelaySet>,
     conflict: bool,
 }
 
@@ -213,18 +212,23 @@ impl<'c> ImplicationNet<'c> {
             None => fault.site.stem,
             Some((sink, _)) => sink,
         };
-        let cone = circuit.output_cone(seed);
-        let mut sets = vec![DelaySet::CLEAN; n];
-        for (i, set) in sets.iter_mut().enumerate() {
-            if cone[i] {
-                *set = DelaySet::ALL;
-            }
-        }
+        let cone = circuit.cone_words(seed);
+        let mut sets: Vec<DelaySet> = (0..n)
+            .map(|i| {
+                if cone[i / 64] >> (i % 64) & 1 == 1 {
+                    DelaySet::ALL
+                } else {
+                    DelaySet::CLEAN
+                }
+            })
+            .collect();
         for &pi in circuit.inputs() {
             sets[pi.index()] = DelaySet::HAZARD_FREE;
         }
-        for &ff in circuit.dffs() {
+        let mut dff_index = vec![u32::MAX; n];
+        for (i, &ff) in circuit.dffs().iter().enumerate() {
             sets[ff.index()] = DelaySet::HAZARD_FREE;
+            dff_index[ff.index()] = i as u32;
         }
         // The stem itself holds pre-conversion (clean) values.
         if fault.site.branch.is_none() {
@@ -239,6 +243,8 @@ impl<'c> ImplicationNet<'c> {
             trail: Vec::new(),
             queue: VecDeque::new(),
             queued: vec![false; n + circuit.num_dffs()],
+            dff_index,
+            ins: Vec::new(),
             conflict: false,
         };
         // Seed every constraint once.
@@ -383,24 +389,18 @@ impl<'c> ImplicationNet<'c> {
 
     /// Enqueues every constraint adjacent to a changed net.
     fn touch(&mut self, id: NodeId) {
-        let node = self.circuit.node(id);
+        let circuit = self.circuit;
+        let node = circuit.node(id);
         if node.kind().is_combinational() {
             self.enqueue(Constraint::Gate(id));
         }
         if node.kind() == GateKind::Dff {
-            if let Some(i) = self.circuit.dffs().iter().position(|&f| f == id) {
-                self.enqueue(Constraint::Dff(i));
-            }
+            self.enqueue(Constraint::Dff(self.dff_index[id.index()] as usize));
         }
-        // Collect first to avoid holding a borrow of the node while
-        // enqueueing.
-        let sinks: Vec<NodeId> = node.fanout().iter().map(|&(s, _)| s).collect();
-        for sink in sinks {
-            match self.circuit.node(sink).kind() {
+        for &(sink, _) in node.fanout() {
+            match circuit.node(sink).kind() {
                 GateKind::Dff => {
-                    if let Some(i) = self.circuit.dffs().iter().position(|&f| f == sink) {
-                        self.enqueue(Constraint::Dff(i));
-                    }
+                    self.enqueue(Constraint::Dff(self.dff_index[sink.index()] as usize))
                 }
                 k if k.is_combinational() => self.enqueue(Constraint::Gate(sink)),
                 _ => {}
@@ -428,9 +428,9 @@ impl<'c> ImplicationNet<'c> {
             self.sets[id.index()] = old;
         }
         self.conflict = false;
-        self.queue.clear();
-        for q in &mut self.queued {
-            *q = false;
+        // Only queued constraints carry a flag, so draining clears them all.
+        while let Some(c) = self.queue.pop_front() {
+            self.queued[c.index(self.circuit)] = false;
         }
     }
 
@@ -482,27 +482,29 @@ impl<'c> ImplicationNet<'c> {
     fn imply_gate(&mut self, g: NodeId) {
         let node = self.circuit.node(g);
         let kind = node.kind();
-        let fanin: Vec<NodeId> = node.fanin().to_vec();
-        let mut ins: Vec<DelaySet> = (0..fanin.len()).map(|p| self.edge_set(g, p)).collect();
+        let fanin = node.fanin();
+        let mut ins = std::mem::take(&mut self.ins);
+        ins.clear();
+        ins.extend((0..fanin.len()).map(|p| self.edge_set(g, p)));
         let mut out = self.sets[g.index()];
         // Forward: intersect output with the producible image.
         let image = self.eval_sets_m(kind, &ins);
         out = out.intersect(image);
         // Backward: narrow inputs against the (already tightened) output.
         self.narrow_m(kind, &mut out, &mut ins);
-        if !self.assign(g, out) {
-            return;
-        }
-        for (p, &stem) in fanin.iter().enumerate() {
-            let pre = if self.edge_converted(stem, g, p as u8) {
-                self.unconvert_within(ins[p], self.sets[stem.index()])
-            } else {
-                ins[p]
-            };
-            if !self.assign(stem, pre) {
-                return;
+        if self.assign(g, out) {
+            for (p, &stem) in fanin.iter().enumerate() {
+                let pre = if self.edge_converted(stem, g, p as u8) {
+                    self.unconvert_within(ins[p], self.sets[stem.index()])
+                } else {
+                    ins[p]
+                };
+                if !self.assign(stem, pre) {
+                    break;
+                }
             }
         }
+        self.ins = ins;
     }
 
     fn imply_dff(&mut self, i: usize) {
@@ -512,16 +514,18 @@ impl<'c> ImplicationNet<'c> {
         let d_set = self.sets[d.index()];
         // final(q) must equal initial(d); conversion does not alter frame
         // components, so the pre-conversion d set is authoritative.
-        let d_inits: Vec<bool> = d_set.iter().map(|v| v.initial()).collect();
-        let q_keep: DelaySet = q_set
-            .iter()
-            .filter(|v| d_inits.contains(&v.final_value()))
-            .collect();
-        let q_finals: Vec<bool> = q_keep.iter().map(|v| v.final_value()).collect();
-        let d_keep: DelaySet = d_set
-            .iter()
-            .filter(|v| q_finals.contains(&v.initial()))
-            .collect();
+        let mut q_keep = DelaySet::EMPTY;
+        let mut d_keep = DelaySet::EMPTY;
+        for b in [false, true] {
+            if !d_set.with_initial(b).is_empty() {
+                q_keep = q_keep.union(q_set.with_final(b));
+            }
+        }
+        for b in [false, true] {
+            if !q_keep.with_final(b).is_empty() {
+                d_keep = d_keep.union(d_set.with_initial(b));
+            }
+        }
         if !self.assign(q, q_keep) {
             return;
         }

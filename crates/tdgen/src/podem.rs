@@ -90,9 +90,28 @@ struct Decision {
     trail_mark: usize,
 }
 
-/// Forward functional image: one set per node, plus the observation found.
+/// Forward functional image: one set per node. The buffers are reused by
+/// every image one search computes.
+#[derive(Default)]
 struct ForwardImage {
     f: Vec<DelaySet>,
+    /// Pass 1 of the image: initial-frame values.
+    init3: Vec<Logic3>,
+    /// Input values of the gate being evaluated, one buffer per pass.
+    ins3: Vec<Logic3>,
+    ins: Vec<DelaySet>,
+}
+
+/// Buffers the search loop reuses, allocated once per
+/// [`TdGen::generate_with_constraints`] call.
+#[derive(Default)]
+struct Scratch {
+    /// The decided restrictions `(node, set)`, in decision-stack order.
+    restr: Vec<(NodeId, DelaySet)>,
+    image: ForwardImage,
+    /// Backtrace: a gate's edge sets before and after narrowing.
+    orig: Vec<DelaySet>,
+    narrowed: Vec<DelaySet>,
 }
 
 impl<'c> TdGen<'c> {
@@ -157,25 +176,29 @@ impl<'c> TdGen<'c> {
         }
         let mut stack: Vec<Decision> = Vec::new();
         let mut backtracks: u32 = 0;
+        let mut scratch = Scratch::default();
 
         loop {
             let consistent = net.propagate() == Implied::Consistent;
             if consistent {
-                let restr: Vec<(NodeId, DelaySet)> =
-                    stack.iter().map(|d| (d.node, d.applied)).collect();
-                let image = self.forward_image(&net, &restr);
-                if self.forward_success(&net, &image).is_some() {
+                let Scratch { restr, image, .. } = &mut scratch;
+                restr.clear();
+                restr.extend(stack.iter().map(|d| (d.node, d.applied)));
+                self.forward_image(&net, restr, image);
+                if self.forward_success(&net, image).is_some() {
                     // Drop every state-bit decision the observation does
                     // not actually need: each kept one becomes a burden on
                     // the initialization phase.
-                    let (restr, image) = self.minimize_state_decisions(&net, restr);
+                    self.minimize_state_decisions(&net, restr, image);
                     let obs = self
-                        .forward_success(&net, &image)
+                        .forward_success(&net, image)
                         .expect("minimization preserves success");
-                    return TdGenOutcome::Test(self.extract(&net, &restr, &image, obs, backtracks));
+                    return TdGenOutcome::Test(self.extract(&net, restr, image, obs, backtracks));
                 }
                 if self.may_reach_observable(&net)
-                    && self.pick_decision(&mut net, &mut stack).is_some()
+                    && self
+                        .pick_decision(&mut net, &mut stack, &mut scratch)
+                        .is_some()
                 {
                     continue;
                 }
@@ -235,26 +258,36 @@ impl<'c> TdGen<'c> {
         &self,
         net: &ImplicationNet<'_>,
         restr: &[(NodeId, DelaySet)],
-    ) -> ForwardImage {
+        image: &mut ForwardImage,
+    ) {
         let circuit = self.circuit;
         let n = circuit.num_nodes();
+        let ForwardImage {
+            f,
+            init3,
+            ins3,
+            ins,
+        } = image;
 
         // Pass 1: 3-valued initial-frame values (functional in leaf inits).
-        let mut init3 = vec![Logic3::X; n];
+        init3.clear();
+        init3.resize(n, Logic3::X);
         for &pi in circuit.inputs() {
-            init3[pi.index()] = component3(self.leaf_set_r(pi, restr), DelayValue::initial);
+            init3[pi.index()] = component3(self.leaf_set_r(pi, restr), DelaySet::with_initial);
         }
         for &ff in circuit.dffs() {
-            init3[ff.index()] = component3(self.leaf_set_r(ff, restr), DelayValue::initial);
+            init3[ff.index()] = component3(self.leaf_set_r(ff, restr), DelaySet::with_initial);
         }
         for &g in circuit.topo_order() {
             let node = circuit.node(g);
-            let ins: Vec<Logic3> = node.fanin().iter().map(|&f| init3[f.index()]).collect();
-            init3[g.index()] = eval_gate3(node.kind(), &ins);
+            ins3.clear();
+            ins3.extend(node.fanin().iter().map(|&f| init3[f.index()]));
+            init3[g.index()] = eval_gate3(node.kind(), ins3);
         }
 
         // Pass 2: 8-valued forward sets with the site conversion.
-        let mut f = vec![DelaySet::EMPTY; n];
+        f.clear();
+        f.resize(n, DelaySet::EMPTY);
         for &pi in circuit.inputs() {
             f[pi.index()] = self.leaf_set_r(pi, restr);
         }
@@ -263,35 +296,28 @@ impl<'c> TdGen<'c> {
             // Register coupling, forward direction only: the PPI's final
             // value is the PPO's (functionally determined) initial value.
             if let Some(b) = init3[circuit.ppo_of_dff(ff).index()].to_bool() {
-                leaf = leaf.iter().filter(|v| v.final_value() == b).collect();
+                leaf = leaf.with_final(b);
             }
             f[ff.index()] = leaf;
         }
         let fault = net.fault();
         for &g in circuit.topo_order() {
             let node = circuit.node(g);
-            let ins: Vec<DelaySet> = node
-                .fanin()
-                .iter()
-                .enumerate()
-                .map(|(pin, &src)| {
-                    let s = f[src.index()];
-                    let converted = match fault.site.branch {
-                        None => src == fault.site.stem,
-                        Some((sink, fpin)) => {
-                            src == fault.site.stem && sink == g && fpin == pin as u8
-                        }
-                    };
-                    if converted {
-                        net.convert(s)
-                    } else {
-                        s
-                    }
-                })
-                .collect();
-            f[g.index()] = net.eval_scratch(node.kind(), &ins);
+            ins.clear();
+            ins.extend(node.fanin().iter().enumerate().map(|(pin, &src)| {
+                let s = f[src.index()];
+                let converted = match fault.site.branch {
+                    None => src == fault.site.stem,
+                    Some((sink, fpin)) => src == fault.site.stem && sink == g && fpin == pin as u8,
+                };
+                if converted {
+                    net.convert(s)
+                } else {
+                    s
+                }
+            }));
+            f[g.index()] = net.eval_scratch(node.kind(), ins);
         }
-        ForwardImage { f }
     }
 
     /// Observed set at a PO in the forward image.
@@ -365,13 +391,15 @@ impl<'c> TdGen<'c> {
     }
 
     /// Greedily removes decisions on flip-flop initial bits whose loss
-    /// does not break the (forward-checked) observation. Returns the
-    /// surviving restrictions and their forward image.
+    /// does not break the (forward-checked) observation. Leaves the
+    /// surviving restrictions in `restr` and their forward image in
+    /// `image`.
     fn minimize_state_decisions(
         &self,
         net: &ImplicationNet<'_>,
-        mut restr: Vec<(NodeId, DelaySet)>,
-    ) -> (Vec<(NodeId, DelaySet)>, ForwardImage) {
+        restr: &mut Vec<(NodeId, DelaySet)>,
+        image: &mut ForwardImage,
+    ) {
         let mut idx = restr.len();
         while idx > 0 {
             idx -= 1;
@@ -379,15 +407,13 @@ impl<'c> TdGen<'c> {
             if self.circuit.node(node).kind() != GateKind::Dff {
                 continue;
             }
-            let mut trial = restr.clone();
-            trial.remove(idx);
-            let image = self.forward_image(net, &trial);
-            if self.forward_success(net, &image).is_some() {
-                restr = trial;
+            let dropped = restr.remove(idx);
+            self.forward_image(net, restr, image);
+            if self.forward_success(net, image).is_none() {
+                restr.insert(idx, dropped);
             }
         }
-        let image = self.forward_image(net, &restr);
-        (restr, image)
+        self.forward_image(net, restr, image);
     }
 
     /// The X-path check on the arc-consistent network: every genuine test
@@ -404,10 +430,15 @@ impl<'c> TdGen<'c> {
     /// Picks an objective, backtraces it to a decision variable, applies
     /// the first alternative and pushes the decision. Returns `None` when
     /// no decision variable remains.
-    fn pick_decision(&self, net: &mut ImplicationNet<'c>, stack: &mut Vec<Decision>) -> Option<()> {
+    fn pick_decision(
+        &self,
+        net: &mut ImplicationNet<'c>,
+        stack: &mut Vec<Decision>,
+        scratch: &mut Scratch,
+    ) -> Option<()> {
         let objective = self.pick_objective(net);
         let decision = objective
-            .and_then(|(node, desired)| self.backtrace(net, node, desired, stack))
+            .and_then(|(node, desired)| self.backtrace(net, node, desired, stack, scratch))
             .or_else(|| self.fallback_variable(net, stack));
         let (node, mut alts) = decision?;
         debug_assert!(!alts.is_empty());
@@ -483,7 +514,13 @@ impl<'c> TdGen<'c> {
         mut node: NodeId,
         mut desired: DelaySet,
         stack: &[Decision],
+        scratch: &mut Scratch,
     ) -> Option<(NodeId, Vec<DelaySet>)> {
+        let Scratch {
+            orig,
+            narrowed: ins,
+            ..
+        } = scratch;
         let limit = 4 * self.circuit.num_nodes() + 16;
         for _ in 0..limit {
             desired = desired.intersect(net.set(node));
@@ -495,20 +532,21 @@ impl<'c> TdGen<'c> {
                 GateKind::Input => return self.pi_decision(net, node, desired, stack),
                 GateKind::Dff => {
                     let leaf = self.leaf_set(node, stack);
-                    let want_init: Vec<bool> = dedup_bools(desired.iter().map(|v| v.initial()));
-                    let have_init: Vec<bool> = dedup_bools(leaf.iter().map(|v| v.initial()));
-                    if want_init.len() == 1 && have_init.len() == 2 {
-                        return self.ppi_decision(node, want_init[0], leaf);
+                    let want_one = !desired.with_initial(true).is_empty();
+                    let want_zero = !desired.with_initial(false).is_empty();
+                    if want_one != want_zero && has_both_inits(leaf) {
+                        return self.ppi_decision(node, want_one, leaf);
                     }
                     // Redirect the final-value requirement through the
                     // register to the PPO's initial value.
-                    let finals: Vec<bool> = dedup_bools(desired.iter().map(|v| v.final_value()));
                     let d = self.circuit.ppo_of_dff(node);
                     let d_set = net.set(d);
-                    let redirected: DelaySet = d_set
-                        .iter()
-                        .filter(|u| finals.contains(&u.initial()))
-                        .collect();
+                    let mut redirected = DelaySet::EMPTY;
+                    for b in [false, true] {
+                        if !desired.with_final(b).is_empty() {
+                            redirected = redirected.union(d_set.with_initial(b));
+                        }
+                    }
                     if redirected.is_empty() || redirected == d_set {
                         return None;
                     }
@@ -517,18 +555,20 @@ impl<'c> TdGen<'c> {
                 }
                 _ => {
                     let arity = self.circuit.node(node).fanin().len();
-                    let orig: Vec<DelaySet> = (0..arity).map(|p| net.edge_set(node, p)).collect();
-                    let mut ins = orig.clone();
+                    orig.clear();
+                    orig.extend((0..arity).map(|p| net.edge_set(node, p)));
+                    ins.clear();
+                    ins.extend_from_slice(orig);
                     let mut out = desired;
-                    net.narrow_scratch(kind, &mut out, &mut ins);
+                    net.narrow_scratch(kind, &mut out, ins);
                     // Required inputs: those the desired output actually
                     // constrains. Pursue the hardest one (classic FAN
                     // heuristic).
-                    let required: Vec<usize> = (0..arity)
+                    let required = (0..arity)
                         .filter(|&p| ins[p] != orig[p] && !ins[p].is_empty())
-                        .collect();
+                        .max_by_key(|&p| self.edge_cost(node, p));
                     let mut advanced = false;
-                    if let Some(&p) = required.iter().max_by_key(|&&p| self.edge_cost(node, p)) {
+                    if let Some(p) = required {
                         let stem = self.circuit.node(node).fanin()[p];
                         let pre = self.to_pre_conversion(net, node, p, ins[p]);
                         if !pre.is_empty() && pre != net.set(stem) {
@@ -543,12 +583,11 @@ impl<'c> TdGen<'c> {
                     // Disjunctive case: no single input is forced. Pick the
                     // easiest-to-control undetermined input and choose a
                     // value for it that keeps the desired output possible.
-                    let candidates: Vec<usize> =
-                        (0..arity).filter(|&p| orig[p].len() > 1).collect();
-                    let &p = candidates
-                        .iter()
-                        .min_by_key(|&&p| self.edge_cost(node, p))?;
-                    let chosen = self.choose_helping_value(net, kind, &orig, p, desired)?;
+                    let p = (0..arity)
+                        .filter(|&p| orig[p].len() > 1)
+                        .min_by_key(|&p| self.edge_cost(node, p))?;
+                    // `ins` is free again: it becomes the pinned copy.
+                    let chosen = self.choose_helping_value(net, kind, orig, ins, p, desired)?;
                     let stem = self.circuit.node(node).fanin()[p];
                     let pre = self.to_pre_conversion(net, node, p, DelaySet::singleton(chosen));
                     if pre.is_empty() {
@@ -589,11 +628,13 @@ impl<'c> TdGen<'c> {
 
     /// Picks a value for input `p` that keeps `desired` producible —
     /// preferring steady clean values (cheap to justify, robust-friendly).
+    /// `pinned` is scratch space for `orig` with input `p` pinned.
     fn choose_helping_value(
         &self,
         net: &ImplicationNet<'_>,
         kind: GateKind,
         orig: &[DelaySet],
+        pinned: &mut Vec<DelaySet>,
         p: usize,
         desired: DelaySet,
     ) -> Option<DelayValue> {
@@ -607,14 +648,15 @@ impl<'c> TdGen<'c> {
             DelayValue::Rc,
             DelayValue::Fc,
         ];
+        pinned.clear();
+        pinned.extend_from_slice(orig);
         let mut fallback = None;
         for v in PREFERENCE {
             if !orig[p].contains(v) {
                 continue;
             }
-            let mut pinned = orig.to_vec();
             pinned[p] = DelaySet::singleton(v);
-            let image = net.eval_scratch(kind, &pinned);
+            let image = net.eval_scratch(kind, pinned);
             if image.intersect(desired).is_empty() {
                 continue;
             }
@@ -672,9 +714,8 @@ impl<'c> TdGen<'c> {
         want: bool,
         leaf: DelaySet,
     ) -> Option<(NodeId, Vec<DelaySet>)> {
-        let restrict = |b: bool| -> DelaySet { leaf.iter().filter(|v| v.initial() == b).collect() };
-        let with = restrict(want);
-        let without = restrict(!want);
+        let with = leaf.with_initial(want);
+        let without = leaf.with_initial(!want);
         if with.is_empty() || without.is_empty() {
             return None; // init already determined
         }
@@ -689,24 +730,25 @@ impl<'c> TdGen<'c> {
         net: &ImplicationNet<'_>,
         stack: &[Decision],
     ) -> Option<(NodeId, Vec<DelaySet>)> {
-        let mut open: Vec<(bool, NodeId)> = Vec::new();
-        for &pi in self.circuit.inputs() {
+        // The first open variable the network has constrained, else the
+        // first open one (PIs before PPIs).
+        let pis = self.circuit.inputs().iter().map(|&pi| {
             let leaf = self.leaf_set(pi, stack);
-            if leaf.len() > 1 {
-                let constrained = net.set(pi).len() < leaf.len();
-                open.push((constrained, pi));
+            (pi, leaf.len() > 1, net.set(pi).len() < leaf.len())
+        });
+        let ppis = self.circuit.dffs().iter().map(|&ff| {
+            let open = has_both_inits(self.leaf_set(ff, stack));
+            (ff, open, !has_both_inits(net.set(ff)))
+        });
+        let mut pick = None;
+        for (node, _, constrained) in pis.chain(ppis).filter(|&(_, open, _)| open) {
+            if constrained {
+                pick = Some(node);
+                break;
             }
+            pick.get_or_insert(node);
         }
-        for &ff in self.circuit.dffs() {
-            let leaf = self.leaf_set(ff, stack);
-            let inits = dedup_bools(leaf.iter().map(|v| v.initial()));
-            if inits.len() == 2 {
-                let arc_inits = dedup_bools(net.set(ff).iter().map(|v| v.initial()));
-                open.push((arc_inits.len() < 2, ff));
-            }
-        }
-        open.sort_by_key(|&(constrained, _)| !constrained);
-        let (_, node) = *open.first()?;
+        let node = pick?;
         let leaf = self.leaf_set(node, stack);
         if self.circuit.node(node).kind() == GateKind::Input {
             let arc = net.set(node);
@@ -723,8 +765,8 @@ impl<'c> TdGen<'c> {
             }
             Some((node, ordered))
         } else {
-            let arc_inits = dedup_bools(net.set(node).iter().map(|v| v.initial()));
-            let want = arc_inits.first().copied().unwrap_or(false);
+            // The initial bit of the arc set's first value.
+            let want = net.set(node).iter().next().is_some_and(|v| v.initial());
             self.ppi_decision(node, want, leaf)
         }
     }
@@ -743,19 +785,19 @@ impl<'c> TdGen<'c> {
             .circuit
             .inputs()
             .iter()
-            .map(|&pi| component3(self.leaf_set_r(pi, restr), DelayValue::initial))
+            .map(|&pi| component3(self.leaf_set_r(pi, restr), DelaySet::with_initial))
             .collect();
         let v2 = self
             .circuit
             .inputs()
             .iter()
-            .map(|&pi| component3(self.leaf_set_r(pi, restr), DelayValue::final_value))
+            .map(|&pi| component3(self.leaf_set_r(pi, restr), DelaySet::with_final))
             .collect();
         let required_state = self
             .circuit
             .dffs()
             .iter()
-            .map(|&ff| component3(self.leaf_set_r(ff, restr), DelayValue::initial))
+            .map(|&ff| component3(self.leaf_set_r(ff, restr), DelaySet::with_initial))
             .collect();
         let ppo_values = (0..self.circuit.num_dffs())
             .map(
@@ -779,27 +821,23 @@ impl<'c> TdGen<'c> {
     }
 }
 
-/// Projects a set onto one Boolean component: known only if all values
-/// agree.
-fn component3(s: DelaySet, f: fn(DelayValue) -> bool) -> Logic3 {
-    let bits = dedup_bools(s.iter().map(f));
-    match bits.as_slice() {
-        [b] => Logic3::from_bool(*b),
-        _ => Logic3::X,
-    }
+/// Whether the set leaves a flip-flop's initial bit open.
+fn has_both_inits(s: DelaySet) -> bool {
+    !s.with_initial(false).is_empty() && !s.with_initial(true).is_empty()
 }
 
-fn dedup_bools<I: Iterator<Item = bool>>(iter: I) -> Vec<bool> {
-    let mut out = Vec::with_capacity(2);
-    for b in iter {
-        if !out.contains(&b) {
-            out.push(b);
-        }
-        if out.len() == 2 {
-            break;
-        }
+/// Projects a set onto one frame (`with_frame` is
+/// [`DelaySet::with_initial`] or [`DelaySet::with_final`]): known only if
+/// all values agree.
+fn component3(s: DelaySet, with_frame: fn(DelaySet, bool) -> DelaySet) -> Logic3 {
+    match (
+        with_frame(s, false).is_empty(),
+        with_frame(s, true).is_empty(),
+    ) {
+        (false, true) => Logic3::Zero,
+        (true, false) => Logic3::One,
+        _ => Logic3::X,
     }
-    out
 }
 
 #[cfg(test)]

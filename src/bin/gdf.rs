@@ -89,7 +89,9 @@ OPTIONS:
     --universe <full|stems>                       fault universe
     --seed <N>                                    X-fill seed (dec or 0x..)
     --parallelism <N>                             generation workers
-    --time-budget <SECS>                          per-run wall-clock budget
+    --time-budget <SECS>                          per-run wall-clock budget, checked
+                                                  before each targeted fault (one
+                                                  fault's search can overrun it)
     -o, --out <PATH>                              artifact output path
     --patterns <PATH>                             export a pattern set
     --checkpoint-every <N>                        checkpoint cadence (default 16)

@@ -1,0 +1,106 @@
+//! Golden outcomes of the TDgen + SEMILET search.
+//!
+//! Each case runs `Atpg::builder(c).seed(1995)` serially and pins the
+//! Table 3 counts `(tested, untestable, aborted, patterns)` and the digest
+//! of the canonical artifact. Every decision the search takes (objective,
+//! backtrace, alternative order, backtrack point) shows up in these bytes,
+//! so a change that only makes the search cheaper must leave them alone.
+//!
+//! A change that alters search decisions on purpose (branch-and-bound
+//! pruning, SCOAP decision ordering — ROADMAP item 4) updates these
+//! constants, and says in CHANGES.md why the new outcomes are expected.
+
+use gdf::core::{Atpg, Backend, CircuitSource, Digest, RunArtifact, RunConfig, Sensitization};
+use gdf::netlist::suite;
+
+/// One golden case: suite circuit, backend, sensitization, expected
+/// `(tested, untestable, aborted, patterns)` and artifact digest.
+struct Golden {
+    circuit: &'static str,
+    backend: Backend,
+    sensitization: Sensitization,
+    counts: (u32, u32, u32, u32),
+    digest: &'static str,
+}
+
+fn check(g: &Golden) {
+    let circuit = suite::by_name(g.circuit).expect("suite circuit");
+    let mut config = RunConfig::new(g.backend).with_seed(1995);
+    config.sensitization = g.sensitization;
+    let run = Atpg::builder(&circuit)
+        .backend(config.backend)
+        .sensitization(config.sensitization)
+        .seed(config.seed)
+        .build()
+        .run();
+    let row = &run.report.row;
+    let counts = (row.tested, row.untestable, row.aborted, row.patterns);
+    let artifact = RunArtifact::from_run(
+        &circuit,
+        &run,
+        config,
+        Some(CircuitSource::suite(&circuit, g.circuit)),
+    );
+    let digest = Digest::of_text(&artifact.canonical_encode()).hex();
+    let case = format!("{} {:?} {:?}", g.circuit, g.backend, g.sensitization);
+    assert_eq!(
+        counts, g.counts,
+        "{case}: (tested, untestable, aborted, patterns)"
+    );
+    assert_eq!(digest, g.digest, "{case}: canonical artifact digest");
+}
+
+#[test]
+fn s27_robust() {
+    check(&Golden {
+        circuit: "s27",
+        backend: Backend::NonScan,
+        sensitization: Sensitization::Robust,
+        counts: (31, 17, 4, 43),
+        digest: "7721e9a475ffc7b17caa63c09914f9cf",
+    });
+}
+
+#[test]
+fn s27_non_robust() {
+    check(&Golden {
+        circuit: "s27",
+        backend: Backend::NonScan,
+        sensitization: Sensitization::NonRobust,
+        counts: (31, 17, 4, 43),
+        digest: "883c2038c24658e29a84d75df2447839",
+    });
+}
+
+#[test]
+fn s119_robust() {
+    check(&Golden {
+        circuit: "s119",
+        backend: Backend::NonScan,
+        sensitization: Sensitization::Robust,
+        counts: (110, 44, 12, 118),
+        digest: "a4c2265f6d418d57280e44d053f37c7b",
+    });
+}
+
+#[test]
+fn s298_robust() {
+    check(&Golden {
+        circuit: "s298",
+        backend: Backend::NonScan,
+        sensitization: Sensitization::Robust,
+        counts: (62, 523, 57, 20),
+        digest: "3dd06ba14f5654cb2a64f5f8ae99b2a5",
+    });
+}
+
+#[test]
+fn s27_stuck_at() {
+    check(&Golden {
+        circuit: "s27",
+        backend: Backend::StuckAt,
+        sensitization: Sensitization::Robust,
+        counts: (41, 0, 11, 134),
+        digest: "c21159e5b0f0825d6890bb041d93832b",
+    });
+}

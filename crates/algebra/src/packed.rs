@@ -53,6 +53,18 @@ impl PackedWave {
         }
     }
 
+    /// The clean value of each lane from its two frame values — the
+    /// packed [`DelayValue::from_frames`]: lane `k` holds `0`, `1`, `R` or
+    /// `F` as bit `k` of `init` and `fin` say.
+    pub fn from_frames(init: u64, fin: u64) -> PackedWave {
+        PackedWave {
+            init,
+            fin,
+            haz: 0,
+            car: 0,
+        }
+    }
+
     /// Packs up to 64 values; lane `k` takes `lanes[k]`, the rest
     /// [`DelayValue::S0`].
     ///
@@ -273,6 +285,16 @@ mod tests {
         let w = PackedWave::from_lanes(&lanes);
         for (k, &v) in lanes.iter().enumerate() {
             assert_eq!(w.lane(k), v, "lane {k}");
+        }
+    }
+
+    #[test]
+    fn from_frames_matches_scalar_per_lane() {
+        let (init, fin) = (0b0011u64, 0b0101u64);
+        let w = PackedWave::from_frames(init, fin);
+        for k in 0..4 {
+            let scalar = DelayValue::from_frames(init >> k & 1 == 1, fin >> k & 1 == 1);
+            assert_eq!(w.lane(k), scalar, "lane {k}");
         }
     }
 

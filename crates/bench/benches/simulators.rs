@@ -1,13 +1,16 @@
 //! Criterion benchmarks for the simulation substrate: good-machine
-//! simulation (scalar and 64-way parallel), two-frame waveform evaluation
-//! and TDsim fault simulation over the full fault universe.
+//! simulation, phase 1 of §5 grading (scalar composition against packed
+//! batches of one and 64 sequences), two-frame waveform evaluation and
+//! TDsim fault simulation over the full fault universe.
 
 use gdf_algebra::Logic3;
 use gdf_bench::criterion::{black_box, criterion_group, criterion_main, Criterion};
-use gdf_netlist::{suite, FaultUniverse};
+use gdf_netlist::generator::{generate, CircuitProfile};
+use gdf_netlist::{suite, Circuit, FaultUniverse};
+use gdf_sim::grading::{simulate_batch, GradeScratch, MAX_LANES};
 use gdf_sim::{
     detected_delay_faults, detected_delay_faults_packed, two_frame_values, GoodSimulator,
-    ParallelSimulator, SimScratch,
+    SimScratch,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -20,14 +23,73 @@ fn bench_goodsim(c: &mut Criterion) {
     c.bench_function("goodsim eval_comb s344_syn", |b| {
         b.iter(|| sim.eval_comb(black_box(&pi), black_box(&st)))
     });
+}
 
-    let psim = ParallelSimulator::new(&circuit);
-    let mut rng = StdRng::seed_from_u64(1);
-    let ppi: Vec<u64> = (0..circuit.num_inputs()).map(|_| rng.gen()).collect();
-    let pst: Vec<u64> = (0..circuit.num_dffs()).map(|_| rng.gen()).collect();
-    c.bench_function("parallel eval_comb s344_syn (64 patterns)", |b| {
-        b.iter(|| psim.eval_comb(black_box(&ppi), black_box(&pst)))
-    });
+/// Initialization and propagation frames around the launch/capture pair
+/// of the phase-1 sequences (the `grade_gen10k` shape).
+const INIT_FRAMES: usize = 3;
+const PROPAGATION_FRAMES: usize = 2;
+
+/// Phase 1 as the scalar reference grader composes it: the good machine
+/// over the initialization frames, the state fill, the two-frame
+/// waveform, then the good machine over the propagation frames.
+fn scalar_phase_one(circuit: &Circuit, filled: &[Vec<bool>]) -> Vec<Vec<Logic3>> {
+    let fast = INIT_FRAMES + 1;
+    let to3 = |v: &Vec<bool>| v.iter().map(|&b| Logic3::from_bool(b)).collect();
+    let init: Vec<Vec<Logic3>> = filled[..fast - 1].iter().map(to3).collect();
+    let sim = GoodSimulator::new(circuit);
+    let (_, state) = sim.run(&sim.initial_state(), &init);
+    let state1: Vec<bool> = state.iter().map(|l| l.to_bool().unwrap_or(false)).collect();
+    let w = two_frame_values(circuit, &filled[fast - 1], &filled[fast], &state1);
+    let state2: Vec<Logic3> = circuit
+        .ppos()
+        .iter()
+        .map(|ppo| Logic3::from_bool(w[ppo.index()].final_value()))
+        .collect();
+    let prop: Vec<Vec<Logic3>> = filled[fast + 1..].iter().map(to3).collect();
+    sim.run(&state2, &prop).0
+}
+
+fn bench_phase_one(c: &mut Criterion) {
+    let s344 = suite::table3_circuit("s344").expect("suite circuit");
+    let gen10k = generate(&CircuitProfile::new(
+        "gen10k",
+        32,
+        32,
+        500,
+        10_000,
+        0x6E10_1995,
+    ));
+    for circuit in [&s344, &gen10k] {
+        let name = circuit.name();
+        let mut rng = StdRng::seed_from_u64(5);
+        let frames = INIT_FRAMES + 2 + PROPAGATION_FRAMES;
+        let sequences: Vec<Vec<Vec<bool>>> = (0..MAX_LANES)
+            .map(|_| {
+                (0..frames)
+                    .map(|_| (0..circuit.num_inputs()).map(|_| rng.gen()).collect())
+                    .collect()
+            })
+            .collect();
+        let fast = INIT_FRAMES + 1;
+        c.bench_function(&format!("phase1 scalar {name} (1 sequence)"), |b| {
+            b.iter(|| scalar_phase_one(circuit, black_box(&sequences[0])))
+        });
+        let mut scratch = GradeScratch::default();
+        for lanes in [1, MAX_LANES] {
+            c.bench_function(&format!("phase1 batch {name} ({lanes} lanes)"), |b| {
+                b.iter(|| {
+                    simulate_batch(
+                        circuit,
+                        black_box(&sequences[..lanes]),
+                        fast,
+                        &mut rng,
+                        &mut scratch,
+                    )
+                })
+            });
+        }
+    }
 }
 
 fn bench_waveform_and_tdsim(c: &mut Criterion) {
@@ -61,5 +123,10 @@ fn bench_waveform_and_tdsim(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_goodsim, bench_waveform_and_tdsim);
+criterion_group!(
+    benches,
+    bench_goodsim,
+    bench_phase_one,
+    bench_waveform_and_tdsim
+);
 criterion_main!(benches);

@@ -494,9 +494,10 @@ impl<'c> DelayAtpg<'c> {
     /// compaction and fault grading can reuse the exact §5 semantics.
     ///
     /// All three phases run bit-parallel through the shared grading entry
-    /// point ([`gdf_sim::grading::grade_filled_sequence`]): phase 2
-    /// propagates one PPO state difference per lane and phase 3 classifies
-    /// 64 candidate faults per word; `scratch` holds the reusable buffers,
+    /// point ([`gdf_sim::grading::grade_filled_sequence`]): phase 1 is a
+    /// one-lane batch on the packed good machine, phase 2 propagates one
+    /// PPO state difference per lane and phase 3 classifies 64 candidate
+    /// faults per word; `scratch` holds the reusable buffers,
     /// so a warm call allocates nothing in the sweeps. The classifications
     /// are identical to the scalar reference
     /// ([`DelayAtpg::fault_simulate_sequence_scalar`]) for the same RNG

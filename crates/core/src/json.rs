@@ -119,6 +119,7 @@ impl Json {
             });
         }
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
@@ -297,6 +298,7 @@ fn write_escaped(out: &mut String, s: &str) {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -460,13 +462,14 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 code point.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next `"` or `\` in one go.
+                    // Both are ASCII, so the run ends on a char boundary.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - self.pos);
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -551,6 +554,21 @@ mod tests {
         let v = Json::parse(r#""päper ↦ s27""#).unwrap();
         assert_eq!(v.as_str(), Some("päper ↦ s27"));
         assert_eq!(Json::parse(&v.to_string()).unwrap(), v);
+    }
+
+    #[test]
+    fn multi_megabyte_strings_parse_in_one_pass() {
+        // One unit holds non-ASCII text and every escape the grammar
+        // has; a quadratic scan would not finish on this document.
+        let unit_doc = r#"päper ↦ s27 \"q\" \\ \/ \n\r\t\b\f \u0041\u00e9 "#;
+        let unit_str = "päper ↦ s27 \"q\" \\ / \n\r\t\u{8}\u{c} Aé ";
+        let reps = (3 << 20) / unit_doc.len();
+        let doc = format!("[\"{}\"]", unit_doc.repeat(reps));
+        let expected = unit_str.repeat(reps);
+        let v = Json::parse(&doc).unwrap();
+        assert_eq!(v.as_array().and_then(|a| a[0].as_str()), Some(&*expected));
+        let s = Json::Str(expected);
+        assert_eq!(Json::parse(&s.to_string()).unwrap(), s);
     }
 
     #[test]

@@ -16,9 +16,9 @@
 //!   directory attached, a re-run skips completed circuits and resumes
 //!   partial ones;
 //! * [`grade_patterns`] — re-runs a saved [`PatternSet`] through the
-//!   packed three-phase fault simulator
-//!   ([`gdf_sim::grading::grade_filled_sequence`]), so exported tests can
-//!   be re-validated independently of the run that generated them.
+//!   packed three-phase fault simulator ([`gdf_sim::grading`], phase 1
+//!   batched up to 64 sequences per pass), so exported tests can be
+//!   re-validated independently of the run that generated them.
 //!
 //! # Example
 //!
@@ -38,14 +38,18 @@
 //! ```
 
 use crate::artifact::{ArtifactError, CircuitSource, PatternSet, RunArtifact};
-use crate::driver::{DelayAtpg, DelayAtpgConfig, FaultClassification, FsimScratch};
+use crate::driver::FaultClassification;
 use crate::engine::{faults_of, Atpg, AtpgError, Backend, Limits, Observer, RunSnapshot};
 use crate::json::Json;
 use crate::report::{CircuitReport, Coverage, Table3Row};
+use gdf_algebra::logic3::Logic3;
 use gdf_netlist::{Circuit, Fault, FaultUniverse, ModelKind};
+use gdf_sim::grading::{
+    grade_lane, grade_lane_transition, simulate_batch, GradeScratch, MAX_LANES,
+};
 use gdf_tdgen::Sensitization;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -923,6 +927,17 @@ impl std::fmt::Display for GradeReport {
 /// `seed` drives the random fill of X values and uninitialized state
 /// bits, exactly as in generation.
 ///
+/// Phase 1 (the good machine) runs once per batch of up to
+/// [`MAX_LANES`] consecutive sequences, one per bit lane
+/// ([`gdf_sim::grading::simulate_batch`]). A batch starts at any
+/// at-speed sequence, whose PI X-fill is drawn first, and takes in the
+/// following sequences with the same frame count and fast frame and no
+/// `X` in any PI frame; a static sequence, a shape change or a sequence
+/// with PI `X`s ends it. The followers draw no PI fill, so every draw —
+/// the state fill included — lands where a sequence-at-a-time loop puts
+/// it, and the report is identical to one. Phases 2 and 3, dropping and
+/// the relied-PPO lookup run per sequence, in order.
+///
 /// # Errors
 ///
 /// [`ArtifactError::Mismatch`] when the pattern set names a different
@@ -985,67 +1000,83 @@ pub fn grade_patterns(
         }
     }
     let faults: Vec<Fault> = model.model().enumerate(circuit, universe).collect();
-    let driver = DelayAtpg::with_config(
-        circuit,
-        DelayAtpgConfig::new()
-            .with_model(model)
-            .with_universe(*universe),
-    );
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut scratch = FsimScratch::default();
+    let mut scratch = GradeScratch::default();
+    let mut filled: Vec<Vec<Vec<bool>>> = Vec::new();
     let mut first_detector: Vec<Option<usize>> = vec![None; faults.len()];
     let mut remaining: Vec<usize> = (0..faults.len()).collect();
     let mut patterns_graded = 0usize;
     let mut skipped_static = 0usize;
 
-    for (pi, pattern) in set.patterns.iter().enumerate() {
-        if pattern.sequence.at_speed().is_none() {
+    let patterns = &set.patterns;
+    let mut start = 0;
+    while start < patterns.len() {
+        let lead = &patterns[start].sequence;
+        let Some(fast) = lead.at_speed() else {
             skipped_static += 1;
+            start += 1;
             continue;
-        }
+        };
         if remaining.is_empty() {
             patterns_graded += 1;
+            start += 1;
             continue;
         }
-        let relied = set.relied_nodes(circuit, pi)?;
-        let hits = match model {
-            ModelKind::Transition => {
-                let candidates: Vec<_> = remaining
-                    .iter()
-                    .map(|&k| faults[k].as_transition().expect("transition universe"))
-                    .collect();
-                driver.fault_simulate_sequence_transition(
-                    &pattern.sequence,
-                    &relied,
-                    &candidates,
-                    &mut rng,
-                    &mut scratch,
-                )
+        // Phase 1 once for the batch this sequence leads: the following
+        // sequences of its shape whose PI frames draw no X-fill, so the
+        // state fill of each lane draws exactly where a
+        // sequence-at-a-time loop would.
+        let lanes = 1 + patterns[start + 1..]
+            .iter()
+            .take(MAX_LANES - 1)
+            .take_while(|p| {
+                let seq = &p.sequence;
+                seq.at_speed() == Some(fast)
+                    && seq.len() == lead.len()
+                    && seq.vectors().iter().all(|v| !v.pi.contains(&Logic3::X))
+            })
+            .count();
+        if filled.len() < lanes {
+            filled.resize_with(lanes, Vec::new);
+        }
+        for (p, dst) in patterns[start..start + lanes].iter().zip(&mut filled) {
+            p.sequence.fill_into(|| rng.gen(), dst);
+        }
+        simulate_batch(circuit, &filled[..lanes], fast, &mut rng, &mut scratch);
+
+        // Phases 2 and 3 per sequence, in order, against the shrinking
+        // fault list.
+        for (lane, pi) in (start..start + lanes).enumerate() {
+            if remaining.is_empty() {
+                patterns_graded += 1;
+                continue;
             }
-            _ => {
-                let candidates: Vec<_> = remaining
-                    .iter()
-                    .map(|&k| faults[k].as_delay().expect("delay universe"))
-                    .collect();
-                driver.fault_simulate_sequence(
-                    &pattern.sequence,
-                    &relied,
-                    &candidates,
-                    &mut rng,
-                    &mut scratch,
-                )
+            let relied = set.relied_nodes(circuit, pi)?;
+            let mut hits = match model {
+                ModelKind::Transition => {
+                    let candidates: Vec<_> = remaining
+                        .iter()
+                        .map(|&k| faults[k].as_transition().expect("transition universe"))
+                        .collect();
+                    grade_lane_transition(circuit, lane, &relied, &candidates, &mut scratch)
+                }
+                _ => {
+                    let candidates: Vec<_> = remaining
+                        .iter()
+                        .map(|&k| faults[k].as_delay().expect("delay universe"))
+                        .collect();
+                    grade_lane(circuit, lane, &relied, &candidates, &mut scratch)
+                }
+            };
+            patterns_graded += 1;
+            // Strike detected faults from the remaining list (descending
+            // positions so removal indexes stay valid).
+            hits.sort_unstable();
+            for &pos in hits.iter().rev() {
+                first_detector[remaining.remove(pos)] = Some(pi);
             }
         }
-        .expect("at_speed checked above");
-        patterns_graded += 1;
-        // Strike detected faults from the remaining list (descending
-        // positions so removal indexes stay valid).
-        let mut hit_positions: Vec<usize> = hits;
-        hit_positions.sort_unstable();
-        for &pos in hit_positions.iter().rev() {
-            let fault_index = remaining.remove(pos);
-            first_detector[fault_index] = Some(pi);
-        }
+        start += lanes;
     }
 
     Ok(GradeReport {

@@ -132,34 +132,6 @@ impl GateKind {
         }
     }
 
-    /// Evaluates the gate over packed 64-bit words (one pattern per bit), the
-    /// representation used by the parallel-pattern simulator.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`GateKind::eval_bool`].
-    pub fn eval_word(self, inputs: &[u64]) -> u64 {
-        match self {
-            GateKind::Input | GateKind::Dff => {
-                panic!("eval_word called on non-combinational node kind {self:?}")
-            }
-            GateKind::Buf => {
-                assert_eq!(inputs.len(), 1);
-                inputs[0]
-            }
-            GateKind::Not => {
-                assert_eq!(inputs.len(), 1);
-                !inputs[0]
-            }
-            GateKind::And => inputs.iter().fold(!0u64, |a, &b| a & b),
-            GateKind::Nand => !inputs.iter().fold(!0u64, |a, &b| a & b),
-            GateKind::Or => inputs.iter().fold(0u64, |a, &b| a | b),
-            GateKind::Nor => !inputs.iter().fold(0u64, |a, &b| a | b),
-            GateKind::Xor => inputs.iter().fold(0u64, |a, &b| a ^ b),
-            GateKind::Xnor => !inputs.iter().fold(0u64, |a, &b| a ^ b),
-        }
-    }
-
     /// The canonical `.bench` keyword for this gate kind.
     ///
     /// `Input` has no keyword (it is written as an `INPUT(...)` declaration).
@@ -241,26 +213,6 @@ mod tests {
             }
             assert_eq!(Not.eval_bool(&[a]), !a);
             assert_eq!(Buf.eval_bool(&[a]), a);
-        }
-    }
-
-    #[test]
-    fn eval_word_agrees_with_eval_bool() {
-        use GateKind::*;
-        for kind in [And, Nand, Or, Nor, Xor, Xnor] {
-            for pat in 0u64..8 {
-                let a = pat & 1 != 0;
-                let b = pat & 2 != 0;
-                let c = pat & 4 != 0;
-                let word = kind.eval_word(&[
-                    if a { !0 } else { 0 },
-                    if b { !0 } else { 0 },
-                    if c { !0 } else { 0 },
-                ]);
-                let expect = kind.eval_bool(&[a, b, c]);
-                assert_eq!(word == !0, expect, "{kind:?} {a}{b}{c}");
-                assert_eq!(word == 0, !expect, "{kind:?} {a}{b}{c}");
-            }
         }
     }
 

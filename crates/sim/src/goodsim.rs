@@ -1,12 +1,14 @@
-//! Good-machine logic simulation.
+//! Scalar good-machine logic simulation.
 //!
-//! [`GoodSimulator`] is the 3-valued sequential simulator behind FAUSIM
-//! phase 1: it evaluates the combinational block in topological order and
-//! steps the state registers, starting (by default) from the all-`X`
-//! power-up state.
-//!
-//! [`ParallelSimulator`] packs 64 two-valued patterns per machine word and
-//! is used for random-pattern fault grading and the Criterion benches.
+//! [`GoodSimulator`] is the 3-valued sequential simulator: it evaluates
+//! the combinational block in topological order and steps the state
+//! registers, starting (by default) from the all-`X` power-up state.
+//! Production §5 grading runs phase 1 on the packed
+//! [`PackedGoodSim`](crate::PackedGoodSim), one test sequence per bit
+//! lane; `GoodSimulator` is its oracle — the good machine of the scalar
+//! reference grader (`gdf_core::DelayAtpg::fault_simulate_sequence_scalar`)
+//! and of FAUSIM's scalar walks, including the stuck-at mode SEMILET
+//! runs standalone.
 
 use gdf_algebra::logic3::Logic3;
 use gdf_netlist::{Circuit, GateKind, NodeId};
@@ -31,7 +33,9 @@ pub(crate) fn eval3_indexed(kind: GateKind, fanins: &[NodeId], values: &[Logic3]
     }
 }
 
-/// Three-valued sequential simulator for a [`Circuit`].
+/// Three-valued sequential simulator for a [`Circuit`]: the scalar oracle
+/// of the packed [`PackedGoodSim`](crate::PackedGoodSim) that production
+/// grading runs.
 ///
 /// # Example
 ///
@@ -112,12 +116,6 @@ impl<'c> GoodSimulator<'c> {
             .collect()
     }
 
-    /// Allocation-free variant of [`GoodSimulator::next_state`].
-    pub fn next_state_into(&self, values: &[Logic3], next: &mut Vec<Logic3>) {
-        next.clear();
-        next.extend(self.circuit.ppos().iter().map(|&ppo| values[ppo.index()]));
-    }
-
     /// Extracts the PO values from a node-value map.
     pub fn outputs(&self, values: &[Logic3]) -> Vec<Logic3> {
         self.circuit
@@ -151,67 +149,6 @@ impl<'c> GoodSimulator<'c> {
     /// Value of one node in a node-value map.
     pub fn value(&self, values: &[Logic3], id: NodeId) -> Logic3 {
         values[id.index()]
-    }
-}
-
-/// 64-way parallel two-valued simulator (one pattern per bit).
-///
-/// # Example
-///
-/// ```
-/// use gdf_netlist::suite;
-/// use gdf_sim::ParallelSimulator;
-///
-/// let c = suite::s27();
-/// let sim = ParallelSimulator::new(&c);
-/// // 64 random-ish PI patterns, all-zero state.
-/// let pi = vec![0xDEAD_BEEF_0BAD_F00Du64; 4];
-/// let state = vec![0u64; 3];
-/// let vals = sim.eval_comb(&pi, &state);
-/// assert_eq!(vals.len(), c.num_nodes());
-/// ```
-#[derive(Debug, Clone)]
-pub struct ParallelSimulator<'c> {
-    circuit: &'c Circuit,
-}
-
-impl<'c> ParallelSimulator<'c> {
-    /// Creates a parallel simulator for `circuit`.
-    pub fn new(circuit: &'c Circuit) -> Self {
-        ParallelSimulator { circuit }
-    }
-
-    /// Evaluates one time frame for 64 packed patterns.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pi` or `state` have the wrong length.
-    pub fn eval_comb(&self, pi: &[u64], state: &[u64]) -> Vec<u64> {
-        assert_eq!(pi.len(), self.circuit.num_inputs());
-        assert_eq!(state.len(), self.circuit.num_dffs());
-        let mut values = vec![0u64; self.circuit.num_nodes()];
-        for (i, &id) in self.circuit.inputs().iter().enumerate() {
-            values[id.index()] = pi[i];
-        }
-        for (i, &ff) in self.circuit.dffs().iter().enumerate() {
-            values[ff.index()] = state[i];
-        }
-        let mut ins: Vec<u64> = Vec::with_capacity(8);
-        for (gate, kind, fanins) in self.circuit.gates_levelized() {
-            ins.clear();
-            ins.extend(fanins.iter().map(|f| values[f.index()]));
-            values[gate.index()] = kind.eval_word(&ins);
-        }
-        values
-    }
-
-    /// Latches the next state from a node-value map.
-    pub fn next_state(&self, values: &[u64]) -> Vec<u64> {
-        self.circuit
-            .ppos()
-            .iter()
-            .map(|&ppo| values[ppo.index()])
-            .collect()
     }
 }
 
@@ -261,34 +198,6 @@ mod tests {
         // G14 = NOT(1) = 0, so G10 = NOR(0, G11); G12 = NOR(1, X) = 0;
         // G13 = NOR(1, 0) = 0 -> G7 becomes 0 after one frame.
         assert_eq!(final_state[2], Zero);
-    }
-
-    #[test]
-    fn parallel_agrees_with_scalar() {
-        let c = suite::s27();
-        let scalar = GoodSimulator::new(&c);
-        let packed = ParallelSimulator::new(&c);
-        // 16 exhaustive PI patterns with zero state, packed into bits 0..16.
-        let mut pi_words = vec![0u64; 4];
-        for pat in 0..16u32 {
-            for (bit, word) in pi_words.iter_mut().enumerate() {
-                if pat & (1 << bit) != 0 {
-                    *word |= 1 << pat;
-                }
-            }
-        }
-        let state_words = vec![0u64; 3];
-        let packed_vals = packed.eval_comb(&pi_words, &state_words);
-        for pat in 0..16u32 {
-            let pi: Vec<Logic3> = (0..4)
-                .map(|b| Logic3::from_bool(pat & (1 << b) != 0))
-                .collect();
-            let vals = scalar.eval_comb(&pi, &[Zero, Zero, Zero]);
-            for (idx, v) in vals.iter().enumerate() {
-                let bit = (packed_vals[idx] >> pat) & 1 == 1;
-                assert_eq!(v.to_bool(), Some(bit), "node {idx} pattern {pat}");
-            }
-        }
     }
 
     #[test]

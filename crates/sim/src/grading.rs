@@ -1,33 +1,52 @@
 //! The three-phase §5 fault-grading entry point, shared by the ATPG
 //! drop loop and standalone pattern re-grading.
 //!
-//! [`grade_filled_sequence`] classifies a candidate delay-fault list
-//! against one *filled* (X-free) vector sequence, running the paper's
-//! three phases bit-parallel:
+//! Grading classifies a candidate fault list against *filled* (X-free)
+//! vector sequences, running the paper's three phases bit-parallel:
 //!
-//! 1. good-machine simulation of the initialization frames
-//!    ([`crate::goodsim`]),
+//! 1. good-machine simulation ([`simulate_batch`]), once per batch of up
+//!    to [`MAX_LANES`] sequences of one shape (same frame count, same
+//!    fast frame), **one sequence per bit lane**:
+//!    [`crate::packed::PackedGoodSim`] runs the initialization frames
+//!    from the all-`X` power-up state, the random fill resolves the state
+//!    bits they leave unknown, the same simulator computes the launch
+//!    frame `V1`, the packed delay algebra
+//!    ([`gdf_algebra::packed::PackedWave`]) builds the fault-free
+//!    two-frame waveform, and `PackedGoodSim` runs the propagation frames
+//!    from the state each lane's fast frame latches;
 //! 2. packed PPO state-difference propagation through the slow-clock
 //!    frames ([`crate::fausim::Fausim::propagate_state_diffs_packed`],
-//!    one PPO per lane): the good machine runs the propagation frames
-//!    once per sequence, and every 64-PPO chunk selectively traces its
-//!    differences against those frames,
+//!    one PPO per lane) against one sequence's propagation frames,
 //! 3. packed critical-path tracing of the fast frame
 //!    ([`crate::tdsim::detected_delay_faults_packed`], 64 candidate
 //!    faults per word, each batch evaluating only the gates its marks
 //!    reach) with the invalidation check against the relied PPOs.
 //!
-//! Phase 3 starts from the waveform of
-//! [`crate::waveform::two_frame_values_into`] and phase 2 from the good
-//! machine's frames, so both start from consistent values — every gate
-//! holds its gate function of its fanins' values — which is what makes
-//! skipping unreached gates exact.
+//! Phases 2 and 3 run per sequence ([`grade_lane`],
+//! [`grade_lane_transition`]): each reads its own lane of the batch, so
+//! the caller can shrink the fault list between sequences. Phase 1 does
+//! not depend on the fault list, so computing it ahead for the whole
+//! batch changes no result. Phase 3 starts from the batch's waveform and
+//! phase 2 from its propagation frames, so both start from consistent
+//! values — every gate holds its gate function of its fanins' values —
+//! which is what makes skipping unreached gates exact.
 //!
-//! The ATPG driver (`gdf_core::DelayAtpg::fault_simulate_sequence`)
-//! X-fills a `TestSequence` and calls straight into this function; the
-//! pattern re-grading API (`gdf_core::session::grade_patterns`) does the
-//! same for saved `PatternSet` artifacts — both therefore share one
-//! implementation of the §5 semantics.
+//! # RNG order
+//!
+//! Phase 1 draws from `rng` once per state bit the initialization frames
+//! leave unknown: lane 0 first, then lane 1, and so on, and within a
+//! lane in flip-flop order. That is the order a sequence-at-a-time loop
+//! draws in, provided each sequence's PI X-fill is drawn before its
+//! state fill: the caller fills the batch's first sequence from `rng`
+//! and admits as followers only sequences with no PI `X`, which draw
+//! nothing. `gdf_core::session::grade_patterns` batches that way, so a
+//! batched grading is identical to one sequence at a time.
+//!
+//! [`grade_filled_sequence`] is a one-lane batch followed by phases 2
+//! and 3. The ATPG driver (`gdf_core::DelayAtpg::fault_simulate_sequence`)
+//! X-fills a `TestSequence` and calls straight into it, so the engine's
+//! credit pass and pattern re-grading share one implementation of the §5
+//! semantics.
 //!
 //! # Example
 //!
@@ -47,31 +66,43 @@
 //! ```
 
 use crate::fausim::Fausim;
-use crate::goodsim::GoodSimulator;
-use crate::packed::SimScratch;
+use crate::packed::{eval_packed_indexed, PackedGoodSim, PackedLogic, SimScratch};
 use crate::tdsim::detected_delay_faults_packed;
-use crate::waveform::two_frame_values_into;
+use crate::tfsim::detected_transition_faults_packed;
 use gdf_algebra::delay::DelayValue;
 use gdf_algebra::logic3::Logic3;
+use gdf_algebra::packed::PackedWave;
 use gdf_netlist::{Circuit, DelayFault, NodeId, TransitionFault};
 use rand::rngs::StdRng;
 use rand::Rng;
 
-/// Reusable buffers for [`grade_filled_sequence`]: keep one per worker
-/// and hand it to every call, so the simulation sweeps allocate nothing
+/// The most sequences one phase-1 batch holds: one per bit lane.
+pub const MAX_LANES: usize = 64;
+
+/// Reusable buffers for grading: the phase-1 results of the current
+/// batch and the per-sequence buffers of phases 2 and 3. Keep one per
+/// worker and hand it to every call, so the sweeps allocate nothing
 /// after warm-up.
 #[derive(Debug, Default, Clone)]
 pub struct GradeScratch {
-    /// One PI frame in 3-valued form (good-machine stepping).
-    pi: Vec<Logic3>,
-    /// Flip-flop state in the initial (V1) frame after X-fill.
-    state1: Vec<bool>,
-    /// Fault-free node values of each propagation frame.
-    good: Vec<Vec<Logic3>>,
-    /// Frame-1 binary node values of the waveform evaluation.
-    bits: Vec<bool>,
-    /// The fault-free two-frame waveform.
-    wave: Vec<DelayValue>,
+    /// One PI frame of the batch, one sequence per lane.
+    pi: Vec<PackedLogic>,
+    /// The batch's flip-flop state while stepping through frames.
+    state: Vec<PackedLogic>,
+    /// Node values of the latest initialization frame, then of `V1`.
+    values: Vec<PackedLogic>,
+    /// The fault-free two-frame waveform of every lane.
+    wave: Vec<PackedWave>,
+    /// Fault-free node values of each propagation frame, every lane.
+    good: Vec<Vec<PackedLogic>>,
+    /// Sequences in the current batch.
+    lanes: usize,
+    /// Propagation frames of the batch's sequences.
+    propagation: usize,
+    /// One lane's waveform, for phase 3.
+    lane_wave: Vec<DelayValue>,
+    /// One lane's propagation frames, for phase 2.
+    lane_good: Vec<Vec<Logic3>>,
     /// PPOs proven observable by the propagation phase.
     observable: Vec<NodeId>,
     /// Flip-flop indexes whose state difference phase 2 must propagate.
@@ -80,9 +111,247 @@ pub struct GradeScratch {
     sim: SimScratch,
 }
 
+/// Phase 1 of §5 for a batch of filled sequences, one per bit lane:
+/// good-machine simulation of the initialization frames, random fill of
+/// the state bits they leave unknown, the fault-free two-frame waveform
+/// and the propagation frames. The results stay in `scratch` for
+/// [`grade_lane`] and [`grade_lane_transition`], until the next batch.
+///
+/// Every sequence holds all its applied PI frames; `fast` is the index of
+/// the at-speed capture frame of each (`[fast - 1]` launches, `[fast]`
+/// captures, everything after propagates under the slow clock). `rng`
+/// resolves the state bits the initialization frames leave unknown,
+/// lane by lane and within a lane in flip-flop order (see the
+/// [module docs](self#rng-order)).
+///
+/// # Panics
+///
+/// Panics if `sequences` is empty or longer than [`MAX_LANES`], if the
+/// sequences differ in frame count, if `fast` is 0 or out of bounds (a
+/// delay-fault grading always needs a launch/capture pair), or if a
+/// frame's width is not the circuit's input count.
+pub fn simulate_batch<S: AsRef<[Vec<bool>]>>(
+    circuit: &Circuit,
+    sequences: &[S],
+    fast: usize,
+    rng: &mut StdRng,
+    scratch: &mut GradeScratch,
+) {
+    let lanes = sequences.len();
+    assert!(
+        (1..=MAX_LANES).contains(&lanes),
+        "a batch holds 1 to {MAX_LANES} sequences, got {lanes}"
+    );
+    let frames = sequences[0].as_ref().len();
+    assert!(
+        fast > 0 && fast < frames,
+        "fast frame index {fast} out of range for {frames} frames"
+    );
+    assert!(
+        sequences.iter().all(|s| s.as_ref().len() == frames),
+        "the sequences of a batch share one frame count"
+    );
+    let used = u64::MAX >> (MAX_LANES - lanes);
+    let sim = PackedGoodSim::new(circuit);
+    let s = scratch;
+    s.lanes = lanes;
+    s.propagation = frames - fast - 1;
+
+    // Initialization frames, from the unknown power-up state.
+    s.state.clear();
+    s.state.resize(circuit.num_dffs(), PackedLogic::ALL_X);
+    for frame in 0..fast - 1 {
+        pack_frame(sequences, frame, &mut s.pi);
+        sim.eval_comb_into(&s.pi, &s.state, &mut s.values);
+        sim.next_state_into(&s.values, &mut s.state);
+    }
+
+    // Random fill of the state bits still unknown at V1: lane by lane,
+    // and within a lane in flip-flop order.
+    let mut unknown = s.state.iter().fold(0, |m, bit| m | !bit.known()) & used;
+    while unknown != 0 {
+        let lane = unknown.trailing_zeros() as usize;
+        unknown &= unknown - 1;
+        for bit in &mut s.state {
+            if bit.lane(lane) == Logic3::X {
+                bit.set_lane(lane, Logic3::from_bool(rng.gen()));
+            }
+        }
+    }
+
+    // V1 from the filled state: every lane in use is binary.
+    pack_frame(sequences, fast - 1, &mut s.pi);
+    sim.eval_comb_into(&s.pi, &s.state, &mut s.values);
+
+    // The fault-free waveform over the delay algebra: a PI holds
+    // (V1, V2), a flip-flop its state and then the value its PPO
+    // computes under V1.
+    pack_frame(sequences, fast, &mut s.pi);
+    s.wave.clear();
+    s.wave.resize(circuit.num_nodes(), PackedWave::default());
+    for (&input, v2) in circuit.inputs().iter().zip(&s.pi) {
+        s.wave[input.index()] = PackedWave::from_frames(s.values[input.index()].ones, v2.ones);
+    }
+    for ((&ff, &ppo), state) in circuit.dffs().iter().zip(circuit.ppos()).zip(&s.state) {
+        s.wave[ff.index()] = PackedWave::from_frames(state.ones, s.values[ppo.index()].ones);
+    }
+    for (gate, kind, fanins) in circuit.gates_levelized() {
+        s.wave[gate.index()] = eval_packed_indexed(kind, fanins, &s.wave);
+    }
+
+    // Propagation frames, from the state each lane's fast frame latches —
+    // needed only if some lane has a PPO difference to propagate.
+    let unsteady = circuit
+        .ppos()
+        .iter()
+        .fold(0, |m, ppo| m | !s.wave[ppo.index()].steady_clean())
+        & used;
+    if s.propagation == 0 || unsteady == 0 {
+        return;
+    }
+    s.state.clear();
+    s.state.extend(circuit.ppos().iter().map(|ppo| {
+        let fin = s.wave[ppo.index()].fin;
+        PackedLogic {
+            ones: fin,
+            zeros: !fin,
+        }
+    }));
+    if s.good.len() < s.propagation {
+        s.good.resize_with(s.propagation, Vec::new);
+    }
+    for (frame, values) in (fast + 1..frames).zip(&mut s.good) {
+        pack_frame(sequences, frame, &mut s.pi);
+        sim.eval_comb_into(&s.pi, &s.state, values);
+        sim.next_state_into(values, &mut s.state);
+    }
+}
+
+/// Packs PI frame `frame` of every sequence into `pi`, one sequence per
+/// lane; lanes past the batch stay `X`.
+fn pack_frame<S: AsRef<[Vec<bool>]>>(sequences: &[S], frame: usize, pi: &mut Vec<PackedLogic>) {
+    let width = sequences[0].as_ref()[frame].len();
+    pi.clear();
+    pi.resize(width, PackedLogic::ALL_X);
+    for (lane, sequence) in sequences.iter().enumerate() {
+        let v = &sequence.as_ref()[frame];
+        assert_eq!(v.len(), width, "PI vector length");
+        for (p, &b) in pi.iter_mut().zip(v) {
+            if b {
+                p.ones |= 1 << lane;
+            } else {
+                p.zeros |= 1 << lane;
+            }
+        }
+    }
+}
+
+/// Phases 2 and 3 of the sequence in `lane` of the last
+/// [`simulate_batch`]: returns the indexes (into `faults`) of the
+/// robustly detected ones. `relied_ppos` are the PPO nets whose steady
+/// value the sequence's propagation phase relies on — the §5
+/// invalidation check strikes faults that corrupt them.
+///
+/// # Panics
+///
+/// Panics if `lane` is not a lane of the last batch.
+pub fn grade_lane(
+    circuit: &Circuit,
+    lane: usize,
+    relied_ppos: &[NodeId],
+    faults: &[DelayFault],
+    scratch: &mut GradeScratch,
+) -> Vec<usize> {
+    propagate_lane(circuit, lane, scratch);
+    // Phase 3: robust delay fault simulation of the fast frame, 64
+    // candidate faults per word, with the invalidation check.
+    let hits = detected_delay_faults_packed(
+        circuit,
+        &scratch.lane_wave,
+        faults,
+        &scratch.observable,
+        relied_ppos,
+        &mut scratch.sim,
+    );
+    hits.into_iter().map(|(k, _)| k).collect()
+}
+
+/// The transition-fault twin of [`grade_lane`]: identical phase 2, with
+/// phase 3 swapped for the packed *non-robust* final-value
+/// classification ([`crate::tfsim::detected_transition_faults_packed`]).
+///
+/// # Panics
+///
+/// Panics if `lane` is not a lane of the last batch.
+pub fn grade_lane_transition(
+    circuit: &Circuit,
+    lane: usize,
+    relied_ppos: &[NodeId],
+    faults: &[TransitionFault],
+    scratch: &mut GradeScratch,
+) -> Vec<usize> {
+    propagate_lane(circuit, lane, scratch);
+    // Phase 3: non-robust final-value classification of the fast frame,
+    // 64 candidate faults per word, same invalidation rule.
+    let hits = detected_transition_faults_packed(
+        circuit,
+        &scratch.lane_wave,
+        faults,
+        &scratch.observable,
+        relied_ppos,
+        &mut scratch.sim,
+    );
+    hits.into_iter().map(|(k, _)| k).collect()
+}
+
+/// Phase 2 of §5 for one lane: takes the lane's waveform into
+/// `scratch.lane_wave` and puts the PPOs with non-steady values that are
+/// observable through the propagation frames into `scratch.observable`,
+/// one PPO per FAUSIM lane.
+fn propagate_lane(circuit: &Circuit, lane: usize, scratch: &mut GradeScratch) {
+    let s = scratch;
+    assert!(
+        lane < s.lanes,
+        "lane {lane} is not in the last batch of {}",
+        s.lanes
+    );
+    s.lane_wave.clear();
+    s.lane_wave.extend(s.wave.iter().map(|w| w.lane(lane)));
+    s.observable.clear();
+    s.diff_dffs.clear();
+    if s.propagation > 0 {
+        for (i, ppo) in circuit.ppos().iter().enumerate() {
+            if !s.lane_wave[ppo.index()].is_steady_clean() {
+                s.diff_dffs.push(i);
+            }
+        }
+    }
+    if s.diff_dffs.is_empty() {
+        return;
+    }
+    if s.lane_good.len() < s.propagation {
+        s.lane_good.resize_with(s.propagation, Vec::new);
+    }
+    for (dst, src) in s.lane_good.iter_mut().zip(&s.good[..s.propagation]) {
+        dst.clear();
+        dst.extend(src.iter().map(|v| v.lane(lane)));
+    }
+    let frames = &s.lane_good[..s.propagation];
+    let fausim = Fausim::new(circuit);
+    for chunk in s.diff_dffs.chunks(64) {
+        let mask = fausim.propagate_state_diffs_packed(frames, chunk, &mut s.sim);
+        for (k, &i) in chunk.iter().enumerate() {
+            if mask >> k & 1 == 1 {
+                s.observable.push(circuit.ppos()[i]);
+            }
+        }
+    }
+}
+
 /// Runs the three-phase fault simulation of one X-free sequence against
 /// an arbitrary candidate fault list, returning the indexes (into
-/// `faults`) of the robustly detected ones.
+/// `faults`) of the robustly detected ones: a one-lane
+/// [`simulate_batch`] followed by [`grade_lane`].
 ///
 /// `filled` holds every applied PI frame; `fast` is the index of the
 /// at-speed capture frame (`filled[fast - 1]` launches, `filled[fast]`
@@ -106,27 +375,15 @@ pub fn grade_filled_sequence(
     rng: &mut StdRng,
     scratch: &mut GradeScratch,
 ) -> Vec<usize> {
-    run_phases_one_two(circuit, filled, fast, rng, scratch);
-
-    // Phase 3: robust delay fault simulation of the fast frame, 64
-    // candidate faults per word, with the invalidation check.
-    let hits = detected_delay_faults_packed(
-        circuit,
-        &scratch.wave,
-        faults,
-        &scratch.observable,
-        relied_ppos,
-        &mut scratch.sim,
-    );
-    hits.into_iter().map(|(k, _)| k).collect()
+    simulate_batch(circuit, &[filled], fast, rng, scratch);
+    grade_lane(circuit, 0, relied_ppos, faults, scratch)
 }
 
-/// The transition-fault twin of [`grade_filled_sequence`]: identical
-/// phases 1 and 2, with phase 3 swapped for the packed *non-robust*
-/// final-value classification
-/// ([`crate::tfsim::detected_transition_faults_packed`]). The two share
-/// one RNG discipline — the same sequence draws the same X-fill — so a
-/// transition grading is comparable, fault for fault, with a robust one.
+/// The transition-fault twin of [`grade_filled_sequence`]: a one-lane
+/// [`simulate_batch`] followed by [`grade_lane_transition`]. The two
+/// share one RNG discipline — the same sequence draws the same X-fill —
+/// so a transition grading is comparable, fault for fault, with a robust
+/// one.
 ///
 /// # Panics
 ///
@@ -140,104 +397,8 @@ pub fn grade_filled_sequence_transition(
     rng: &mut StdRng,
     scratch: &mut GradeScratch,
 ) -> Vec<usize> {
-    run_phases_one_two(circuit, filled, fast, rng, scratch);
-
-    // Phase 3: non-robust final-value classification of the fast frame,
-    // 64 candidate faults per word, same invalidation rule.
-    let hits = crate::tfsim::detected_transition_faults_packed(
-        circuit,
-        &scratch.wave,
-        faults,
-        &scratch.observable,
-        relied_ppos,
-        &mut scratch.sim,
-    );
-    hits.into_iter().map(|(k, _)| k).collect()
-}
-
-/// Phases 1 and 2 of the §5 pipeline, shared by every fault model:
-/// good-machine initialization (with random fill of unresolved state
-/// bits), two-frame waveform construction into `scratch.wave`, and
-/// packed PPO state-difference propagation into `scratch.observable`.
-fn run_phases_one_two(
-    circuit: &Circuit,
-    filled: &[Vec<bool>],
-    fast: usize,
-    rng: &mut StdRng,
-    scratch: &mut GradeScratch,
-) {
-    assert!(
-        fast > 0 && fast < filled.len(),
-        "fast frame index {fast} out of range for {} frames",
-        filled.len()
-    );
-    // Phase 1: good-machine simulation of the initialization frames,
-    // yielding the state when V1 is applied.
-    let sim = GoodSimulator::new(circuit);
-    scratch.sim.state.clear();
-    scratch.sim.state.resize(circuit.num_dffs(), Logic3::X);
-    for v in &filled[..fast.saturating_sub(1)] {
-        scratch.pi.clear();
-        scratch.pi.extend(v.iter().map(|&b| Logic3::from_bool(b)));
-        sim.eval_comb_into(&scratch.pi, &scratch.sim.state, &mut scratch.sim.logic);
-        sim.next_state_into(&scratch.sim.logic, &mut scratch.sim.state_next);
-        std::mem::swap(&mut scratch.sim.state, &mut scratch.sim.state_next);
-    }
-    scratch.state1.clear();
-    for i in 0..circuit.num_dffs() {
-        let b = scratch.sim.state[i].to_bool().unwrap_or_else(|| rng.gen());
-        scratch.state1.push(b);
-    }
-    two_frame_values_into(
-        circuit,
-        &filled[fast - 1],
-        &filled[fast],
-        &scratch.state1,
-        &mut scratch.bits,
-        &mut scratch.wave,
-    );
-
-    // Phase 2: which PPOs with non-steady values are observable through
-    // the propagation frames? One lane per candidate PPO.
-    let prop = &filled[fast + 1..];
-    scratch.observable.clear();
-    scratch.diff_dffs.clear();
-    if !prop.is_empty() {
-        for (i, &ppo) in circuit.ppos().iter().enumerate() {
-            if !scratch.wave[ppo.index()].is_steady_clean() {
-                scratch.diff_dffs.push(i);
-            }
-        }
-    }
-    if scratch.diff_dffs.is_empty() {
-        return;
-    }
-    // The good machine runs the propagation frames once, from the state
-    // the fast frame latches; every chunk of 64 PPOs shares its values.
-    scratch.sim.state.clear();
-    scratch.sim.state.extend(
-        circuit
-            .ppos()
-            .iter()
-            .map(|&ppo| Logic3::from_bool(scratch.wave[ppo.index()].final_value())),
-    );
-    scratch.good.resize_with(prop.len(), Vec::new);
-    for (v, values) in prop.iter().zip(&mut scratch.good) {
-        scratch.pi.clear();
-        scratch.pi.extend(v.iter().map(|&b| Logic3::from_bool(b)));
-        sim.eval_comb_into(&scratch.pi, &scratch.sim.state, values);
-        sim.next_state_into(values, &mut scratch.sim.state_next);
-        std::mem::swap(&mut scratch.sim.state, &mut scratch.sim.state_next);
-    }
-    let fausim = Fausim::new(circuit);
-    for chunk in scratch.diff_dffs.chunks(64) {
-        let mask = fausim.propagate_state_diffs_packed(&scratch.good, chunk, &mut scratch.sim);
-        for (k, &i) in chunk.iter().enumerate() {
-            if mask >> k & 1 == 1 {
-                scratch.observable.push(circuit.ppos()[i]);
-            }
-        }
-    }
+    simulate_batch(circuit, &[filled], fast, rng, scratch);
+    grade_lane_transition(circuit, 0, relied_ppos, faults, scratch)
 }
 
 #[cfg(test)]

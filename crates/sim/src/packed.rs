@@ -9,8 +9,11 @@
 //! n-ary results; proven by the exhaustive tests below).
 //!
 //! [`PackedGoodSim`] sweeps the combinational block once for 64 packed
-//! 3-valued patterns — the engine behind the 64-lane FAUSIM variant that
-//! propagates one PPO state difference per lane.
+//! 3-valued patterns. It is the production good machine of §5 grading:
+//! phase 1 ([`crate::grading::simulate_batch`]) runs the initialization,
+//! launch and propagation frames of up to 64 test sequences on it, one
+//! sequence per lane. The scalar [`GoodSimulator`](crate::GoodSimulator)
+//! is its oracle.
 //!
 //! [`SimScratch`] bundles the reusable node-value buffers of every packed
 //! sweep so per-sequence hot loops allocate nothing after warm-up.
@@ -149,7 +152,7 @@ pub fn eval_gate_packed3(kind: GateKind, ins: &[PackedLogic]) -> PackedLogic {
 /// Evaluates one gate over packed node values addressed through its fanin
 /// list — the fold-direct twin of [`eval_gate_packed3`] (same fold order,
 /// so identical results), without gathering an input slice. Mirrors
-/// `eval3_indexed` (scalar 3-valued) and `eval_packed_indexed` (packed
+/// `eval3_indexed` (scalar 3-valued) and [`eval_packed_indexed`] (packed
 /// waveform) at the other two sweep sites.
 pub(crate) fn eval_packed3_indexed(
     kind: GateKind,
@@ -171,13 +174,39 @@ pub(crate) fn eval_packed3_indexed(
     }
 }
 
+/// Evaluates one gate over packed waveform values addressed through its
+/// fanin list — the fold-direct twin of
+/// [`gdf_algebra::packed::eval_gate_packed`] (same fold order, so
+/// identical results), without gathering an input slice. Phase 1 of
+/// grading builds the fault-free waveform with it, and TDsim traces its
+/// fault marks with it.
+pub(crate) fn eval_packed_indexed(
+    kind: GateKind,
+    fanins: &[NodeId],
+    values: &[PackedWave],
+) -> PackedWave {
+    let v = |f: &NodeId| values[f.index()];
+    let first = v(&fanins[0]);
+    match kind {
+        GateKind::Buf => first,
+        GateKind::Not => first.not(),
+        GateKind::And => fanins[1..].iter().fold(first, |a, f| a.and2(v(f))),
+        GateKind::Nand => fanins[1..].iter().fold(first, |a, f| a.and2(v(f))).not(),
+        GateKind::Or => fanins[1..].iter().fold(first, |a, f| a.or2(v(f))),
+        GateKind::Nor => fanins[1..].iter().fold(first, |a, f| a.or2(v(f))).not(),
+        GateKind::Xor => fanins[1..].iter().fold(first, |a, f| a.xor2(v(f))),
+        GateKind::Xnor => fanins[1..].iter().fold(first, |a, f| a.xor2(v(f))).not(),
+        GateKind::Input | GateKind::Dff => {
+            panic!("eval_packed_indexed called on non-combinational kind {kind:?}")
+        }
+    }
+}
+
 /// Reusable buffers for the packed sweeps: create once per worker, hand to
 /// every packed call. Nothing is allocated in the hot loops after the
 /// first call sized them.
 #[derive(Debug, Default, Clone)]
 pub struct SimScratch {
-    /// Scalar 3-valued node values (good machine).
-    pub logic: Vec<Logic3>,
     /// Packed 3-valued node values (64 faulty machines).
     pub packed: Vec<PackedLogic>,
     /// Packed current state, one entry per flip-flop.
@@ -186,10 +215,6 @@ pub struct SimScratch {
     pub packed_wave: Vec<PackedWave>,
     /// Per-gate input gather for packed waveform evaluation.
     pub wave_ins: Vec<PackedWave>,
-    /// Scalar good-machine state (phase-1/2 stepping).
-    pub state: Vec<Logic3>,
-    /// Scalar good-machine next state (swapped with `state` per frame).
-    pub state_next: Vec<Logic3>,
     /// Per-batch stem-fault lane masks, indexed by node (sparse — reset
     /// via `stem_nodes`).
     pub stem_mask: Vec<u64>,
@@ -348,6 +373,14 @@ impl LevelQueue {
 
 /// 64-way parallel 3-valued simulator: one independent Kleene pattern per
 /// bit lane.
+///
+/// This is the good machine production grading runs: phase 1 of §5
+/// ([`crate::grading::simulate_batch`]) puts one test sequence in each
+/// lane and steps all of them with one sweep per frame. A lane whose
+/// inputs and state are all known is plain binary simulation. Every
+/// gate is lane-wise identical to
+/// [`gdf_algebra::logic3::eval_gate3`], so the scalar
+/// [`GoodSimulator`](crate::GoodSimulator) is its oracle.
 ///
 /// # Example
 ///

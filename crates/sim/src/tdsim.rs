@@ -22,10 +22,10 @@
 //! propagation phase and (b) the fault effect cannot corrupt any state bit
 //! the propagation phase relies on.
 
-use crate::packed::SimScratch;
+use crate::packed::{eval_packed_indexed, SimScratch};
 use gdf_algebra::delay::{eval_gate, DelayValue};
 use gdf_algebra::packed::{eval_gate_packed, PackedWave};
-use gdf_netlist::{Circuit, DelayFault, DelayFaultKind, GateKind, NodeId};
+use gdf_netlist::{Circuit, DelayFault, DelayFaultKind, NodeId};
 
 /// Where a delay fault effect was observed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -199,8 +199,8 @@ fn trace_one(
 /// the gates one of whose fanins carries a mark; every other gate keeps
 /// its fault-free value. That is exact because `waveform` must be
 /// *consistent*: every gate holds its gate function of its fanins'
-/// values, as [`crate::waveform::two_frame_values`] and
-/// [`crate::waveform::two_frame_values_into`] produce it.
+/// values, as [`crate::waveform::two_frame_values`] and phase 1 of
+/// [`crate::grading`] produce it.
 ///
 /// # Panics
 ///
@@ -359,28 +359,6 @@ pub(crate) fn observe_lanes(
             }
         }
         report(hits & !invalid, DelayObservation::AtPpo(ppo));
-    }
-}
-
-/// Evaluates one gate over packed node values addressed through its fanin
-/// list — the fold-direct twin of
-/// [`gdf_algebra::packed::eval_gate_packed`] (same fold order, so
-/// identical results), without gathering an input slice.
-fn eval_packed_indexed(kind: GateKind, fanins: &[NodeId], values: &[PackedWave]) -> PackedWave {
-    let v = |f: &NodeId| values[f.index()];
-    let first = v(&fanins[0]);
-    match kind {
-        GateKind::Buf => first,
-        GateKind::Not => first.not(),
-        GateKind::And => fanins[1..].iter().fold(first, |a, f| a.and2(v(f))),
-        GateKind::Nand => fanins[1..].iter().fold(first, |a, f| a.and2(v(f))).not(),
-        GateKind::Or => fanins[1..].iter().fold(first, |a, f| a.or2(v(f))),
-        GateKind::Nor => fanins[1..].iter().fold(first, |a, f| a.or2(v(f))).not(),
-        GateKind::Xor => fanins[1..].iter().fold(first, |a, f| a.xor2(v(f))),
-        GateKind::Xnor => fanins[1..].iter().fold(first, |a, f| a.xor2(v(f))).not(),
-        GateKind::Input | GateKind::Dff => {
-            panic!("eval_packed_indexed called on non-combinational kind {kind:?}")
-        }
     }
 }
 

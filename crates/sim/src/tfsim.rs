@@ -156,8 +156,8 @@ pub fn detected_transition_faults(
 ///
 /// Skipping the other gates is exact because `waveform` must be
 /// *consistent*: every gate holds its gate function of its fanins'
-/// values, as [`crate::waveform::two_frame_values`] and
-/// [`crate::waveform::two_frame_values_into`] produce it.
+/// values, as [`crate::waveform::two_frame_values`] and phase 1 of
+/// [`crate::grading`] produce it.
 ///
 /// # Panics
 ///

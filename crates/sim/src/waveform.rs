@@ -6,6 +6,10 @@
 //! across the frame pair. Endpoint (frame-1/frame-2) values match plain
 //! binary simulation by construction; the hazard marks come from the
 //! algebra itself. This is the fault-free waveform TDsim traces.
+//!
+//! [`two_frame_values`] is the scalar oracle: production grading builds
+//! the same waveform for up to 64 sequences at once on the packed
+//! algebra ([`crate::grading::simulate_batch`]).
 
 use gdf_algebra::delay::{eval_gate, DelayValue};
 use gdf_netlist::Circuit;
@@ -47,33 +51,12 @@ pub fn two_frame_values(
     v2: &[bool],
     state1: &[bool],
 ) -> Vec<DelayValue> {
-    let mut f1 = Vec::new();
-    let mut w = Vec::new();
-    two_frame_values_into(circuit, v1, v2, state1, &mut f1, &mut w);
-    w
-}
-
-/// Allocation-free variant of [`two_frame_values`]: `f1` is the reusable
-/// frame-1 scratch, `w` receives the waveform (one value per node).
-///
-/// # Panics
-///
-/// Panics if the vector lengths do not match the circuit.
-pub fn two_frame_values_into(
-    circuit: &Circuit,
-    v1: &[bool],
-    v2: &[bool],
-    state1: &[bool],
-    f1: &mut Vec<bool>,
-    w: &mut Vec<DelayValue>,
-) {
     assert_eq!(v1.len(), circuit.num_inputs(), "V1 length");
     assert_eq!(v2.len(), circuit.num_inputs(), "V2 length");
     assert_eq!(state1.len(), circuit.num_dffs(), "state length");
 
     // Pass 1: frame-1 binary values, to latch the frame-2 state.
-    f1.clear();
-    f1.resize(circuit.num_nodes(), false);
+    let mut f1 = vec![false; circuit.num_nodes()];
     for (i, &pi) in circuit.inputs().iter().enumerate() {
         f1[pi.index()] = v1[i];
     }
@@ -88,8 +71,7 @@ pub fn two_frame_values_into(
     }
 
     // Pass 2: delay-algebra evaluation with clean leaf values.
-    w.clear();
-    w.resize(circuit.num_nodes(), DelayValue::S0);
+    let mut w = vec![DelayValue::S0; circuit.num_nodes()];
     for (i, &pi) in circuit.inputs().iter().enumerate() {
         w[pi.index()] = DelayValue::from_frames(v1[i], v2[i]);
     }
@@ -103,6 +85,7 @@ pub fn two_frame_values_into(
         ins.extend(fanins.iter().map(|f| w[f.index()]));
         w[gate.index()] = eval_gate(kind, &ins);
     }
+    w
 }
 
 #[cfg(test)]

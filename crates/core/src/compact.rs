@@ -16,7 +16,7 @@
 
 use crate::driver::{AtpgRun, DelayAtpg, FaultClassification, FsimScratch};
 use crate::pattern::TestSequence;
-use gdf_netlist::DelayFault;
+use gdf_netlist::Fault;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -53,7 +53,7 @@ impl CompactionResult {
 /// # Panics
 ///
 /// Panics if `run` was produced by a different backend than the non-scan
-/// delay driver (a stuck-at run's records carry [`gdf_netlist::Fault::Stuck`]
+/// delay driver (a stuck-at run's records carry [`Fault::Stuck`]
 /// faults and its sequences have no launch/capture pair to fault-simulate).
 ///
 /// # Example
@@ -70,15 +70,11 @@ impl CompactionResult {
 /// assert!(compact.patterns_after <= compact.patterns_before);
 /// ```
 pub fn compact_sequences(atpg: &DelayAtpg<'_>, run: &AtpgRun) -> CompactionResult {
-    let tested: Vec<DelayFault> = run
+    let tested: Vec<Fault> = run
         .records
         .iter()
         .filter(|r| r.classification == FaultClassification::Tested)
-        .map(|r| {
-            r.fault
-                .as_delay()
-                .expect("non-scan run records delay faults")
-        })
+        .map(|r| r.fault)
         .collect();
     let patterns_before: u32 = run.sequences.iter().map(|s| s.len() as u32).sum();
 
@@ -156,7 +152,7 @@ mod tests {
             .records
             .iter()
             .filter(|r| r.classification == FaultClassification::Tested)
-            .filter_map(|r| r.fault.as_delay())
+            .map(|r| r.fault)
             .collect();
         let mut covered = vec![false; tested.len()];
         let mut scratch = FsimScratch::default();

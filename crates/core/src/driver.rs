@@ -32,13 +32,11 @@ use crate::report::CircuitReport;
 use gdf_algebra::delay::DelaySet;
 use gdf_algebra::logic3::Logic3;
 use gdf_algebra::static5::{StaticSet, StaticValue};
-use gdf_netlist::{Circuit, DelayFault, Fault, FaultUniverse, ModelKind, NodeId, TransitionFault};
+use gdf_netlist::{Circuit, DelayFault, Fault, FaultUniverse, ModelKind, NodeId};
 use gdf_semilet::justify::{synchronize, SyncLimits, SyncOutcome};
 use gdf_semilet::propagate::{propagate_to_po, PropagateLimits, PropagateOutcome};
-use gdf_sim::{
-    detected_delay_faults, grade_filled_sequence, grade_filled_sequence_transition,
-    two_frame_values, Fausim, GradeScratch,
-};
+use gdf_sim::grading::{grade_lane, simulate_batch};
+use gdf_sim::{detected_delay_faults, two_frame_values, Fausim, GradeScratch};
 use gdf_tdgen::{
     LocalObservation, LocalTest, PpoValue, Sensitization, TdGen, TdGenConfig, TdGenOutcome,
 };
@@ -490,18 +488,22 @@ impl<'c> DelayAtpg<'c> {
 
     /// Runs the three-phase fault simulation of one sequence against an
     /// arbitrary candidate fault list, returning the indexes (into
-    /// `faults`) of the robustly detected ones. Public so that test-set
-    /// compaction and fault grading can reuse the exact §5 semantics.
+    /// `faults`) of the detected ones. The faults are graded under their
+    /// own model: robustly for delay faults, non-robustly for transition
+    /// faults. Public so that test-set compaction and fault grading can
+    /// reuse the exact §5 semantics.
     ///
     /// All three phases run bit-parallel through the shared grading entry
-    /// point ([`gdf_sim::grading::grade_filled_sequence`]): phase 1 is a
-    /// one-lane batch on the packed good machine, phase 2 propagates one
-    /// PPO state difference per lane and phase 3 classifies 64 candidate
-    /// faults per word; `scratch` holds the reusable buffers,
-    /// so a warm call allocates nothing in the sweeps. The classifications
-    /// are identical to the scalar reference
-    /// ([`DelayAtpg::fault_simulate_sequence_scalar`]) for the same RNG
-    /// state.
+    /// point ([`gdf_sim::grading::grade_lane`] of a one-lane
+    /// [`gdf_sim::grading::simulate_batch`]): phase 1 runs on the packed
+    /// good machine, phase 2 propagates one PPO state difference per lane
+    /// and phase 3 classifies 64 candidate faults per word; `scratch`
+    /// holds the reusable buffers, so a warm call allocates nothing in
+    /// the sweeps. The classifications are identical to the scalar
+    /// reference ([`DelayAtpg::fault_simulate_sequence_scalar`]) for the
+    /// same RNG state. With [`DelayAtpgConfig::reference_fsim`] set, a
+    /// list of delay faults goes to that reference; it has no transition
+    /// counterpart, so transition faults always take the packed path.
     ///
     /// # Errors
     ///
@@ -509,16 +511,27 @@ impl<'c> DelayAtpg<'c> {
     /// static sequence ([`TestSequence::at_speed`] is `None`, as emitted
     /// by the stuck-at engine): delay fault simulation needs a
     /// launch/capture pair. (Before 0.3 this case panicked.)
+    ///
+    /// # Panics
+    ///
+    /// Panics if `faults` are not all delay faults or all transition
+    /// faults.
     pub fn fault_simulate_sequence(
         &self,
         sequence: &TestSequence,
         relied_ppos: &[NodeId],
-        faults: &[DelayFault],
+        faults: &[Fault],
         rng: &mut StdRng,
         scratch: &mut FsimScratch,
     ) -> Result<Vec<usize>, AtpgError> {
         if self.config.reference_fsim {
-            return self.fault_simulate_sequence_scalar(sequence, relied_ppos, faults, rng);
+            if let Some(delay) = faults
+                .iter()
+                .map(|f| f.as_delay())
+                .collect::<Option<Vec<_>>>()
+            {
+                return self.fault_simulate_sequence_scalar(sequence, relied_ppos, &delay, rng);
+            }
         }
         let Some(fast) = sequence.at_speed() else {
             return Err(AtpgError::StaticSequence);
@@ -531,55 +544,9 @@ impl<'c> DelayAtpg<'c> {
             sequence.fill_into(|| rng.gen(), &mut scratch.filled);
         }
         let _span = phase::start("fsim");
-        Ok(grade_filled_sequence(
-            self.circuit,
-            &scratch.filled,
-            fast,
-            relied_ppos,
-            faults,
-            rng,
-            &mut scratch.grade,
-        ))
-    }
-
-    /// The transition-model twin of
-    /// [`DelayAtpg::fault_simulate_sequence`]: the same three-phase
-    /// pipeline (same X-fill RNG discipline), with phase 3 swapped for
-    /// the packed non-robust final-value classification
-    /// ([`gdf_sim::grading::grade_filled_sequence_transition`]). The
-    /// [`DelayAtpgConfig::reference_fsim`] switch has no effect here —
-    /// the packed transition path is differential-tested against its
-    /// scalar reference inside `gdf_sim`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AtpgError::StaticSequence`] for all-slow static
-    /// sequences, like the delay variant.
-    pub fn fault_simulate_sequence_transition(
-        &self,
-        sequence: &TestSequence,
-        relied_ppos: &[NodeId],
-        faults: &[TransitionFault],
-        rng: &mut StdRng,
-        scratch: &mut FsimScratch,
-    ) -> Result<Vec<usize>, AtpgError> {
-        let Some(fast) = sequence.at_speed() else {
-            return Err(AtpgError::StaticSequence);
-        };
-        {
-            let _span = phase::start("fill");
-            sequence.fill_into(|| rng.gen(), &mut scratch.filled);
-        }
-        let _span = phase::start("fsim");
-        Ok(grade_filled_sequence_transition(
-            self.circuit,
-            &scratch.filled,
-            fast,
-            relied_ppos,
-            faults,
-            rng,
-            &mut scratch.grade,
-        ))
+        let grade = &mut scratch.grade;
+        simulate_batch(self.circuit, &[&scratch.filled], fast, rng, grade);
+        Ok(grade_lane(self.circuit, 0, relied_ppos, faults, grade))
     }
 
     /// The scalar reference implementation of

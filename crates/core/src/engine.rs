@@ -929,37 +929,13 @@ impl Worker for DelayAtpg<'_> {
         rng: &mut StdRng,
         scratch: &mut FsimScratch,
     ) -> Vec<usize> {
-        match self.config().model {
-            ModelKind::Transition => {
-                let transition: Vec<_> = candidates
-                    .iter()
-                    .map(|f| {
-                        f.as_transition()
-                            .expect("transition universe is transition faults")
-                    })
-                    .collect();
-                self.fault_simulate_sequence_transition(
-                    &detection.sequence,
-                    &detection.relied_ppos,
-                    &transition,
-                    rng,
-                    scratch,
-                )
-            }
-            _ => {
-                let delay: Vec<_> = candidates
-                    .iter()
-                    .map(|f| f.as_delay().expect("non-scan universe is delay faults"))
-                    .collect();
-                self.fault_simulate_sequence(
-                    &detection.sequence,
-                    &detection.relied_ppos,
-                    &delay,
-                    rng,
-                    scratch,
-                )
-            }
-        }
+        self.fault_simulate_sequence(
+            &detection.sequence,
+            &detection.relied_ppos,
+            candidates,
+            rng,
+            scratch,
+        )
         .expect("non-scan detections always carry an at-speed sequence")
     }
 }

@@ -44,9 +44,7 @@ use crate::json::Json;
 use crate::report::{CircuitReport, Coverage, Table3Row};
 use gdf_algebra::logic3::Logic3;
 use gdf_netlist::{Circuit, Fault, FaultUniverse, ModelKind};
-use gdf_sim::grading::{
-    grade_lane, grade_lane_transition, simulate_batch, GradeScratch, MAX_LANES,
-};
+use gdf_sim::grading::{grade_lane, simulate_batch, GradeScratch, MAX_LANES};
 use gdf_tdgen::Sensitization;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -1052,22 +1050,8 @@ pub fn grade_patterns(
                 continue;
             }
             let relied = set.relied_nodes(circuit, pi)?;
-            let mut hits = match model {
-                ModelKind::Transition => {
-                    let candidates: Vec<_> = remaining
-                        .iter()
-                        .map(|&k| faults[k].as_transition().expect("transition universe"))
-                        .collect();
-                    grade_lane_transition(circuit, lane, &relied, &candidates, &mut scratch)
-                }
-                _ => {
-                    let candidates: Vec<_> = remaining
-                        .iter()
-                        .map(|&k| faults[k].as_delay().expect("delay universe"))
-                        .collect();
-                    grade_lane(circuit, lane, &relied, &candidates, &mut scratch)
-                }
-            };
+            let candidates: Vec<Fault> = remaining.iter().map(|&k| faults[k]).collect();
+            let mut hits = grade_lane(circuit, lane, &relied, &candidates, &mut scratch);
             patterns_graded += 1;
             // Strike detected faults from the remaining list (descending
             // positions so removal indexes stay valid).

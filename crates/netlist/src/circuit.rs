@@ -331,8 +331,8 @@ impl Circuit {
     }
 
     /// The packed cone bitset of `seed`: bit `i` of word `i / 64` is set
-    /// iff node `i` is in the cone. All cones share one word stride
-    /// ([`Circuit::cone_stride`]), so word-level unions across seeds are
+    /// iff node `i` is in the cone. All cones share one word stride,
+    /// `ceil(num_nodes / 64)`, so word-level unions across seeds are
     /// plain slice zips. The whole-circuit cone table is built on the
     /// first query and cached for the circuit's lifetime.
     pub fn cone_words(&self, seed: NodeId) -> &[u64] {
@@ -379,11 +379,6 @@ impl Circuit {
             }
         }
         cone_words
-    }
-
-    /// Number of u64 words per cone bitset (`ceil(num_nodes / 64)`).
-    pub fn cone_stride(&self) -> usize {
-        self.cone_stride
     }
 }
 

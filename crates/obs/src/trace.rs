@@ -119,38 +119,21 @@ pub struct TraceEvent {
     pub dur_us: u64,
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl TraceEvent {
     /// One compact NDJSON line (no trailing newline).
     pub fn encode_line(&self) -> String {
-        let parent = match self.parent {
-            Some(p) => format!("\"{}\"", p.hex()),
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\"trace\":\"{}\",\"span\":\"{}\",\"parent\":{},\"name\":\"{}\",\"start_us\":{},\"dur_us\":{}}}",
-            self.trace.hex(),
-            self.span.hex(),
-            parent,
-            escape(&self.name),
-            self.start_us,
-            self.dur_us,
-        )
+        Json::Obj(vec![
+            ("trace".into(), Json::Str(self.trace.hex())),
+            ("span".into(), Json::Str(self.span.hex())),
+            (
+                "parent".into(),
+                self.parent.map_or(Json::Null, |p| Json::Str(p.hex())),
+            ),
+            ("name".into(), Json::Str(self.name.clone())),
+            ("start_us".into(), Json::Num(self.start_us as f64)),
+            ("dur_us".into(), Json::Num(self.dur_us as f64)),
+        ])
+        .to_string()
     }
 
     /// Parses one NDJSON line; `None` on any malformation.
@@ -369,8 +352,21 @@ mod tests {
             dur_us: 1000,
         };
         let line = e.encode_line();
-        assert_eq!(TraceEvent::decode_line(&line), Some(e));
+        assert_eq!(TraceEvent::decode_line(&line), Some(e.clone()));
         assert!(TraceEvent::decode_line("{\"torn\":").is_none());
+        // Names are escaped like every other JSON string.
+        let odd = TraceEvent {
+            name: "say \"hi\" \\ bye\u{1}".to_string(),
+            ..e
+        };
+        let line = odd.encode_line();
+        let expected = format!(
+            r#"{{"trace":"{}","span":"000000000000002a","parent":"{}","name":"say \"hi\" \\ bye\u0001","start_us":17,"dur_us":1000}}"#,
+            ctx.trace.hex(),
+            ctx.span.hex()
+        );
+        assert_eq!(line, expected);
+        assert_eq!(TraceEvent::decode_line(&line), Some(odd));
     }
 
     #[test]

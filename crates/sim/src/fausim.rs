@@ -301,18 +301,6 @@ impl<'c> Fausim<'c> {
             .observed_at
     }
 
-    /// Simulates all `faults` against one vector sequence, returning the
-    /// indexes of those detected (the fault-dropping pass of SEMILET's
-    /// standalone mode).
-    pub fn drop_detected(&self, faults: &[StuckFault], vectors: &[Vec<Logic3>]) -> Vec<usize> {
-        faults
-            .iter()
-            .enumerate()
-            .filter(|&(_, &f)| self.stuck_at_detection_frame(f, vectors).is_some())
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Evaluates one frame of the faulty machine: the stuck value overrides
     /// the stem (or one branch) of the fault site.
     fn eval_comb_faulty(
@@ -374,7 +362,7 @@ impl<'c> Fausim<'c> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gdf_netlist::{suite, CircuitBuilder, FaultSite, FaultUniverse, GateKind, StuckAtKind};
+    use gdf_netlist::{suite, CircuitBuilder, FaultSite, GateKind, StuckAtKind};
     use Logic3::{One, Zero};
 
     #[test]
@@ -546,21 +534,5 @@ mod tests {
             let scalar = fausim.propagate_state_diff(&good, d, &vectors);
             assert_eq!(mask >> d & 1 == 1, scalar.is_observed(), "dff {d}");
         }
-    }
-
-    #[test]
-    fn drop_detected_filters() {
-        let c = suite::s27();
-        let fausim = Fausim::new(&c);
-        let faults = FaultUniverse::default().stuck_faults(&c);
-        let vectors = vec![
-            vec![Zero, Zero, Zero, Zero],
-            vec![One, One, One, One],
-            vec![Zero, One, Zero, One],
-            vec![One, Zero, One, Zero],
-        ];
-        let dropped = fausim.drop_detected(&faults, &vectors);
-        assert!(!dropped.is_empty(), "some stuck-at faults must be detected");
-        assert!(dropped.len() < faults.len(), "not everything is detected");
     }
 }

@@ -16,7 +16,7 @@ use gdf_netlist::{Circuit, GateKind, NodeId};
 /// Evaluates one gate over node values addressed through its fanin list —
 /// the fold-direct twin of [`gdf_algebra::logic3::eval_gate3`] (same fold
 /// order, so identical results), without gathering an input `Vec`.
-pub(crate) fn eval3_indexed(kind: GateKind, fanins: &[NodeId], values: &[Logic3]) -> Logic3 {
+fn eval3_indexed(kind: GateKind, fanins: &[NodeId], values: &[Logic3]) -> Logic3 {
     let v = |f: &NodeId| values[f.index()];
     match kind {
         GateKind::Buf => v(&fanins[0]),

@@ -17,14 +17,18 @@
 //! 2. packed PPO state-difference propagation through the slow-clock
 //!    frames ([`crate::fausim::Fausim::propagate_state_diffs_packed`],
 //!    one PPO per lane) against one sequence's propagation frames,
-//! 3. packed critical-path tracing of the fast frame
-//!    ([`crate::tdsim::detected_delay_faults_packed`], 64 candidate
-//!    faults per word, each batch evaluating only the gates its marks
-//!    reach) with the invalidation check against the relied PPOs.
+//! 3. packed critical-path tracing of the fast frame (64 candidate
+//!    faults per word, each batch evaluating only the gates its fault
+//!    effects reach) with the invalidation check against the relied
+//!    PPOs. One driver serves both at-speed models: robust delay faults
+//!    trace the delay algebra
+//!    ([`crate::tdsim::detected_delay_faults_packed`]) and transition
+//!    faults trace final values
+//!    ([`crate::tfsim::detected_transition_faults_packed`]).
 //!
-//! Phases 2 and 3 run per sequence ([`grade_lane`],
-//! [`grade_lane_transition`]): each reads its own lane of the batch, so
-//! the caller can shrink the fault list between sequences. Phase 1 does
+//! Phases 2 and 3 run per sequence ([`grade_lane`], under the model of
+//! the faults it is given): each reads its own lane of the batch, so the
+//! caller can shrink the fault list between sequences. Phase 1 does
 //! not depend on the fault list, so computing it ahead for the whole
 //! batch changes no result. Phase 3 starts from the batch's waveform and
 //! phase 2 from its propagation frames, so both start from consistent
@@ -42,11 +46,12 @@
 //! nothing. `gdf_core::session::grade_patterns` batches that way, so a
 //! batched grading is identical to one sequence at a time.
 //!
-//! [`grade_filled_sequence`] is a one-lane batch followed by phases 2
-//! and 3. The ATPG driver (`gdf_core::DelayAtpg::fault_simulate_sequence`)
-//! X-fills a `TestSequence` and calls straight into it, so the engine's
-//! credit pass and pattern re-grading share one implementation of the §5
-//! semantics.
+//! [`grade_filled_sequence`] is a one-lane batch of delay faults
+//! followed by phases 2 and 3. The ATPG driver
+//! (`gdf_core::DelayAtpg::fault_simulate_sequence`) X-fills a
+//! `TestSequence` and grades it as a one-lane batch through
+//! [`grade_lane`], so the engine's credit pass and pattern re-grading
+//! share one implementation of the §5 semantics.
 //!
 //! # Example
 //!
@@ -66,13 +71,12 @@
 //! ```
 
 use crate::fausim::Fausim;
-use crate::packed::{eval_packed_indexed, PackedGoodSim, PackedLogic, SimScratch};
-use crate::tdsim::detected_delay_faults_packed;
-use crate::tfsim::detected_transition_faults_packed;
+use crate::packed::{PackedGoodSim, PackedLogic, SimScratch};
+use crate::phase3::{self, Lane};
 use gdf_algebra::delay::DelayValue;
 use gdf_algebra::logic3::Logic3;
 use gdf_algebra::packed::PackedWave;
-use gdf_netlist::{Circuit, DelayFault, NodeId, TransitionFault};
+use gdf_netlist::{Circuit, DelayFault, DelayFaultKind, Fault, FaultSite, ModelKind, NodeId};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -115,7 +119,7 @@ pub struct GradeScratch {
 /// good-machine simulation of the initialization frames, random fill of
 /// the state bits they leave unknown, the fault-free two-frame waveform
 /// and the propagation frames. The results stay in `scratch` for
-/// [`grade_lane`] and [`grade_lane_transition`], until the next batch.
+/// [`grade_lane`] until the next batch.
 ///
 /// Every sequence holds all its applied PI frames; `fast` is the index of
 /// the at-speed capture frame of each (`[fast - 1]` launches, `[fast]`
@@ -196,7 +200,7 @@ pub fn simulate_batch<S: AsRef<[Vec<bool>]>>(
         s.wave[ff.index()] = PackedWave::from_frames(state.ones, s.values[ppo.index()].ones);
     }
     for (gate, kind, fanins) in circuit.gates_levelized() {
-        s.wave[gate.index()] = eval_packed_indexed(kind, fanins, &s.wave);
+        s.wave[gate.index()] = PackedWave::eval(kind, fanins.iter().map(|f| s.wave[f.index()]));
     }
 
     // Propagation frames, from the state each lane's fast frame latches —
@@ -248,58 +252,55 @@ fn pack_frame<S: AsRef<[Vec<bool>]>>(sequences: &[S], frame: usize, pi: &mut Vec
 
 /// Phases 2 and 3 of the sequence in `lane` of the last
 /// [`simulate_batch`]: returns the indexes (into `faults`) of the
-/// robustly detected ones. `relied_ppos` are the PPO nets whose steady
-/// value the sequence's propagation phase relies on — the §5
-/// invalidation check strikes faults that corrupt them.
+/// detected ones, robustly for delay faults and non-robustly for
+/// transition faults. `relied_ppos` are the PPO nets whose steady value
+/// the sequence's propagation phase relies on — the §5 invalidation
+/// check strikes faults that corrupt them.
 ///
 /// # Panics
 ///
-/// Panics if `lane` is not a lane of the last batch.
+/// Panics if `lane` is not a lane of the last batch, or if `faults` are
+/// not all delay faults or all transition faults.
 pub fn grade_lane(
     circuit: &Circuit,
     lane: usize,
     relied_ppos: &[NodeId],
-    faults: &[DelayFault],
+    faults: &[Fault],
     scratch: &mut GradeScratch,
 ) -> Vec<usize> {
-    propagate_lane(circuit, lane, scratch);
-    // Phase 3: robust delay fault simulation of the fast frame, 64
-    // candidate faults per word, with the invalidation check.
-    let hits = detected_delay_faults_packed(
-        circuit,
-        &scratch.lane_wave,
-        faults,
-        &scratch.observable,
-        relied_ppos,
-        &mut scratch.sim,
-    );
-    hits.into_iter().map(|(k, _)| k).collect()
+    let model = faults.first().map_or(ModelKind::Delay, |f| f.model());
+    let sites = faults.iter().map(|&fault| match (model, fault) {
+        (ModelKind::Delay, Fault::Delay(f)) => (f.site, f.kind),
+        (ModelKind::Transition, Fault::Transition(f)) => (f.site, f.kind),
+        _ => panic!("phase 3 grades one at-speed model a call, not {fault:?} in {model}"),
+    });
+    match model {
+        ModelKind::Transition => {
+            phases_two_three::<u64>(circuit, lane, relied_ppos, sites, scratch)
+        }
+        _ => phases_two_three::<PackedWave>(circuit, lane, relied_ppos, sites, scratch),
+    }
 }
 
-/// The transition-fault twin of [`grade_lane`]: identical phase 2, with
-/// phase 3 swapped for the packed *non-robust* final-value
-/// classification ([`crate::tfsim::detected_transition_faults_packed`]).
-///
-/// # Panics
-///
-/// Panics if `lane` is not a lane of the last batch.
-pub fn grade_lane_transition(
+/// Phases 2 and 3 of the sequence in `lane` under the model of lane
+/// type `L`.
+fn phases_two_three<L: Lane>(
     circuit: &Circuit,
     lane: usize,
     relied_ppos: &[NodeId],
-    faults: &[TransitionFault],
+    faults: impl IntoIterator<Item = (FaultSite, DelayFaultKind)>,
     scratch: &mut GradeScratch,
 ) -> Vec<usize> {
     propagate_lane(circuit, lane, scratch);
-    // Phase 3: non-robust final-value classification of the fast frame,
-    // 64 candidate faults per word, same invalidation rule.
-    let hits = detected_transition_faults_packed(
+    // Phase 3: 64 candidate faults per word, with the invalidation check.
+    let s = scratch;
+    let hits = phase3::detect::<L>(
         circuit,
-        &scratch.lane_wave,
+        &s.lane_wave,
         faults,
-        &scratch.observable,
+        &s.observable,
         relied_ppos,
-        &mut scratch.sim,
+        &mut s.sim,
     );
     hits.into_iter().map(|(k, _)| k).collect()
 }
@@ -349,9 +350,9 @@ fn propagate_lane(circuit: &Circuit, lane: usize, scratch: &mut GradeScratch) {
 }
 
 /// Runs the three-phase fault simulation of one X-free sequence against
-/// an arbitrary candidate fault list, returning the indexes (into
-/// `faults`) of the robustly detected ones: a one-lane
-/// [`simulate_batch`] followed by [`grade_lane`].
+/// an arbitrary candidate list of delay faults, returning the indexes
+/// (into `faults`) of the robustly detected ones: a one-lane
+/// [`simulate_batch`] followed by what [`grade_lane`] does.
 ///
 /// `filled` holds every applied PI frame; `fast` is the index of the
 /// at-speed capture frame (`filled[fast - 1]` launches, `filled[fast]`
@@ -376,29 +377,8 @@ pub fn grade_filled_sequence(
     scratch: &mut GradeScratch,
 ) -> Vec<usize> {
     simulate_batch(circuit, &[filled], fast, rng, scratch);
-    grade_lane(circuit, 0, relied_ppos, faults, scratch)
-}
-
-/// The transition-fault twin of [`grade_filled_sequence`]: a one-lane
-/// [`simulate_batch`] followed by [`grade_lane_transition`]. The two
-/// share one RNG discipline — the same sequence draws the same X-fill —
-/// so a transition grading is comparable, fault for fault, with a robust
-/// one.
-///
-/// # Panics
-///
-/// Panics if `fast` is 0 or out of bounds of `filled`.
-pub fn grade_filled_sequence_transition(
-    circuit: &Circuit,
-    filled: &[Vec<bool>],
-    fast: usize,
-    relied_ppos: &[NodeId],
-    faults: &[TransitionFault],
-    rng: &mut StdRng,
-    scratch: &mut GradeScratch,
-) -> Vec<usize> {
-    simulate_batch(circuit, &[filled], fast, rng, scratch);
-    grade_lane_transition(circuit, 0, relied_ppos, faults, scratch)
+    let sites = faults.iter().map(|f| (f.site, f.kind));
+    phases_two_three::<PackedWave>(circuit, 0, relied_ppos, sites, scratch)
 }
 
 #[cfg(test)]
@@ -422,6 +402,24 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let b = grade_filled_sequence(&c, &frames, 1, &[], &faults, &mut rng, &mut scratch);
         assert_eq!(a, b, "same RNG state, same classifications");
+    }
+
+    #[test]
+    #[should_panic(expected = "one at-speed model a call")]
+    fn grade_lane_rejects_a_mixed_fault_list() {
+        let c = suite::s27();
+        let universe = FaultUniverse::default();
+        let mut faults: Vec<Fault> = universe
+            .delay_faults(&c)
+            .into_iter()
+            .map(Fault::Delay)
+            .collect();
+        faults.push(Fault::Transition(universe.transition_faults(&c)[0]));
+        let frames = vec![vec![false; 4], vec![true; 4]];
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut scratch = GradeScratch::default();
+        simulate_batch(&c, &[&frames], 1, &mut rng, &mut scratch);
+        grade_lane(&c, 0, &[], &faults, &mut scratch);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Simulation substrate: good-machine logic simulation, the FAUSIM
-//! sequential fault simulator and the TDsim robust delay-fault simulator.
+//! sequential fault simulator, and phase-3 fault simulation of the fast
+//! frame for robust delay faults (TDsim) and transition faults.
 //!
 //! Section 5 of the paper splits fault simulation into three phases. Each
 //! phase exists in two forms — the scalar reference implementation and a
@@ -32,36 +33,38 @@
 //! 3. *"Delay fault simulation of the fast time frame by critical path
 //!    tracing"* — [`tdsim`], working on the sequence's lane of the
 //!    two-frame 8-valued waveform, including the paper's *invalidation*
-//!    check for faults observed through a PPO.
-//!    [`detected_delay_faults_packed`] packs **one candidate fault per
-//!    lane** ([`gdf_algebra::packed::PackedWave`] bit-planes) and
-//!    classifies up to 64 faults per selective trace.
+//!    check for faults observed through a PPO; [`tfsim`] is the same
+//!    phase for transition faults. One packed driver serves both models
+//!    and packs **one candidate fault per lane**, classifying up to 64
+//!    faults per selective trace. Only the lane differs:
+//!    [`detected_delay_faults_packed`] traces
+//!    [`gdf_algebra::packed::PackedWave`] bit-planes, whose `car` plane
+//!    is the fault effect, and [`detected_transition_faults_packed`]
+//!    traces one word of final values, where any difference from the
+//!    good value is the fault effect.
 //!
 //! The packed simulators run on *selective trace*: they start from the
 //! fault-free values, visit gates in level order, evaluate a gate only
 //! when one of its fanins differs from its fault-free value, and reset
-//! only the nodes that changed. A fault mark changes only the `car`
-//! plane of a [`gdf_algebra::packed::PackedWave`], and a gate whose
-//! fanins all hold their fault-free values outputs its fault-free value,
-//! so the work follows the paths fault effects take, not the circuit's
-//! size — with results identical to a full sweep. They share
-//! [`SimScratch`], a bundle of reusable node-value buffers and the one
-//! level-ordered queue (also behind [`EventSimulator`]): per-sequence
-//! hot loops allocate nothing after warm-up.
+//! only the nodes that changed. A gate whose fanins all hold their
+//! fault-free values outputs its fault-free value, so the work follows
+//! the paths fault effects take, not the circuit's size — with results
+//! identical to a full sweep. They share [`SimScratch`], a bundle of
+//! reusable node-value buffers and the one level-ordered queue:
+//! per-sequence hot loops allocate nothing after warm-up.
 
-pub mod event;
 pub mod fausim;
 pub mod goodsim;
 pub mod grading;
 pub mod packed;
+mod phase3;
 pub mod tdsim;
 pub mod tfsim;
 pub mod waveform;
 
-pub use event::EventSimulator;
 pub use fausim::{Fausim, PropagationOutcome};
 pub use goodsim::GoodSimulator;
-pub use grading::{grade_filled_sequence, grade_filled_sequence_transition, GradeScratch};
+pub use grading::{grade_filled_sequence, GradeScratch};
 pub use packed::{PackedGoodSim, PackedLogic, SimScratch};
 pub use tdsim::{detected_delay_faults, detected_delay_faults_packed, DelayObservation};
 pub use tfsim::{detected_transition_faults, detected_transition_faults_packed};
@@ -78,5 +81,4 @@ const _: () = {
     assert_sync_simulators::<Fausim<'_>>();
     assert_sync_simulators::<GoodSimulator<'_>>();
     assert_sync_simulators::<PackedGoodSim<'_>>();
-    assert_sync_simulators::<EventSimulator<'_>>();
 };

@@ -19,10 +19,8 @@
 //! sweep so per-sequence hot loops allocate nothing after warm-up.
 //!
 //! `LevelQueue` is the crate's one selective-trace scheduler, shared by
-//! the packed fault simulators and the
-//! [`EventSimulator`](crate::EventSimulator).
+//! the packed fault simulators.
 
-use gdf_algebra::delay::DelayValue;
 use gdf_algebra::logic3::Logic3;
 use gdf_algebra::packed::PackedWave;
 use gdf_netlist::{Circuit, GateKind, NodeId};
@@ -126,34 +124,11 @@ impl PackedLogic {
     }
 }
 
-/// Evaluates a combinational gate over packed 3-valued inputs, lane-wise
-/// identical to [`gdf_algebra::logic3::eval_gate3`].
-///
-/// # Panics
-///
-/// Panics if `kind` is `Input`/`Dff` or `ins` is empty.
-pub fn eval_gate_packed3(kind: GateKind, ins: &[PackedLogic]) -> PackedLogic {
-    debug_assert!(!ins.is_empty());
-    match kind {
-        GateKind::Buf => ins[0],
-        GateKind::Not => ins[0].not(),
-        GateKind::And => ins[1..].iter().fold(ins[0], |a, &b| a.and(b)),
-        GateKind::Nand => ins[1..].iter().fold(ins[0], |a, &b| a.and(b)).not(),
-        GateKind::Or => ins[1..].iter().fold(ins[0], |a, &b| a.or(b)),
-        GateKind::Nor => ins[1..].iter().fold(ins[0], |a, &b| a.or(b)).not(),
-        GateKind::Xor => ins[1..].iter().fold(ins[0], |a, &b| a.xor(b)),
-        GateKind::Xnor => ins[1..].iter().fold(ins[0], |a, &b| a.xor(b)).not(),
-        GateKind::Input | GateKind::Dff => {
-            panic!("eval_gate_packed3 called on non-combinational kind {kind:?}")
-        }
-    }
-}
-
 /// Evaluates one gate over packed node values addressed through its fanin
-/// list — the fold-direct twin of [`eval_gate_packed3`] (same fold order,
-/// so identical results), without gathering an input slice. Mirrors
-/// `eval3_indexed` (scalar 3-valued) and [`eval_packed_indexed`] (packed
-/// waveform) at the other two sweep sites.
+/// list, lane-wise identical to [`gdf_algebra::logic3::eval_gate3`]: the
+/// Kleene operations are associative, so the pairwise fold from the first
+/// pin enumerates exactly the n-ary results. Mirrors `eval3_indexed`, the
+/// scalar 3-valued sweep.
 pub(crate) fn eval_packed3_indexed(
     kind: GateKind,
     fanins: &[NodeId],
@@ -174,71 +149,38 @@ pub(crate) fn eval_packed3_indexed(
     }
 }
 
-/// Evaluates one gate over packed waveform values addressed through its
-/// fanin list — the fold-direct twin of
-/// [`gdf_algebra::packed::eval_gate_packed`] (same fold order, so
-/// identical results), without gathering an input slice. Phase 1 of
-/// grading builds the fault-free waveform with it, and TDsim traces its
-/// fault marks with it.
-pub(crate) fn eval_packed_indexed(
-    kind: GateKind,
-    fanins: &[NodeId],
-    values: &[PackedWave],
-) -> PackedWave {
-    let v = |f: &NodeId| values[f.index()];
-    let first = v(&fanins[0]);
-    match kind {
-        GateKind::Buf => first,
-        GateKind::Not => first.not(),
-        GateKind::And => fanins[1..].iter().fold(first, |a, f| a.and2(v(f))),
-        GateKind::Nand => fanins[1..].iter().fold(first, |a, f| a.and2(v(f))).not(),
-        GateKind::Or => fanins[1..].iter().fold(first, |a, f| a.or2(v(f))),
-        GateKind::Nor => fanins[1..].iter().fold(first, |a, f| a.or2(v(f))).not(),
-        GateKind::Xor => fanins[1..].iter().fold(first, |a, f| a.xor2(v(f))),
-        GateKind::Xnor => fanins[1..].iter().fold(first, |a, f| a.xor2(v(f))).not(),
-        GateKind::Input | GateKind::Dff => {
-            panic!("eval_packed_indexed called on non-combinational kind {kind:?}")
-        }
-    }
-}
-
 /// Reusable buffers for the packed sweeps: create once per worker, hand to
 /// every packed call. Nothing is allocated in the hot loops after the
-/// first call sized them.
+/// first call sized them. The buffers are private to the crate because
+/// the sweeps rely on their sparse tables being clear between calls.
 #[derive(Debug, Default, Clone)]
 pub struct SimScratch {
     /// Packed 3-valued node values (64 faulty machines).
-    pub packed: Vec<PackedLogic>,
+    pub(crate) packed: Vec<PackedLogic>,
     /// Packed current state, one entry per flip-flop.
-    pub packed_state: Vec<PackedLogic>,
-    /// Packed waveform node values (64 marked machines).
-    pub packed_wave: Vec<PackedWave>,
-    /// Per-gate input gather for packed waveform evaluation.
-    pub wave_ins: Vec<PackedWave>,
+    pub(crate) packed_state: Vec<PackedLogic>,
+    /// Phase-3 node values of the robust model ([`crate::tdsim`]): the
+    /// delay algebra, one marked machine per lane.
+    pub(crate) packed_wave: Vec<PackedWave>,
+    /// Phase-3 node values of the transition model ([`crate::tfsim`]):
+    /// final values, one faulty machine per lane.
+    pub(crate) tf_vals: Vec<u64>,
     /// Per-batch stem-fault lane masks, indexed by node (sparse — reset
     /// via `stem_nodes`).
-    pub stem_mask: Vec<u64>,
-    /// Marked value injected at each stem of `stem_nodes`.
-    pub stem_val: Vec<DelayValue>,
+    pub(crate) stem_mask: Vec<u64>,
     /// Nodes with a non-zero `stem_mask` this batch.
-    pub stem_nodes: Vec<u32>,
+    pub(crate) stem_nodes: Vec<u32>,
     /// Per-batch branch-fault overrides: (sink node index, pin, lane
-    /// mask, marked value).
-    pub branch_list: Vec<(u32, u8, u64, DelayValue)>,
+    /// mask).
+    pub(crate) branch_list: Vec<(u32, u8, u64)>,
     /// Whether a node has any branch override this batch (sparse — reset
     /// via `branch_list`).
-    pub branch_flag: Vec<bool>,
-    /// Per-node faulty final values for the transition-fault sweep
-    /// ([`crate::tfsim`]), one fault per bit lane.
-    pub tf_vals: Vec<u64>,
-    /// Per-batch transition branch-fault overrides: (sink node index,
-    /// pin, lane mask).
-    pub tf_branch_list: Vec<(u32, u8, u64)>,
+    pub(crate) branch_flag: Vec<bool>,
     /// Node-indexed flags, all clear between uses (marks the observable
     /// PPOs while they are put in flip-flop order).
-    pub node_flag: Vec<bool>,
+    pub(crate) node_flag: Vec<bool>,
     /// The observable PPOs of one phase-3 call, in flip-flop order.
-    pub observe: Vec<NodeId>,
+    pub(crate) observe: Vec<NodeId>,
     /// The selective-trace scheduler every packed sweep runs on.
     pub(crate) queue: LevelQueue,
 }
@@ -307,7 +249,7 @@ impl LevelQueue {
     }
 
     /// Schedules the combinational sinks of `node`.
-    pub(crate) fn schedule_fanout(&mut self, circuit: &Circuit, node: NodeId) {
+    fn schedule_fanout(&mut self, circuit: &Circuit, node: NodeId) {
         for &(sink, _) in circuit.node(node).fanout() {
             // Gates sit at level 1 and up; a level-0 sink is a flip-flop.
             if circuit.level(sink) > 0 {
@@ -338,23 +280,19 @@ impl LevelQueue {
 
     /// Evaluates scheduled gates in level order until none is left.
     /// `eval(gate, values)` returns the gate's new value; a changed value
-    /// is stored, touched and propagated to the fanout. Returns the number
-    /// of evaluations.
+    /// is stored, touched and propagated to the fanout.
     pub(crate) fn run<V: Copy + PartialEq>(
         &mut self,
         circuit: &Circuit,
         values: &mut [V],
         mut eval: impl FnMut(NodeId, &[V]) -> V,
-    ) -> usize {
-        let mut evaluated = 0;
+    ) {
         while let Some(gate) = self.pop() {
-            evaluated += 1;
             let out = eval(gate, values);
             if out != values[gate.index()] {
                 self.inject(circuit, values, gate, out);
             }
         }
-        evaluated
     }
 
     /// Resets every touched node to `reference(node index)`.
@@ -519,11 +457,12 @@ mod tests {
                 ins[j].set_lane(k, v);
             }
         }
+        let fanins = [NodeId(0), NodeId(1), NodeId(2)];
         for kind in GateKind::COMBINATIONAL {
             if matches!(kind, GateKind::Buf | GateKind::Not) {
                 continue;
             }
-            let packed = eval_gate_packed3(kind, &ins);
+            let packed = eval_packed3_indexed(kind, &fanins, &ins);
             for (k, t) in triples.iter().enumerate() {
                 assert_eq!(packed.lane(k), eval_gate3(kind, t), "{kind:?} {t:?}");
             }

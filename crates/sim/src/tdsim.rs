@@ -15,16 +15,19 @@
 //! packed [`detected_delay_faults_packed`] traces 64 faults per word and
 //! evaluates only the gates a mark actually reaches, in level order,
 //! restoring only those afterwards — so its cost follows the paths the
-//! fault effects take. The scalar function is its oracle.
+//! fault effects take. The scalar function is its oracle. The packed
+//! trace is the one phase-3 driver both at-speed models run; this model's
+//! lanes hold [`PackedWave`]s, [`crate::tfsim`]'s hold final values.
 //!
 //! The paper's *invalidation* rule is enforced: a fault observed only at a
 //! PPO counts as detected only if (a) that PPO was shown observable by the
 //! propagation phase and (b) the fault effect cannot corrupt any state bit
 //! the propagation phase relies on.
 
-use crate::packed::{eval_packed_indexed, SimScratch};
+use crate::packed::SimScratch;
+use crate::phase3;
 use gdf_algebra::delay::{eval_gate, DelayValue};
-use gdf_algebra::packed::{eval_gate_packed, PackedWave};
+use gdf_algebra::packed::PackedWave;
 use gdf_netlist::{Circuit, DelayFault, DelayFaultKind, NodeId};
 
 /// Where a delay fault effect was observed.
@@ -190,16 +193,18 @@ fn trace_one(
 }
 
 /// Word-parallel variant of [`detected_delay_faults`]: classifies up to 64
-/// candidate faults per packed selective trace (one fault per bit lane)
-/// instead of one cone-limited re-evaluation per fault. Results are
-/// element-identical to the scalar function — same faults, same
+/// candidate faults per packed selective trace, one fault per bit lane,
+/// each lane holding the 8-valued delay algebra
+/// ([`PackedWave`]) and the `car` plane marking the fault effect. Results
+/// are element-identical to the scalar function — same faults, same
 /// observations, same order — which the differential tests pin down.
 ///
-/// Each batch injects its fault marks and evaluates, in level order, only
-/// the gates one of whose fanins carries a mark; every other gate keeps
-/// its fault-free value. That is exact because `waveform` must be
-/// *consistent*: every gate holds its gate function of its fanins'
-/// values, as [`crate::waveform::two_frame_values`] and phase 1 of
+/// The trace is the phase-3 driver [`crate::tfsim`] shares: each batch
+/// evaluates, in level order, only the gates one of whose fanins carries
+/// a mark; every other gate keeps its fault-free value. That is exact
+/// because `waveform` must be *consistent*: every gate holds its gate
+/// function of its fanins' values, as
+/// [`crate::waveform::two_frame_values`] and phase 1 of
 /// [`crate::grading`] produce it.
 ///
 /// # Panics
@@ -213,269 +218,15 @@ pub fn detected_delay_faults_packed(
     required_state_ppos: &[NodeId],
     scratch: &mut SimScratch,
 ) -> Vec<(usize, DelayObservation)> {
-    assert_eq!(waveform.len(), circuit.num_nodes(), "waveform length");
-    // Broadcast the fault-free waveform once; every batch injects into it
-    // and restores exactly the nodes its trace changed.
-    scratch.packed_wave.clear();
-    scratch
-        .packed_wave
-        .extend(waveform.iter().map(|&v| PackedWave::splat(v)));
-    scratch.queue.prepare(circuit);
-    observation_order(circuit, observable_ppos, scratch);
-    let mut detected = Vec::new();
-    // Lanes are precious: unprovoked faults are screened out up front and
-    // the direct branch-to-DFF case needs no simulation, so only faults
-    // that actually need the trace occupy lanes — a waveform that
-    // provokes half the universe still fills whole 64-lane batches.
-    let placeholder = DelayFault {
-        site: gdf_netlist::FaultSite::on_stem(NodeId(0)),
-        kind: DelayFaultKind::SlowToRise,
-    };
-    let mut batch: [(usize, DelayFault); 64] = [(0, placeholder); 64];
-    let mut filled = 0;
-    for (idx, fault) in faults.iter().enumerate() {
-        let needed = match fault.kind {
-            DelayFaultKind::SlowToRise => DelayValue::R,
-            DelayFaultKind::SlowToFall => DelayValue::F,
-        };
-        if waveform[fault.site.stem.index()] != needed {
-            continue; // fault not provoked by this vector pair
-        }
-        if let Some((sink, _)) = fault.site.branch {
-            if !circuit.node(sink).kind().is_combinational() {
-                // A branch fault on a flip-flop D input: the only
-                // observation point is that PPO (same rule as trace_one).
-                let ppo = fault.site.stem;
-                if observable_ppos.contains(&ppo)
-                    && required_state_ppos
-                        .iter()
-                        .all(|&req| req == ppo || waveform[req.index()].is_steady_clean())
-                {
-                    detected.push((idx, DelayObservation::AtPpo(ppo)));
-                }
-                continue;
-            }
-        }
-        batch[filled] = (idx, *fault);
-        filled += 1;
-        if filled == 64 {
-            classify_batch(
-                circuit,
-                waveform,
-                &batch[..filled],
-                required_state_ppos,
-                scratch,
-                &mut detected,
-            );
-            filled = 0;
-        }
-    }
-    if filled > 0 {
-        classify_batch(
-            circuit,
-            waveform,
-            &batch[..filled],
-            required_state_ppos,
-            scratch,
-            &mut detected,
-        );
-    }
-    // Direct hits and batch hits interleave; the scalar reference reports
-    // in fault-list order.
-    detected.sort_unstable_by_key(|&(idx, _)| idx);
-    detected
-}
-
-/// Puts the `observable` PPOs into `scratch.observe` in flip-flop order —
-/// the order the scalar trace tries them in.
-pub(crate) fn observation_order(
-    circuit: &Circuit,
-    observable: &[NodeId],
-    scratch: &mut SimScratch,
-) {
-    let flag = &mut scratch.node_flag;
-    flag.resize(circuit.num_nodes(), false);
-    for &ppo in observable {
-        flag[ppo.index()] = true;
-    }
-    scratch.observe.clear();
-    scratch
-        .observe
-        .extend(circuit.ppos().iter().filter(|ppo| flag[ppo.index()]));
-    for &ppo in observable {
-        flag[ppo.index()] = false;
-    }
-}
-
-/// Resolves the `lanes` of one traced batch a word at a time, in the
-/// scalar trace's order: the first PO in output order that carries a
-/// lane's fault effect observes it; otherwise the first PPO of `observe`
-/// (flip-flop order) that carries it does, unless the invalidation rule
-/// strikes the lane. `carried(node)` is the lane mask of fault effects at
-/// `node`; `hit(lane, observation)` receives each detection.
-pub(crate) fn observe_lanes(
-    circuit: &Circuit,
-    lanes: u64,
-    observe: &[NodeId],
-    waveform: &[DelayValue],
-    required_state_ppos: &[NodeId],
-    carried: impl Fn(NodeId) -> u64,
-    mut hit: impl FnMut(usize, DelayObservation),
-) {
-    let mut report = |mut lanes: u64, obs: DelayObservation| {
-        while lanes != 0 {
-            hit(lanes.trailing_zeros() as usize, obs);
-            lanes &= lanes - 1;
-        }
-    };
-    let mut open = lanes;
-    for &po in circuit.outputs() {
-        if open == 0 {
-            return;
-        }
-        let hits = carried(po) & open;
-        open &= !hits;
-        report(hits, DelayObservation::AtPo(po));
-    }
-    for &ppo in observe {
-        if open == 0 {
-            return;
-        }
-        let hits = carried(ppo) & open;
-        if hits == 0 {
-            continue;
-        }
-        open &= !hits;
-        // Invalidation: the fault effect must not reach any other state
-        // bit the propagation phase relies on, and those bits must be
-        // steady and hazard-free in the good waveform.
-        let mut invalid = 0u64;
-        for &req in required_state_ppos {
-            if req != ppo {
-                invalid |= carried(req);
-                if !waveform[req.index()].is_steady_clean() {
-                    invalid = !0;
-                }
-            }
-        }
-        report(hits & !invalid, DelayObservation::AtPpo(ppo));
-    }
-}
-
-/// Classifies one ≤64-fault batch — every entry provoked, with a
-/// combinational observation path — in one packed selective trace from
-/// the injected marks.
-fn classify_batch(
-    circuit: &Circuit,
-    waveform: &[DelayValue],
-    batch: &[(usize, DelayFault)],
-    required_state_ppos: &[NodeId],
-    scratch: &mut SimScratch,
-    detected: &mut Vec<(usize, DelayObservation)>,
-) {
-    let sim_lanes = if batch.len() == 64 {
-        !0u64
-    } else {
-        (1u64 << batch.len()) - 1
-    };
-    scratch.stem_mask.resize(circuit.num_nodes(), 0);
-    scratch.stem_val.resize(circuit.num_nodes(), DelayValue::S0);
-    scratch.branch_flag.resize(circuit.num_nodes(), false);
-    scratch.stem_nodes.clear();
-    scratch.branch_list.clear();
-
-    // Injection bookkeeping, one lane per fault.
-    for (k, &(_, fault)) in batch.iter().enumerate() {
-        let marked_stem = waveform[fault.site.stem.index()]
-            .with_fault_mark()
-            .expect("batched faults are provoked transitions");
-        match fault.site.branch {
-            None => {
-                let stem = fault.site.stem.index();
-                if scratch.stem_mask[stem] == 0 {
-                    scratch.stem_nodes.push(fault.site.stem.0);
-                    scratch.stem_val[stem] = marked_stem;
-                }
-                debug_assert_eq!(scratch.stem_val[stem], marked_stem);
-                scratch.stem_mask[stem] |= 1 << k;
-            }
-            Some((sink, pin)) => {
-                if let Some(entry) = scratch
-                    .branch_list
-                    .iter_mut()
-                    .find(|e| e.0 == sink.0 && e.1 == pin)
-                {
-                    debug_assert_eq!(entry.3, marked_stem);
-                    entry.2 |= 1 << k;
-                } else {
-                    scratch.branch_list.push((sink.0, pin, 1 << k, marked_stem));
-                    scratch.branch_flag[sink.index()] = true;
-                }
-            }
-        }
-    }
-
-    // All lanes start from the broadcast fault-free waveform. A stem mark
-    // changes its node; a branch mark changes only what its sink sees.
-    let queue = &mut scratch.queue;
-    let values = &mut scratch.packed_wave;
-    for &node in &scratch.stem_nodes {
-        let i = node as usize;
-        let marked = values[i].select(scratch.stem_mask[i], PackedWave::splat(scratch.stem_val[i]));
-        queue.inject(circuit, values, NodeId(node), marked);
-    }
-    for &(sink, ..) in &scratch.branch_list {
-        queue.schedule(circuit, NodeId(sink));
-    }
-    let (stem_mask, stem_val) = (&scratch.stem_mask, &scratch.stem_val);
-    let (branch_flag, branch_list) = (&scratch.branch_flag, &scratch.branch_list);
-    let wave_ins = &mut scratch.wave_ins;
-    queue.run(circuit, values, |gate, values| {
-        let gi = gate.index();
-        let node = circuit.node(gate);
-        let mut out = if branch_flag[gi] {
-            // Rare: gather the inputs with the per-lane branch overrides
-            // applied.
-            wave_ins.clear();
-            for (pin, &f) in node.fanin().iter().enumerate() {
-                let mut v = values[f.index()];
-                for &(sink, fpin, mask, marked) in branch_list {
-                    if sink == gate.0 && fpin == pin as u8 {
-                        v = v.select(mask, PackedWave::splat(marked));
-                    }
-                }
-                wave_ins.push(v);
-            }
-            eval_gate_packed(node.kind(), wave_ins)
-        } else {
-            eval_packed_indexed(node.kind(), node.fanin(), values)
-        };
-        if stem_mask[gi] != 0 {
-            // Keep the injected mark on the stem itself.
-            out = out.select(stem_mask[gi], PackedWave::splat(stem_val[gi]));
-        }
-        out
-    });
-
-    observe_lanes(
+    let sites = faults.iter().map(|f| (f.site, f.kind));
+    phase3::detect::<PackedWave>(
         circuit,
-        sim_lanes,
-        &scratch.observe,
         waveform,
+        sites,
+        observable_ppos,
         required_state_ppos,
-        |n| values[n.index()].car,
-        |k, obs| detected.push((batch[k].0, obs)),
-    );
-
-    // Restore the broadcast for the next batch, and reset the sparse
-    // injection tables the same way.
-    queue.restore(values, |i| PackedWave::splat(waveform[i]));
-    for &node in &scratch.stem_nodes {
-        scratch.stem_mask[node as usize] = 0;
-    }
-    for &(sink, ..) in &scratch.branch_list {
-        scratch.branch_flag[sink as usize] = false;
-    }
+        scratch,
+    )
 }
 
 #[cfg(test)]

@@ -1,5 +1,6 @@
-//! Transition-fault simulation of the fast time frame — the phase-3
-//! twin of [`crate::tdsim`] for the gross-delay (transition) model.
+//! Transition-fault simulation of the fast time frame: phase 3 of §5
+//! grading for the gross-delay (transition) model, next to
+//! [`crate::tdsim`] for the robust one.
 //!
 //! A transition fault is detected when the launched transition arrives
 //! at the fault site (`R` for slow-to-rise, `F` for slow-to-fall in the
@@ -14,47 +15,17 @@
 //! propagation phase proved that PPO observable and (b) the final-value
 //! difference cannot corrupt any state bit the propagation relies on.
 //!
-//! [`detected_transition_faults_packed`] classifies 64 candidate faults
-//! per selective trace: one `u64` word per node, one fault per bit lane,
-//! plain boolean evaluation of only the gates a flipped final value
+//! [`detected_transition_faults_packed`] runs the phase-3 driver both
+//! models share with one `u64` word of final values per node, one fault
+//! per bit lane, evaluating only the gates a flipped final value
 //! reaches, in level order. The scalar [`detected_transition_faults`] is
 //! the reference the packed path is differential-tested against.
 
 use crate::packed::SimScratch;
-use crate::tdsim::{observation_order, observe_lanes, DelayObservation};
+use crate::phase3;
+use crate::tdsim::DelayObservation;
 use gdf_algebra::delay::DelayValue;
-use gdf_netlist::{Circuit, DelayFaultKind, GateKind, NodeId, TransitionFault};
-
-/// The provoking fault-free value at the site, or `None` when the test
-/// does not launch the needed transition.
-fn provoked(waveform: &[DelayValue], fault: TransitionFault) -> bool {
-    let needed = match fault.kind {
-        DelayFaultKind::SlowToRise => DelayValue::R,
-        DelayFaultKind::SlowToFall => DelayValue::F,
-    };
-    waveform[fault.site.stem.index()] == needed
-}
-
-/// The direct branch-into-flip-flop case shared by the scalar and packed
-/// paths: the faulty value latches straight into that PPO, so detection
-/// is purely a question of phase-2 observability plus invalidation.
-fn dff_branch_observation(
-    waveform: &[DelayValue],
-    fault: TransitionFault,
-    observable_ppos: &[NodeId],
-    required_state_ppos: &[NodeId],
-) -> Option<DelayObservation> {
-    let ppo = fault.site.stem;
-    if !observable_ppos.contains(&ppo) {
-        return None;
-    }
-    for &req in required_state_ppos {
-        if req != ppo && !waveform[req.index()].is_steady_clean() {
-            return None;
-        }
-    }
-    Some(DelayObservation::AtPpo(ppo))
-}
+use gdf_netlist::{Circuit, DelayFaultKind, NodeId, TransitionFault};
 
 /// Simulates all candidate transition `faults` against one two-pattern
 /// test, with the same observation inputs as
@@ -80,15 +51,25 @@ pub fn detected_transition_faults(
     let mut detected = Vec::new();
     let mut faulty: Vec<bool> = Vec::new();
     for (idx, &fault) in faults.iter().enumerate() {
-        if !provoked(waveform, fault) {
-            continue;
+        let needed = match fault.kind {
+            DelayFaultKind::SlowToRise => DelayValue::R,
+            DelayFaultKind::SlowToFall => DelayValue::F,
+        };
+        if waveform[fault.site.stem.index()] != needed {
+            continue; // fault not provoked by this vector pair
         }
         if let Some((sink, _)) = fault.site.branch {
             if !circuit.node(sink).kind().is_combinational() {
-                if let Some(obs) =
-                    dff_branch_observation(waveform, fault, observable_ppos, required_state_ppos)
+                // A branch into a flip-flop latches the faulty value
+                // straight into that PPO: detection is phase-2
+                // observability plus invalidation.
+                let ppo = fault.site.stem;
+                if observable_ppos.contains(&ppo)
+                    && required_state_ppos
+                        .iter()
+                        .all(|&req| req == ppo || waveform[req.index()].is_steady_clean())
                 {
-                    detected.push((idx, obs));
+                    detected.push((idx, DelayObservation::AtPpo(ppo)));
                 }
                 continue;
             }
@@ -150,13 +131,15 @@ pub fn detected_transition_faults(
 
 /// Word-parallel variant of [`detected_transition_faults`]: classifies up
 /// to 64 candidate faults per selective trace, one fault per bit lane,
-/// with plain boolean `u64` gate evaluation of only the gates a flipped
-/// final value reaches. Results are element-identical to the scalar
-/// function.
+/// each lane holding a frame-2 value and any difference from the good
+/// final value marking the fault effect. Results are element-identical
+/// to the scalar function.
 ///
-/// Skipping the other gates is exact because `waveform` must be
-/// *consistent*: every gate holds its gate function of its fanins'
-/// values, as [`crate::waveform::two_frame_values`] and phase 1 of
+/// The trace is the phase-3 driver [`crate::tdsim`] shares, which
+/// evaluates only the gates a flipped final value reaches. Skipping the
+/// other gates is exact because `waveform` must be *consistent*: every
+/// gate holds its gate function of its fanins' values, as
+/// [`crate::waveform::two_frame_values`] and phase 1 of
 /// [`crate::grading`] produce it.
 ///
 /// # Panics
@@ -170,210 +153,22 @@ pub fn detected_transition_faults_packed(
     required_state_ppos: &[NodeId],
     scratch: &mut SimScratch,
 ) -> Vec<(usize, DelayObservation)> {
-    assert_eq!(waveform.len(), circuit.num_nodes(), "waveform length");
-    // Broadcast the good final values once; every batch flips its sites
-    // and restores exactly the nodes its trace changed.
-    scratch.tf_vals.clear();
-    scratch
-        .tf_vals
-        .extend(waveform.iter().map(|&v| broadcast(v.final_value())));
-    scratch.queue.prepare(circuit);
-    observation_order(circuit, observable_ppos, scratch);
-    let mut detected = Vec::new();
-    let placeholder = TransitionFault {
-        site: gdf_netlist::FaultSite::on_stem(NodeId(0)),
-        kind: DelayFaultKind::SlowToRise,
-    };
-    let mut batch: [(usize, TransitionFault); 64] = [(0, placeholder); 64];
-    let mut filled = 0;
-    for (idx, &fault) in faults.iter().enumerate() {
-        if !provoked(waveform, fault) {
-            continue;
-        }
-        if let Some((sink, _)) = fault.site.branch {
-            if !circuit.node(sink).kind().is_combinational() {
-                if let Some(obs) =
-                    dff_branch_observation(waveform, fault, observable_ppos, required_state_ppos)
-                {
-                    detected.push((idx, obs));
-                }
-                continue;
-            }
-        }
-        batch[filled] = (idx, fault);
-        filled += 1;
-        if filled == 64 {
-            classify_batch(
-                circuit,
-                waveform,
-                &batch[..filled],
-                required_state_ppos,
-                scratch,
-                &mut detected,
-            );
-            filled = 0;
-        }
-    }
-    if filled > 0 {
-        classify_batch(
-            circuit,
-            waveform,
-            &batch[..filled],
-            required_state_ppos,
-            scratch,
-            &mut detected,
-        );
-    }
-    detected.sort_unstable_by_key(|&(idx, _)| idx);
-    detected
-}
-
-/// One boolean value in all 64 lanes.
-fn broadcast(v: bool) -> u64 {
-    if v {
-        !0
-    } else {
-        0
-    }
-}
-
-/// Boolean gate evaluation over 64 lanes at once.
-fn eval_bool_packed(kind: GateKind, first: u64, rest: impl Iterator<Item = u64>) -> u64 {
-    match kind {
-        GateKind::Buf => first,
-        GateKind::Not => !first,
-        GateKind::And => rest.fold(first, |a, v| a & v),
-        GateKind::Nand => !rest.fold(first, |a, v| a & v),
-        GateKind::Or => rest.fold(first, |a, v| a | v),
-        GateKind::Nor => !rest.fold(first, |a, v| a | v),
-        GateKind::Xor => rest.fold(first, |a, v| a ^ v),
-        GateKind::Xnor => !rest.fold(first, |a, v| a ^ v),
-        GateKind::Input | GateKind::Dff => {
-            panic!("eval_bool_packed called on non-combinational kind {kind:?}")
-        }
-    }
-}
-
-/// Classifies one ≤64-fault batch — every entry provoked, with a
-/// combinational observation path — in one boolean selective trace from
-/// the flipped sites.
-fn classify_batch(
-    circuit: &Circuit,
-    waveform: &[DelayValue],
-    batch: &[(usize, TransitionFault)],
-    required_state_ppos: &[NodeId],
-    scratch: &mut SimScratch,
-    detected: &mut Vec<(usize, DelayObservation)>,
-) {
-    let lanes_in_use = if batch.len() == 64 {
-        !0u64
-    } else {
-        (1u64 << batch.len()) - 1
-    };
-    scratch.stem_mask.resize(circuit.num_nodes(), 0);
-    scratch.branch_flag.resize(circuit.num_nodes(), false);
-    scratch.stem_nodes.clear();
-    scratch.tf_branch_list.clear();
-
-    for (k, &(_, fault)) in batch.iter().enumerate() {
-        match fault.site.branch {
-            None => {
-                let stem = fault.site.stem.index();
-                if scratch.stem_mask[stem] == 0 {
-                    scratch.stem_nodes.push(fault.site.stem.0);
-                }
-                scratch.stem_mask[stem] |= 1 << k;
-            }
-            Some((sink, pin)) => {
-                if let Some(entry) = scratch
-                    .tf_branch_list
-                    .iter_mut()
-                    .find(|e| e.0 == sink.0 && e.1 == pin)
-                {
-                    entry.2 |= 1 << k;
-                } else {
-                    scratch.tf_branch_list.push((sink.0, pin, 1 << k));
-                    scratch.branch_flag[sink.index()] = true;
-                }
-            }
-        }
-    }
-
-    // Inject: flip the stem's final value in its fault lanes; a branch
-    // fault changes only what its sink sees.
-    let queue = &mut scratch.queue;
-    let values = &mut scratch.tf_vals;
-    for &node in &scratch.stem_nodes {
-        let i = node as usize;
-        let flipped = values[i] ^ scratch.stem_mask[i];
-        queue.inject(circuit, values, NodeId(node), flipped);
-    }
-    for &(sink, ..) in &scratch.tf_branch_list {
-        queue.schedule(circuit, NodeId(sink));
-    }
-    let (stem_mask, branch_flag) = (&scratch.stem_mask, &scratch.branch_flag);
-    let branch_list = &scratch.tf_branch_list;
-    queue.run(circuit, values, |gate, values| {
-        let gi = gate.index();
-        let node = circuit.node(gate);
-        let input = |pin: usize, f: NodeId| -> u64 {
-            let mut v = values[f.index()];
-            if branch_flag[gi] {
-                for &(sink, fpin, mask) in branch_list {
-                    if sink == gate.0 && fpin == pin as u8 {
-                        // The branch carries the stale frame-1 value of
-                        // its stem in the fault's lanes.
-                        let stale = broadcast(!waveform[f.index()].final_value());
-                        v = (v & !mask) | (stale & mask);
-                    }
-                }
-            }
-            v
-        };
-        let fanins = node.fanin();
-        let mut out = eval_bool_packed(
-            node.kind(),
-            input(0, fanins[0]),
-            fanins[1..]
-                .iter()
-                .enumerate()
-                .map(|(i, &f)| input(i + 1, f)),
-        );
-        let stem_lanes = stem_mask[gi];
-        if stem_lanes != 0 {
-            // The slow site holds its stale value in its own lanes.
-            let good = broadcast(waveform[gi].final_value());
-            out = (out & !stem_lanes) | (!good & stem_lanes);
-        }
-        out
-    });
-
-    observe_lanes(
+    let sites = faults.iter().map(|f| (f.site, f.kind));
+    phase3::detect::<u64>(
         circuit,
-        lanes_in_use,
-        &scratch.observe,
         waveform,
+        sites,
+        observable_ppos,
         required_state_ppos,
-        |n| values[n.index()] ^ broadcast(waveform[n.index()].final_value()),
-        |k, obs| detected.push((batch[k].0, obs)),
-    );
-
-    // Restore the broadcast and reset the sparse injection tables for the
-    // next batch.
-    queue.restore(values, |i| broadcast(waveform[i].final_value()));
-    for &node in &scratch.stem_nodes {
-        scratch.stem_mask[node as usize] = 0;
-    }
-    for &(sink, ..) in &scratch.tf_branch_list {
-        scratch.branch_flag[sink as usize] = false;
-    }
+        scratch,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::waveform::two_frame_values;
-    use gdf_netlist::{CircuitBuilder, FaultSite, FaultUniverse};
+    use gdf_netlist::{CircuitBuilder, FaultSite, FaultUniverse, GateKind};
 
     fn fault(site: FaultSite, kind: DelayFaultKind) -> TransitionFault {
         TransitionFault { site, kind }

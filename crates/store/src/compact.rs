@@ -28,7 +28,7 @@ use gdf_core::driver::{DelayAtpg, DelayAtpgConfig, FaultClassification, FsimScra
 use gdf_core::engine::Backend;
 use gdf_core::json::Json;
 use gdf_core::{PatternSet, RunArtifact};
-use gdf_netlist::{Circuit, DelayFault};
+use gdf_netlist::{Circuit, Fault};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::Path;
@@ -205,16 +205,16 @@ pub fn compact_campaign(
                 .with_limits(config.limits),
         );
 
-        let tested: Vec<DelayFault> = run
+        let tested: Vec<Fault> = run
             .records
             .iter()
             .filter(|r| r.classification == FaultClassification::Tested)
-            .filter_map(|r| r.fault.as_delay())
+            .map(|r| r.fault)
             .collect();
         // Stable per-fault signature, disambiguated across circuits: two
         // circuits naming a net `G17` must not share bloom entries by
         // accident of spelling.
-        let signature = |f: DelayFault| format!("{name}\u{1f}{}", f.describe(circuit));
+        let signature = |f: Fault| format!("{name}\u{1f}{}", f.describe(circuit));
 
         let mut scratch = FsimScratch::default();
         let detection: Vec<Vec<usize>> = run

@@ -11,8 +11,7 @@
 //! a run longer than 64 — under both delay models and several seeds, and
 //! compares with a loop that grades one sequence at a time with the same
 //! RNG and dropping: the scalar reference simulator for the delay model,
-//! one-lane `fault_simulate_sequence_transition` for the transition
-//! model.
+//! one-lane `fault_simulate_sequence` for the transition model.
 
 use gdf::algebra::Logic3;
 use gdf::core::artifact::{CircuitSource, PatternEntry, PatternSet};
@@ -143,17 +142,8 @@ fn sequence_at_a_time(c: &Circuit, set: &PatternSet, model: ModelKind, seed: u64
         }
         let relied = set.relied_nodes(c, pi).expect("relied PPOs resolve");
         let mut hits = if model == ModelKind::Transition {
-            let candidates: Vec<_> = remaining
-                .iter()
-                .map(|&k| faults[k].as_transition().expect("transition fault"))
-                .collect();
-            atpg.fault_simulate_sequence_transition(
-                &p.sequence,
-                &relied,
-                &candidates,
-                &mut rng,
-                &mut scratch,
-            )
+            let candidates: Vec<_> = remaining.iter().map(|&k| faults[k]).collect();
+            atpg.fault_simulate_sequence(&p.sequence, &relied, &candidates, &mut rng, &mut scratch)
         } else {
             let candidates: Vec<_> = remaining
                 .iter()

@@ -11,12 +11,13 @@
 //!   artifact as a local run.
 
 use gdf::core::{
-    grade_patterns, Atpg, AtpgError, Backend, Campaign, CircuitSource, Coverage,
-    FaultClassification, ModelKind, PatternSet, RunArtifact, RunConfig,
+    compact_sequences, grade_patterns, Atpg, AtpgError, Backend, Campaign, CircuitSource, Coverage,
+    DelayAtpg, DelayAtpgConfig, FaultClassification, ModelKind, PatternSet, RunArtifact, RunConfig,
 };
 use gdf::netlist::{suite, Fault, FaultUniverse};
 use gdf::serve::server::submission_for_suite;
 use gdf::serve::{Client, JobServer, ServeConfig};
+use gdf::store::compact_campaign;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -133,6 +134,60 @@ fn transition_model_is_weaker_than_robust_delay() {
         robust.report.row.tested
     );
     assert!(transition.report.coverage.fault_coverage() >= robust.report.coverage.fault_coverage());
+}
+
+/// Compacting a transition-model run keeps every detection, through the
+/// per-run and the campaign-wide compactor alike: both fault-simulate
+/// the run's tested transition faults, and each kept set re-grades to at
+/// least the full set's transition coverage.
+#[test]
+fn transition_runs_compact_without_losing_coverage() {
+    let c = suite::s27();
+    let config = RunConfig::new(Backend::NonScan).with_model(ModelKind::Transition);
+    let run = Atpg::builder(&c)
+        .model(config.model)
+        .seed(config.seed)
+        .build()
+        .run();
+    let universe = FaultUniverse::default();
+    let full = PatternSet::from_run(&c, &run, "non-scan", config.seed, None);
+    let detected = |set: &PatternSet| {
+        grade_patterns(&c, set, ModelKind::Transition, &universe, config.seed)
+            .expect("the patterns grade")
+            .detected()
+    };
+    let before = detected(&full);
+    assert!(before > 0, "the full set detects transition faults");
+
+    let atpg = DelayAtpg::with_config(
+        &c,
+        DelayAtpgConfig::new()
+            .with_model(config.model)
+            .with_xfill_seed(config.seed),
+    );
+    let solo = compact_sequences(&atpg, &run);
+    assert!(
+        solo.covered > 0,
+        "the tested transition faults are simulated"
+    );
+    let kept = PatternSet {
+        patterns: solo
+            .kept
+            .iter()
+            .map(|&i| full.patterns[i].clone())
+            .collect(),
+        ..full.clone()
+    };
+    assert!(
+        detected(&kept) >= before,
+        "compact_sequences lost a detection"
+    );
+
+    let artifact = RunArtifact::from_run(&c, &run, config, Some(CircuitSource::suite(&c, "s27")));
+    let campaign = compact_campaign(&[(c.clone(), artifact)], 0x1995).expect("compacts");
+    let set = &campaign.set.sets[0];
+    assert_eq!(set.patterns.len(), solo.kept.len(), "same greedy answer");
+    assert!(detected(set) >= before, "compact_campaign lost a detection");
 }
 
 #[test]

@@ -16,10 +16,11 @@
 use gdf::algebra::Logic3;
 use gdf::core::{DelayAtpg, DelayAtpgConfig, FsimScratch, TestSequence};
 use gdf::netlist::generator::{generate, CircuitProfile};
-use gdf::netlist::{Circuit, FaultUniverse, NodeId};
+use gdf::netlist::{Circuit, Fault, FaultUniverse, NodeId};
 use gdf::sim::{
-    detected_delay_faults, detected_delay_faults_packed, two_frame_values, Fausim, GoodSimulator,
-    PackedGoodSim, PackedLogic, SimScratch,
+    detected_delay_faults, detected_delay_faults_packed, detected_transition_faults,
+    detected_transition_faults_packed, two_frame_values, Fausim, GoodSimulator, PackedGoodSim,
+    PackedLogic, SimScratch,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -151,7 +152,9 @@ fn packed_state_diff_propagation_matches_scalar() {
 }
 
 /// Packed TDsim classification (faults, observations, order) equals the
-/// scalar cone trace, including PPO observability and invalidation.
+/// scalar cone trace, including PPO observability and invalidation; so
+/// does the packed transition-fault classification, on the same
+/// waveform, PPO subsets and scratch, alternating with the robust check.
 /// Cases 25 and 26 are large circuits; case 27 is small again, on the
 /// scratch the large ones grew.
 #[test]
@@ -165,6 +168,7 @@ fn packed_tdsim_matches_scalar_on_random_circuits() {
             arb_circuit(&mut rng, 2000 + case)
         };
         let faults = FaultUniverse::default().delay_faults(&c);
+        let transition = FaultUniverse::default().transition_faults(&c);
         let ppos = c.ppos().to_vec();
         for _ in 0..4 {
             let v1 = arb_bools(&mut rng, c.num_inputs());
@@ -180,6 +184,15 @@ fn packed_tdsim_matches_scalar_on_random_circuits() {
                 scalar,
                 packed,
                 "case {case} circuit {} obs {obs:?} req {req:?}",
+                c.name()
+            );
+            let scalar = detected_transition_faults(&c, &w, &transition, &obs, &req);
+            let packed =
+                detected_transition_faults_packed(&c, &w, &transition, &obs, &req, &mut scratch);
+            assert_eq!(
+                scalar,
+                packed,
+                "transition case {case} circuit {} obs {obs:?} req {req:?}",
                 c.name()
             );
         }
@@ -215,6 +228,7 @@ fn packed_fault_simulate_sequence_matches_scalar_reference() {
         let c = arb_circuit(&mut rng, 3000 + case);
         let atpg = DelayAtpg::new(&c);
         let faults = FaultUniverse::default().delay_faults(&c);
+        let as_faults: Vec<Fault> = faults.iter().copied().map(Fault::Delay).collect();
         let ppos = c.ppos().to_vec();
         for round in 0..4 {
             let seq = arb_sequence(&mut rng, &c);
@@ -223,7 +237,7 @@ fn packed_fault_simulate_sequence_matches_scalar_reference() {
             let mut rng_a = StdRng::seed_from_u64(seed);
             let mut rng_b = StdRng::seed_from_u64(seed);
             let packed = atpg
-                .fault_simulate_sequence(&seq, &relied, &faults, &mut rng_a, &mut scratch)
+                .fault_simulate_sequence(&seq, &relied, &as_faults, &mut rng_a, &mut scratch)
                 .expect("at-speed sequence");
             let scalar = atpg
                 .fault_simulate_sequence_scalar(&seq, &relied, &faults, &mut rng_b)
@@ -244,10 +258,11 @@ fn static_sequences_are_rejected_gracefully() {
     let c = gdf::netlist::suite::s27();
     let atpg = DelayAtpg::new(&c);
     let faults = FaultUniverse::default().delay_faults(&c);
+    let as_faults: Vec<Fault> = faults.iter().copied().map(Fault::Delay).collect();
     let seq = TestSequence::static_sequence(vec![vec![Logic3::Zero; 4]; 3]);
     let mut rng = StdRng::seed_from_u64(1);
     let mut scratch = FsimScratch::default();
-    let packed = atpg.fault_simulate_sequence(&seq, &[], &faults, &mut rng, &mut scratch);
+    let packed = atpg.fault_simulate_sequence(&seq, &[], &as_faults, &mut rng, &mut scratch);
     assert_eq!(packed, Err(gdf::core::AtpgError::StaticSequence));
     let scalar = atpg.fault_simulate_sequence_scalar(&seq, &[], &faults, &mut rng);
     assert_eq!(scalar, Err(gdf::core::AtpgError::StaticSequence));
@@ -260,6 +275,7 @@ fn reference_fsim_config_dispatches_to_scalar() {
     let c = gdf::netlist::suite::s27();
     let reference = DelayAtpg::with_config(&c, DelayAtpgConfig::new().with_reference_fsim(true));
     let faults = FaultUniverse::default().delay_faults(&c);
+    let as_faults: Vec<Fault> = faults.iter().copied().map(Fault::Delay).collect();
     let seq = TestSequence::new(
         vec![vec![Logic3::Zero; 4]],
         vec![Logic3::Zero; 4],
@@ -271,7 +287,7 @@ fn reference_fsim_config_dispatches_to_scalar() {
     let mut rng_b = StdRng::seed_from_u64(seed);
     let mut scratch = FsimScratch::default();
     let via_config = reference
-        .fault_simulate_sequence(&seq, &[], &faults, &mut rng_a, &mut scratch)
+        .fault_simulate_sequence(&seq, &[], &as_faults, &mut rng_a, &mut scratch)
         .expect("at-speed");
     let direct = reference
         .fault_simulate_sequence_scalar(&seq, &[], &faults, &mut rng_b)

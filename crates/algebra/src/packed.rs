@@ -23,7 +23,7 @@
 //! two-input tables are associative (property-tested in `delay`).
 //!
 //! This is the substrate of the word-parallel fault simulator: one packed
-//! sweep over the netlist classifies up to 64 candidate faults at once.
+//! sweep over the netlist traces up to 64 faulty machines at once.
 
 use crate::delay::DelayValue;
 use gdf_netlist::GateKind;

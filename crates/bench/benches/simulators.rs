@@ -1,16 +1,17 @@
 //! Criterion benchmarks for the simulation substrate: good-machine
 //! simulation, phase 1 of §5 grading (scalar composition against packed
-//! batches of one and 64 sequences), two-frame waveform evaluation and
-//! TDsim fault simulation over the full fault universe.
+//! batches of one and 64 sequences), phases 2 and 3 of one graded
+//! sequence, two-frame waveform evaluation and phase-3 fault simulation
+//! over the full fault universe, under both at-speed models.
 
 use gdf_algebra::Logic3;
 use gdf_bench::criterion::{black_box, criterion_group, criterion_main, Criterion};
 use gdf_netlist::generator::{generate, CircuitProfile};
-use gdf_netlist::{suite, Circuit, FaultUniverse};
-use gdf_sim::grading::{simulate_batch, GradeScratch, MAX_LANES};
+use gdf_netlist::{suite, Circuit, Fault, FaultUniverse};
+use gdf_sim::grading::{grade_lane, simulate_batch, GradeScratch, MAX_LANES};
 use gdf_sim::{
-    detected_delay_faults, detected_delay_faults_packed, two_frame_values, GoodSimulator,
-    SimScratch,
+    detected_delay_faults, detected_delay_faults_packed, detected_transition_faults_packed,
+    two_frame_values, GoodSimulator, SimScratch,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -50,16 +51,21 @@ fn scalar_phase_one(circuit: &Circuit, filled: &[Vec<bool>]) -> Vec<Vec<Logic3>>
     sim.run(&state2, &prop).0
 }
 
-fn bench_phase_one(c: &mut Criterion) {
-    let s344 = suite::table3_circuit("s344").expect("suite circuit");
-    let gen10k = generate(&CircuitProfile::new(
+/// The `grade_gen10k` circuit: 32 PI, 32 PO, 500 flip-flops, 10k gates.
+fn gen10k() -> Circuit {
+    generate(&CircuitProfile::new(
         "gen10k",
         32,
         32,
         500,
         10_000,
         0x6E10_1995,
-    ));
+    ))
+}
+
+fn bench_phase_one(c: &mut Criterion) {
+    let s344 = suite::table3_circuit("s344").expect("suite circuit");
+    let gen10k = gen10k();
     for circuit in [&s344, &gen10k] {
         let name = circuit.name();
         let mut rng = StdRng::seed_from_u64(5);
@@ -123,10 +129,72 @@ fn bench_waveform_and_tdsim(c: &mut Criterion) {
     });
 }
 
+/// Phases 2 and 3 of one sequence on gen10k (`grade_lane` after one
+/// `simulate_batch`) against the full universe, and the packed phase-3
+/// entry points on one waveform with every PPO observable.
+fn bench_phases_two_three(c: &mut Criterion) {
+    let circuit = gen10k();
+    let mut rng = StdRng::seed_from_u64(7);
+    let frames = INIT_FRAMES + 2 + PROPAGATION_FRAMES;
+    let sequence: Vec<Vec<bool>> = (0..frames)
+        .map(|_| (0..circuit.num_inputs()).map(|_| rng.gen()).collect())
+        .collect();
+    let universe = FaultUniverse::default();
+    let delay = universe.delay_faults(&circuit);
+    let transition = universe.transition_faults(&circuit);
+    let mut scratch = GradeScratch::default();
+    simulate_batch(
+        &circuit,
+        &[&sequence],
+        INIT_FRAMES + 1,
+        &mut rng,
+        &mut scratch,
+    );
+    for (model, faults) in [
+        (
+            "delay",
+            delay.iter().map(|&f| Fault::Delay(f)).collect::<Vec<_>>(),
+        ),
+        (
+            "transition",
+            transition.iter().map(|&f| Fault::Transition(f)).collect(),
+        ),
+    ] {
+        c.bench_function(&format!("phase2+3 grade_lane gen10k ({model})"), |b| {
+            b.iter(|| grade_lane(&circuit, 0, &[], black_box(&faults), &mut scratch))
+        });
+    }
+
+    let v1: Vec<bool> = (0..circuit.num_inputs()).map(|_| rng.gen()).collect();
+    let v2: Vec<bool> = (0..circuit.num_inputs()).map(|_| rng.gen()).collect();
+    let st: Vec<bool> = (0..circuit.num_dffs()).map(|_| rng.gen()).collect();
+    let w = two_frame_values(&circuit, &v1, &v2, &st);
+    let ppos = circuit.ppos();
+    let mut scratch = SimScratch::default();
+    c.bench_function("phase3 packed full universe gen10k (delay)", |b| {
+        b.iter(|| {
+            detected_delay_faults_packed(&circuit, black_box(&w), &delay, ppos, &[], &mut scratch)
+        })
+    });
+    c.bench_function("phase3 packed full universe gen10k (transition)", |b| {
+        b.iter(|| {
+            detected_transition_faults_packed(
+                &circuit,
+                black_box(&w),
+                &transition,
+                ppos,
+                &[],
+                &mut scratch,
+            )
+        })
+    });
+}
+
 criterion_group!(
     benches,
     bench_goodsim,
     bench_phase_one,
-    bench_waveform_and_tdsim
+    bench_waveform_and_tdsim,
+    bench_phases_two_three
 );
 criterion_main!(benches);

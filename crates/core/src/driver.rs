@@ -496,8 +496,9 @@ impl<'c> DelayAtpg<'c> {
     /// All three phases run bit-parallel through the shared grading entry
     /// point ([`gdf_sim::grading::grade_lane`] of a one-lane
     /// [`gdf_sim::grading::simulate_batch`]): phase 1 runs on the packed
-    /// good machine, phase 2 propagates one PPO state difference per lane
-    /// and phase 3 classifies 64 candidate faults per word; `scratch`
+    /// good machine, phase 3 traces 64 fanout-free-region roots per word
+    /// and phase 2 propagates one PPO state difference per lane, for the
+    /// PPOs a fault effect reaches; `scratch`
     /// holds the reusable buffers, so a warm call allocates nothing in
     /// the sweeps. The classifications are identical to the scalar
     /// reference ([`DelayAtpg::fault_simulate_sequence_scalar`]) for the

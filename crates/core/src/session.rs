@@ -1053,12 +1053,19 @@ pub fn grade_patterns(
             let candidates: Vec<Fault> = remaining.iter().map(|&k| faults[k]).collect();
             let mut hits = grade_lane(circuit, lane, &relied, &candidates, &mut scratch);
             patterns_graded += 1;
-            // Strike detected faults from the remaining list (descending
-            // positions so removal indexes stay valid).
+            // Strike the detected faults from the remaining list in one
+            // pass that keeps the order of the rest.
             hits.sort_unstable();
-            for &pos in hits.iter().rev() {
-                first_detector[remaining.remove(pos)] = Some(pi);
-            }
+            let mut hits = hits.into_iter().peekable();
+            let mut pos = 0;
+            remaining.retain(|&k| {
+                let detected = hits.next_if_eq(&pos).is_some();
+                pos += 1;
+                if detected {
+                    first_detector[k] = Some(pi);
+                }
+                !detected
+            });
         }
         start += lanes;
     }

@@ -155,6 +155,11 @@ pub struct Circuit {
     /// fault cone).
     cone_words: std::sync::OnceLock<Vec<u64>>,
     cone_stride: usize,
+    /// Fanout-free regions: the single `(sink, pin)` of each node inside
+    /// a region, `None` for a region root.
+    region_sink: Vec<Option<(NodeId, u8)>>,
+    /// The root of each node's fanout-free region (a root is its own).
+    region_root: Vec<NodeId>,
 }
 
 impl Circuit {
@@ -295,6 +300,25 @@ impl Circuit {
                 .fanout()
                 .iter()
                 .any(|&(s, _)| self.node(s).kind() == GateKind::Dff)
+    }
+
+    /// The root of the fanout-free region holding `id`.
+    ///
+    /// A fanout-free region is a tree of single-fanout nets ending at one
+    /// root. A node is a region root if it is a PO, if its fanout count
+    /// is not 1 (a net on two pins of one gate counts as 2), or if its
+    /// only sink is a flip-flop; so every PO and every PPO is a root.
+    /// Any other node's effect can leave the region only through its
+    /// root, along the chain of [`Circuit::region_sink`]s.
+    pub fn region_root(&self, id: NodeId) -> NodeId {
+        self.region_root[id.index()]
+    }
+
+    /// The single `(sink gate, input pin)` of `id` if it lies inside a
+    /// fanout-free region, `None` if it is a region root (see
+    /// [`Circuit::region_root`]). The sink is always combinational.
+    pub fn region_sink(&self, id: NodeId) -> Option<(NodeId, u8)> {
+        self.region_sink[id.index()]
     }
 
     /// Summary statistics.
@@ -685,6 +709,31 @@ impl CircuitBuilder {
         let topo_kinds = topo.iter().map(|g| nodes[g.index()].kind).collect();
         let cone_stride = n.div_ceil(64);
 
+        // Fanout-free regions: a node with exactly one combinational sink
+        // that is not a PO joins its sink's region. Sinks come later in
+        // topological order, and sources (PIs, flip-flops) after every
+        // gate, so one reverse sweep settles each root.
+        let region_sink: Vec<Option<(NodeId, u8)>> = nodes
+            .iter()
+            .map(|node| match node.fanout[..] {
+                [(sink, pin)] if !node.is_output && nodes[sink.index()].kind.is_combinational() => {
+                    Some((sink, pin))
+                }
+                _ => None,
+            })
+            .collect();
+        let mut region_root: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
+        let sources = nodes
+            .iter()
+            .enumerate()
+            .filter(|(_, node)| !node.kind.is_combinational())
+            .map(|(i, _)| NodeId(i as u32));
+        for id in topo.iter().rev().copied().chain(sources) {
+            if let Some((sink, _)) = region_sink[id.index()] {
+                region_root[id.index()] = region_root[sink.index()];
+            }
+        }
+
         Ok(Circuit {
             name: self.name.clone(),
             nodes,
@@ -701,6 +750,8 @@ impl CircuitBuilder {
             topo_kinds,
             cone_words: std::sync::OnceLock::new(),
             cone_stride,
+            region_sink,
+            region_root,
         })
     }
 }
@@ -861,6 +912,34 @@ mod tests {
         assert!(cone[d.index()]);
         assert!(cone[c.node_by_name("y").unwrap().index()]);
         assert!(!cone[c.node_by_name("q").unwrap().index()]);
+    }
+
+    #[test]
+    fn fanout_free_regions() {
+        let mut b = CircuitBuilder::new("ffr");
+        b.add_input("a");
+        b.add_input("b");
+        b.add_input("e");
+        b.add_dff("q", "d");
+        b.add_gate("n", GateKind::Not, &["a"]); // one sink: inside y's region
+        b.add_gate("y", GateKind::And, &["n", "q"]); // PO that also feeds d
+        b.add_gate("d", GateKind::Xor, &["y", "b"]); // PPO
+        b.add_gate("t", GateKind::And, &["e", "e"]); // e on two pins of t
+        b.mark_output("y");
+        let c = b.build().unwrap();
+        let id = |name| c.node_by_name(name).unwrap();
+        let root = |name| c.region_root(id(name));
+        assert_eq!(c.region_sink(id("n")), Some((id("y"), 0)));
+        assert_eq!(root("n"), id("y"));
+        assert_eq!(root("a"), id("y"), "a -> n -> y");
+        assert_eq!(c.region_sink(id("y")), None, "a PO is a root");
+        assert_eq!(root("y"), id("y"));
+        assert_eq!(c.region_sink(id("d")), None, "a PPO is a root");
+        assert_eq!(c.region_sink(id("b")), Some((id("d"), 1)));
+        assert_eq!(root("b"), id("d"));
+        assert_eq!(c.region_sink(id("e")), None, "two pins of t count twice");
+        assert_eq!(c.region_sink(id("t")), None, "a dangling gate is a root");
+        assert_eq!(root("q"), id("y"), "q's only sink is y");
     }
 
     #[test]

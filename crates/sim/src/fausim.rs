@@ -20,7 +20,10 @@
 //! once against good-machine frames computed once by the caller. Each
 //! frame starts from the good values and selectively traces only the
 //! gates a differing flip-flop reaches, in level order; it stops early
-//! once every faulty machine has fallen back into the good state.
+//! once every faulty machine has fallen back into the good state. Each
+//! lane's answer depends on its own flip-flop only, so §5 grading
+//! ([`crate::grading`]) asks only about the flip-flops whose PPO phase 3
+//! found a fault effect at, after the fast-frame traces.
 
 use crate::goodsim::GoodSimulator;
 use crate::packed::{eval_packed3_indexed, PackedLogic, SimScratch};

@@ -17,23 +17,31 @@
 //! 2. packed PPO state-difference propagation through the slow-clock
 //!    frames ([`crate::fausim::Fausim::propagate_state_diffs_packed`],
 //!    one PPO per lane) against one sequence's propagation frames,
-//! 3. packed critical-path tracing of the fast frame (64 candidate
-//!    faults per word, each batch evaluating only the gates its fault
-//!    effects reach) with the invalidation check against the relied
-//!    PPOs. One driver serves both at-speed models: robust delay faults
-//!    trace the delay algebra
+//! 3. packed critical-path tracing of the fast frame per fanout-free
+//!    region (one region root per lane, 64 per word, each batch
+//!    evaluating only the gates its fault effects reach) with the
+//!    invalidation check against the relied PPOs. One driver serves both
+//!    at-speed models: robust delay faults trace the delay algebra
 //!    ([`crate::tdsim::detected_delay_faults_packed`]) and transition
 //!    faults trace final values
 //!    ([`crate::tfsim::detected_transition_faults_packed`]).
 //!
 //! Phases 2 and 3 run per sequence ([`grade_lane`], under the model of
 //! the faults it is given): each reads its own lane of the batch, so the
-//! caller can shrink the fault list between sequences. Phase 1 does
-//! not depend on the fault list, so computing it ahead for the whole
-//! batch changes no result. Phase 3 starts from the batch's waveform and
-//! phase 2 from its propagation frames, so both start from consistent
-//! values — every gate holds its gate function of its fanins' values —
-//! which is what makes skipping unreached gates exact.
+//! caller can shrink the fault list between sequences. Phase 3 runs
+//! first and records which PPOs a fault effect reaches; phase 2 then
+//! runs FAUSIM only for the flip-flops that latch the non-steady ones
+//! among them, and the PPO observations resolve last. FAUSIM answers one
+//! flip-flop per lane, so asking about a subset gives each flip-flop the
+//! answer the full set would; a PPO is observable if one of the
+//! flip-flops that latch it is. A call whose faults reach no PPO runs no
+//! FAUSIM at all.
+//!
+//! Phase 1 does not depend on the fault list, so computing it ahead for
+//! the whole batch changes no result. Phase 3 starts from the batch's
+//! waveform and phase 2 from its propagation frames, so both start from
+//! consistent values — every gate holds its gate function of its fanins'
+//! values — which is what makes skipping unreached gates exact.
 //!
 //! # RNG order
 //!
@@ -107,10 +115,6 @@ pub struct GradeScratch {
     lane_wave: Vec<DelayValue>,
     /// One lane's propagation frames, for phase 2.
     lane_good: Vec<Vec<Logic3>>,
-    /// PPOs proven observable by the propagation phase.
-    observable: Vec<NodeId>,
-    /// Flip-flop indexes whose state difference phase 2 must propagate.
-    diff_dffs: Vec<usize>,
     /// The shared packed-simulator scratch.
     sim: SimScratch,
 }
@@ -252,10 +256,11 @@ fn pack_frame<S: AsRef<[Vec<bool>]>>(sequences: &[S], frame: usize, pi: &mut Vec
 
 /// Phases 2 and 3 of the sequence in `lane` of the last
 /// [`simulate_batch`]: returns the indexes (into `faults`) of the
-/// detected ones, robustly for delay faults and non-robustly for
-/// transition faults. `relied_ppos` are the PPO nets whose steady value
-/// the sequence's propagation phase relies on — the §5 invalidation
-/// check strikes faults that corrupt them.
+/// detected ones, in list order, robustly for delay faults and
+/// non-robustly for transition faults. Phase 2 runs only for the PPOs a
+/// fault effect reaches. `relied_ppos` are the PPO nets whose steady
+/// value the sequence's propagation phase relies on — the §5
+/// invalidation check strikes faults that corrupt them.
 ///
 /// # Panics
 ///
@@ -283,7 +288,9 @@ pub fn grade_lane(
 }
 
 /// Phases 2 and 3 of the sequence in `lane` under the model of lane
-/// type `L`.
+/// type `L`: phase 3 traces first, then phase 2 runs FAUSIM only for the
+/// non-steady PPOs a traced fault effect reaches, one flip-flop per
+/// lane.
 fn phases_two_three<L: Lane>(
     circuit: &Circuit,
     lane: usize,
@@ -291,25 +298,6 @@ fn phases_two_three<L: Lane>(
     faults: impl IntoIterator<Item = (FaultSite, DelayFaultKind)>,
     scratch: &mut GradeScratch,
 ) -> Vec<usize> {
-    propagate_lane(circuit, lane, scratch);
-    // Phase 3: 64 candidate faults per word, with the invalidation check.
-    let s = scratch;
-    let hits = phase3::detect::<L>(
-        circuit,
-        &s.lane_wave,
-        faults,
-        &s.observable,
-        relied_ppos,
-        &mut s.sim,
-    );
-    hits.into_iter().map(|(k, _)| k).collect()
-}
-
-/// Phase 2 of §5 for one lane: takes the lane's waveform into
-/// `scratch.lane_wave` and puts the PPOs with non-steady values that are
-/// observable through the propagation frames into `scratch.observable`,
-/// one PPO per FAUSIM lane.
-fn propagate_lane(circuit: &Circuit, lane: usize, scratch: &mut GradeScratch) {
     let s = scratch;
     assert!(
         lane < s.lanes,
@@ -318,35 +306,48 @@ fn propagate_lane(circuit: &Circuit, lane: usize, scratch: &mut GradeScratch) {
     );
     s.lane_wave.clear();
     s.lane_wave.extend(s.wave.iter().map(|w| w.lane(lane)));
-    s.observable.clear();
-    s.diff_dffs.clear();
-    if s.propagation > 0 {
-        for (i, ppo) in circuit.ppos().iter().enumerate() {
-            if !s.lane_wave[ppo.index()].is_steady_clean() {
-                s.diff_dffs.push(i);
+    let hits = phase3::detect::<L>(
+        circuit,
+        &s.lane_wave,
+        faults,
+        relied_ppos,
+        &mut s.sim,
+        |ffs, sim| {
+            // Phase 2 on demand: a steady PPO latches no difference to
+            // propagate, and without propagation frames nothing is observed.
+            ffs.retain(|&i| {
+                s.propagation > 0 && !s.lane_wave[circuit.ppos()[i].index()].is_steady_clean()
+            });
+            if ffs.is_empty() {
+                return;
             }
-        }
-    }
-    if s.diff_dffs.is_empty() {
-        return;
-    }
-    if s.lane_good.len() < s.propagation {
-        s.lane_good.resize_with(s.propagation, Vec::new);
-    }
-    for (dst, src) in s.lane_good.iter_mut().zip(&s.good[..s.propagation]) {
-        dst.clear();
-        dst.extend(src.iter().map(|v| v.lane(lane)));
-    }
-    let frames = &s.lane_good[..s.propagation];
-    let fausim = Fausim::new(circuit);
-    for chunk in s.diff_dffs.chunks(64) {
-        let mask = fausim.propagate_state_diffs_packed(frames, chunk, &mut s.sim);
-        for (k, &i) in chunk.iter().enumerate() {
-            if mask >> k & 1 == 1 {
-                s.observable.push(circuit.ppos()[i]);
+            // Some PPO of this lane is not steady, so phase 1 ran the
+            // propagation frames.
+            let good = &s.good[..s.propagation];
+            if s.lane_good.len() < good.len() {
+                s.lane_good.resize_with(good.len(), Vec::new);
             }
-        }
-    }
+            for (dst, src) in s.lane_good.iter_mut().zip(good) {
+                dst.clear();
+                dst.extend(src.iter().map(|v| v.lane(lane)));
+            }
+            let frames = &s.lane_good[..good.len()];
+            let fausim = Fausim::new(circuit);
+            let mut kept = 0;
+            for start in (0..ffs.len()).step_by(64) {
+                let end = ffs.len().min(start + 64);
+                let mask = fausim.propagate_state_diffs_packed(frames, &ffs[start..end], sim);
+                for k in start..end {
+                    if mask >> (k - start) & 1 == 1 {
+                        ffs[kept] = ffs[k];
+                        kept += 1;
+                    }
+                }
+            }
+            ffs.truncate(kept);
+        },
+    );
+    hits.into_iter().map(|(k, _)| k).collect()
 }
 
 /// Runs the three-phase fault simulation of one X-free sequence against

@@ -26,17 +26,23 @@
 //!    where possibly fault effects can occur"* — [`fausim`], which injects
 //!    a `D`/`D̄` state difference at a pseudo primary input and propagates
 //!    it through fault-free (slow-clock) frames.
-//!    [`Fausim::propagate_state_diffs_packed`] runs **one lane per PPO**:
-//!    all candidate state differences of a sequence propagate in a single
-//!    pass instead of `num_dffs` sequential walks, against the
-//!    sequence's lane of the batch's propagation frames.
+//!    [`Fausim::propagate_state_diffs_packed`] runs **one lane per PPO**
+//!    against the sequence's lane of the batch's propagation frames.
+//!    Grading runs it *after* phase 3 and only for the non-steady PPOs a
+//!    traced fault effect actually reaches (plus the PPOs that a provoked
+//!    branch into a flip-flop latches): those are exactly the PPOs where
+//!    fault effects can occur.
 //! 3. *"Delay fault simulation of the fast time frame by critical path
 //!    tracing"* — [`tdsim`], working on the sequence's lane of the
 //!    two-frame 8-valued waveform, including the paper's *invalidation*
 //!    check for faults observed through a PPO; [`tfsim`] is the same
 //!    phase for transition faults. One packed driver serves both models
-//!    and packs **one candidate fault per lane**, classifying up to 64
-//!    faults per selective trace. Only the lane differs:
+//!    and traces per **fanout-free region**: a provoked fault is resolved
+//!    by walking its critical path to its region root
+//!    ([`gdf_netlist::Circuit::region_root`]) on good values only, each
+//!    root that some fault reaches is traced once, **one root per lane**
+//!    and up to 64 per selective trace, and each root's observation fans
+//!    back out to the faults of its region. Only the lane differs:
 //!    [`detected_delay_faults_packed`] traces
 //!    [`gdf_algebra::packed::PackedWave`] bit-planes, whose `car` plane
 //!    is the fault effect, and [`detected_transition_faults_packed`]

@@ -21,8 +21,8 @@
 //! `LevelQueue` is the crate's one selective-trace scheduler, shared by
 //! the packed fault simulators.
 
+use crate::phase3::Phase3Scratch;
 use gdf_algebra::logic3::Logic3;
-use gdf_algebra::packed::PackedWave;
 use gdf_netlist::{Circuit, GateKind, NodeId};
 
 /// 64 Kleene logic values, one per bit lane, in two-rail encoding.
@@ -159,28 +159,9 @@ pub struct SimScratch {
     pub(crate) packed: Vec<PackedLogic>,
     /// Packed current state, one entry per flip-flop.
     pub(crate) packed_state: Vec<PackedLogic>,
-    /// Phase-3 node values of the robust model ([`crate::tdsim`]): the
-    /// delay algebra, one marked machine per lane.
-    pub(crate) packed_wave: Vec<PackedWave>,
-    /// Phase-3 node values of the transition model ([`crate::tfsim`]):
-    /// final values, one faulty machine per lane.
-    pub(crate) tf_vals: Vec<u64>,
-    /// Per-batch stem-fault lane masks, indexed by node (sparse — reset
-    /// via `stem_nodes`).
-    pub(crate) stem_mask: Vec<u64>,
-    /// Nodes with a non-zero `stem_mask` this batch.
-    pub(crate) stem_nodes: Vec<u32>,
-    /// Per-batch branch-fault overrides: (sink node index, pin, lane
-    /// mask).
-    pub(crate) branch_list: Vec<(u32, u8, u64)>,
-    /// Whether a node has any branch override this batch (sparse — reset
-    /// via `branch_list`).
-    pub(crate) branch_flag: Vec<bool>,
-    /// Node-indexed flags, all clear between uses (marks the observable
-    /// PPOs while they are put in flip-flop order).
-    pub(crate) node_flag: Vec<bool>,
-    /// The observable PPOs of one phase-3 call, in flip-flop order.
-    pub(crate) observe: Vec<NodeId>,
+    /// The buffers of the phase-3 driver ([`crate::tdsim`],
+    /// [`crate::tfsim`]).
+    pub(crate) phase3: Phase3Scratch,
     /// The selective-trace scheduler every packed sweep runs on.
     pub(crate) queue: LevelQueue,
 }

@@ -1,43 +1,67 @@
 //! The packed phase-3 driver of §5 grading, shared by both at-speed
-//! fault models.
+//! fault models: critical path tracing per fanout-free region.
 //!
+//! A fanout-free region is a tree of single-fanout nets ending at one
+//! root ([`Circuit::region_root`]); every PO and every PPO is a root.
 //! [`detect`] classifies candidate faults against one fault-free
-//! two-frame waveform, one fault per bit lane and up to 64 per selective
-//! trace. It screens out the faults the waveform does not provoke,
-//! resolves a branch straight into a flip-flop without simulation,
-//! batches the rest, injects each batch at its stems and branches, runs
-//! the level-ordered queue over only the gates a fault effect reaches,
-//! observes the lanes (the POs first, then the observable PPOs under the
-//! invalidation rule) and restores the nodes the trace touched.
+//! two-frame waveform in four steps:
+//!
+//! 1. **Criticality.** One sweep in reverse topological order marks the
+//!    nodes whose fault effect reaches their region root. Inside a region
+//!    an effect moves along one path whose side inputs hold fault-free
+//!    values, so whether it passes a gate depends on good values only:
+//!    it is the gate evaluated with just that pin faulty.
+//! 2. **Resolution.** A provoked fault maps to the root its critical
+//!    path reaches, or, on a branch straight into a flip-flop, to that
+//!    PPO. Any other provoked fault goes undetected.
+//! 3. **Tracing.** Each root that some fault reaches is traced once, one
+//!    root per bit lane and up to 64 per selective trace: its stem mark
+//!    is injected there and the level-ordered queue evaluates only the
+//!    gates an effect reaches. Past its root a fault's effect equals that
+//!    mark. POs resolve at trace time, in output order. For the lanes no
+//!    PO observes, each batch records the nonzero PPO carry masks in
+//!    flip-flop order and the relied PPOs' carry masks, then restores the
+//!    nodes its trace touched.
+//! 4. **Observation.** The caller decides which of the PPOs that may
+//!    observe an effect are observable, asked per flip-flop: phase 2 on
+//!    demand ([`crate::grading`]) or a given list. The recorded masks then
+//!    resolve under the invalidation rule, and each root's observation
+//!    fans back out to its faults, in fault-list order.
 //!
 //! The models differ only in what a lane holds, the [`Lane`]:
 //!
 //! * robust gate delay faults (`crate::tdsim`): a [`PackedWave`], the
 //!   8-valued delay algebra per lane. The fault effect is the `car`
-//!   plane, so sensitization and robustness are TDgen's own.
+//!   plane, so sensitization and robustness are TDgen's own. A `car`
+//!   mark never changes `init`, `fin` or `haz`, and a steady net cannot
+//!   carry one.
 //! * transition faults (`crate::tfsim`): a `u64` of frame-2 values. The
 //!   fault effect is any difference from the good final value, which is
 //!   the non-robust condition.
 //!
-//! In both models the value a provoked site holds in its fault's lanes
-//! depends only on its fault-free value ([`Lane::faulty`]). So stem
-//! injection, a branch override and holding a slow stem are each one
-//! [`Lane::select`].
+//! In both models the value a node carrying a fault effect holds depends
+//! only on its fault-free value ([`Lane::faulty`]). That is what makes
+//! the region walk exact and lets a root's stem mark stand for every
+//! fault of its region.
 
-use crate::packed::SimScratch;
+use crate::packed::{LevelQueue, SimScratch};
 use crate::tdsim::DelayObservation;
 use gdf_algebra::delay::DelayValue;
 use gdf_algebra::packed::PackedWave;
 use gdf_netlist::{Circuit, DelayFaultKind, FaultSite, GateKind, NodeId};
 
-/// One node's value in the 64 fault lanes of a phase-3 trace.
+/// One node's value in the 64 lanes of a phase-3 trace.
 pub(crate) trait Lane: Copy + PartialEq {
     /// The fault-free value `v` in every lane.
     fn good(v: DelayValue) -> Self;
 
-    /// The value a provoked fault site whose fault-free value is `v`
-    /// holds in its fault's lanes.
+    /// The value a node whose fault-free value is `v` holds in the lanes
+    /// where it carries a fault effect.
     fn faulty(v: DelayValue) -> Self;
+
+    /// Whether a node whose fault-free value is `v` can carry a fault
+    /// effect at all.
+    fn can_carry(v: DelayValue) -> bool;
 
     /// `other` in the lanes of `mask`, `self` in the rest.
     fn select(self, mask: u64, other: Self) -> Self;
@@ -51,7 +75,7 @@ pub(crate) trait Lane: Copy + PartialEq {
     fn carried(self, good: DelayValue) -> u64;
 
     /// The scratch buffer holding one value per node.
-    fn values(scratch: &mut SimScratch) -> &mut Vec<Self>;
+    fn values(scratch: &mut Phase3Scratch) -> &mut Vec<Self>;
 }
 
 impl Lane for PackedWave {
@@ -62,8 +86,12 @@ impl Lane for PackedWave {
     fn faulty(v: DelayValue) -> Self {
         PackedWave::splat(
             v.with_fault_mark()
-                .expect("a provoked site holds a transition"),
+                .expect("a fault effect rides on a transition"),
         )
+    }
+
+    fn can_carry(v: DelayValue) -> bool {
+        v.is_transition()
     }
 
     fn select(self, mask: u64, other: Self) -> Self {
@@ -89,8 +117,8 @@ impl Lane for PackedWave {
         self.car
     }
 
-    fn values(scratch: &mut SimScratch) -> &mut Vec<Self> {
-        &mut scratch.packed_wave
+    fn values(scratch: &mut Phase3Scratch) -> &mut Vec<Self> {
+        &mut scratch.wave
     }
 }
 
@@ -105,6 +133,10 @@ impl Lane for u64 {
 
     fn faulty(v: DelayValue) -> Self {
         !Self::good(v)
+    }
+
+    fn can_carry(_v: DelayValue) -> bool {
+        true
     }
 
     fn select(self, mask: u64, other: Self) -> Self {
@@ -130,14 +162,69 @@ impl Lane for u64 {
         self ^ Self::good(good)
     }
 
-    fn values(scratch: &mut SimScratch) -> &mut Vec<Self> {
-        &mut scratch.tf_vals
+    fn values(scratch: &mut Phase3Scratch) -> &mut Vec<Self> {
+        &mut scratch.fin
     }
 }
+
+/// Where a provoked fault's effect can be observed from.
+#[derive(Debug, Clone, Copy)]
+enum Target {
+    /// The traced root in this slot.
+    Root(u32),
+    /// A branch straight into a flip-flop latches the faulty value into
+    /// this PPO, its only observation point.
+    Latch(NodeId),
+}
+
+/// The reusable buffers of [`detect`]. Between calls every sparse table
+/// is clear and every list empty.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct Phase3Scratch {
+    /// Node values of the robust model: the delay algebra, one traced
+    /// root per lane.
+    wave: Vec<PackedWave>,
+    /// Node values of the transition model: final values, one traced
+    /// root per lane.
+    fin: Vec<u64>,
+    /// Per node: whether a fault effect there reaches its region root.
+    critical: Vec<bool>,
+    /// Per node: the slot of a traced root, `NO_SLOT` for the rest.
+    slot: Vec<u32>,
+    /// The traced roots by slot: slot `s` is lane `s % 64` of batch
+    /// `s / 64`.
+    roots: Vec<NodeId>,
+    /// The observation each traced root found, by slot.
+    found: Vec<Option<DelayObservation>>,
+    /// Per node: the lanes a root holds its stem mark in, this batch.
+    hold: Vec<u64>,
+    /// The provoked faults with an observation point, in fault-list
+    /// order.
+    resolved: Vec<(usize, Target)>,
+    /// `(batch, flip-flop index, lanes)`: the nonzero PPO carry masks of
+    /// the lanes no PO observes, in batch and flip-flop order.
+    ppo_masks: Vec<(u32, u32, u64)>,
+    /// The relied PPOs' carry masks, one run of them per batch.
+    relied_masks: Vec<u64>,
+    /// Per node: a PPO that may observe an effect, then one that the
+    /// propagation phase makes observable.
+    ppo_flag: Vec<bool>,
+    /// Flip-flop indexes handed to the observability decision.
+    ffs: Vec<usize>,
+}
+
+const NO_SLOT: u32 = u32::MAX;
 
 /// Classifies `faults`, each a site and its slow transition, against the
 /// fault-free `waveform` under the model of lane type `L`. Returns
 /// `(fault index, observation)` pairs in fault-list order.
+///
+/// `observable` decides which PPOs the propagation phase makes
+/// observable: it receives, in flip-flop order, the flip-flops whose PPO
+/// some fault effect reaches, and keeps those whose latched difference
+/// is observable. A PPO is observable if one of its flip-flops is kept.
+/// It runs once, after the traces, with the queue, the value buffers and
+/// the (clear) PPO flags of `scratch` free for its own use.
 ///
 /// `waveform` must be consistent: every gate holds its gate function of
 /// its fanins' values. That is what makes skipping unreached gates exact.
@@ -145,24 +232,153 @@ pub(crate) fn detect<L: Lane>(
     circuit: &Circuit,
     waveform: &[DelayValue],
     faults: impl IntoIterator<Item = (FaultSite, DelayFaultKind)>,
+    required_state_ppos: &[NodeId],
+    scratch: &mut SimScratch,
+    observable: impl FnOnce(&mut Vec<usize>, &mut SimScratch),
+) -> Vec<(usize, DelayObservation)> {
+    assert_eq!(waveform.len(), circuit.num_nodes(), "waveform length");
+    let n = circuit.num_nodes();
+    // Broadcast the fault-free values once; every batch injects into
+    // them and restores exactly the nodes its trace changed.
+    let mut values = std::mem::take(L::values(&mut scratch.phase3));
+    values.clear();
+    values.extend(waveform.iter().map(|&v| L::good(v)));
+    let p = &mut scratch.phase3;
+    p.slot.resize(n, NO_SLOT);
+    p.hold.resize(n, 0);
+    p.ppo_flag.resize(n, false);
+
+    mark_critical::<L>(circuit, waveform, &values, &mut p.critical);
+    resolve(circuit, waveform, &values, faults, p);
+
+    p.found.clear();
+    p.found.resize(p.roots.len(), None);
+    scratch.queue.prepare(circuit);
+    for batch in 0..p.roots.len().div_ceil(64) {
+        trace_batch(
+            circuit,
+            waveform,
+            batch,
+            &mut values,
+            required_state_ppos,
+            p,
+            &mut scratch.queue,
+        );
+    }
+    *L::values(p) = values;
+
+    // Phase 2's answer for every flip-flop whose PPO an effect may reach,
+    // asked once. Flip-flops that latch one net are asked one by one, as
+    // the scalar composition does: the net is observable if any is.
+    let mut ffs = std::mem::take(&mut p.ffs);
+    ffs.clear();
+    let ppos = circuit.ppos();
+    ffs.extend((0..ppos.len()).filter(|&i| p.ppo_flag[ppos[i].index()]));
+    for &i in &ffs {
+        p.ppo_flag[ppos[i].index()] = false;
+    }
+    if !ffs.is_empty() {
+        observable(&mut ffs, scratch);
+    }
+    let p = &mut scratch.phase3;
+    for &i in &ffs {
+        p.ppo_flag[ppos[i].index()] = true;
+    }
+    p.ffs = ffs;
+
+    observe_ppos(circuit, waveform, required_state_ppos, p);
+    let detected = p
+        .resolved
+        .iter()
+        .filter_map(|&(idx, target)| {
+            let obs = match target {
+                Target::Root(slot) => p.found[slot as usize],
+                Target::Latch(ppo) => (p.ppo_flag[ppo.index()]
+                    && required_state_ppos
+                        .iter()
+                        .all(|&req| req == ppo || waveform[req.index()].is_steady_clean()))
+                .then_some(DelayObservation::AtPpo(ppo)),
+            };
+            obs.map(|obs| (idx, obs))
+        })
+        .collect();
+
+    for &i in &p.ffs {
+        p.ppo_flag[ppos[i].index()] = false;
+    }
+    for root in p.roots.drain(..) {
+        p.slot[root.index()] = NO_SLOT;
+    }
+    p.resolved.clear();
+    p.ppo_masks.clear();
+    p.relied_masks.clear();
+    detected
+}
+
+/// [`detect`] with the PPOs in `observable_ppos` as the observable ones,
+/// the answer the packed public entry points take from their caller.
+pub(crate) fn detect_given<L: Lane>(
+    circuit: &Circuit,
+    waveform: &[DelayValue],
+    faults: impl IntoIterator<Item = (FaultSite, DelayFaultKind)>,
     observable_ppos: &[NodeId],
     required_state_ppos: &[NodeId],
     scratch: &mut SimScratch,
 ) -> Vec<(usize, DelayObservation)> {
-    assert_eq!(waveform.len(), circuit.num_nodes(), "waveform length");
-    // Broadcast the fault-free values once; every batch injects into
-    // them and restores exactly the nodes its trace changed.
-    let mut values = std::mem::take(L::values(scratch));
-    values.clear();
-    values.extend(waveform.iter().map(|&v| L::good(v)));
-    scratch.queue.prepare(circuit);
-    observation_order(circuit, observable_ppos, scratch);
-    let mut detected = Vec::new();
-    // Lanes are precious: unprovoked faults are screened out up front and
-    // the direct branch-to-DFF case needs no simulation, so only faults
-    // that need the trace occupy lanes.
-    let mut batch = [(0, FaultSite::on_stem(NodeId(0))); 64];
-    let mut filled = 0;
+    detect::<L>(
+        circuit,
+        waveform,
+        faults,
+        required_state_ppos,
+        scratch,
+        |ffs, scratch| {
+            let flag = &mut scratch.phase3.ppo_flag;
+            for ppo in observable_ppos {
+                flag[ppo.index()] = true;
+            }
+            ffs.retain(|&i| flag[circuit.ppos()[i].index()]);
+            for ppo in observable_ppos {
+                flag[ppo.index()] = false;
+            }
+        },
+    )
+}
+
+/// Marks in `critical` the nodes whose fault effect reaches their region
+/// root. `values` holds the broadcast fault-free values. A sink comes
+/// after its fanins in topological order and every source's sink is a
+/// gate, so the reverse sweep settles each sink before its fanins.
+fn mark_critical<L: Lane>(
+    circuit: &Circuit,
+    waveform: &[DelayValue],
+    values: &[L],
+    critical: &mut Vec<bool>,
+) {
+    critical.resize(circuit.num_nodes(), false);
+    let sources = circuit.inputs().iter().chain(circuit.dffs());
+    for &id in circuit.topo_order().iter().rev().chain(sources) {
+        critical[id.index()] = match circuit.region_sink(id) {
+            None => true,
+            Some((sink, pin)) => {
+                critical[sink.index()]
+                    && L::can_carry(waveform[id.index()])
+                    && passes(circuit, waveform, values, sink, pin)
+            }
+        };
+    }
+}
+
+/// Fills `p.resolved` with the provoked `faults` that have an
+/// observation point, in fault-list order, and `p.roots` with the roots
+/// they reach, in first-reached order. Flags the PPOs that provoked
+/// branches into flip-flops latch.
+fn resolve<L: Lane>(
+    circuit: &Circuit,
+    waveform: &[DelayValue],
+    values: &[L],
+    faults: impl IntoIterator<Item = (FaultSite, DelayFaultKind)>,
+    p: &mut Phase3Scratch,
+) {
     for (idx, (site, kind)) in faults.into_iter().enumerate() {
         let needed = match kind {
             DelayFaultKind::SlowToRise => DelayValue::R,
@@ -171,227 +387,162 @@ pub(crate) fn detect<L: Lane>(
         if waveform[site.stem.index()] != needed {
             continue; // fault not provoked by this vector pair
         }
-        if let Some((sink, _)) = site.branch {
-            if !circuit.node(sink).kind().is_combinational() {
-                // A branch into a flip-flop latches the faulty value
-                // directly: that PPO is the only observation point.
-                let ppo = site.stem;
-                if observable_ppos.contains(&ppo)
-                    && required_state_ppos
-                        .iter()
-                        .all(|&req| req == ppo || waveform[req.index()].is_steady_clean())
-                {
-                    detected.push((idx, DelayObservation::AtPpo(ppo)));
-                }
+        let reaches = match site.branch {
+            None => p.critical[site.stem.index()],
+            Some((sink, _)) if !circuit.node(sink).kind().is_combinational() => {
+                p.ppo_flag[site.stem.index()] = true;
+                p.resolved.push((idx, Target::Latch(site.stem)));
                 continue;
             }
+            Some((sink, pin)) => {
+                p.critical[sink.index()] && passes(circuit, waveform, values, sink, pin)
+            }
+        };
+        if !reaches {
+            continue;
         }
-        batch[filled] = (idx, site);
-        filled += 1;
-        if filled == 64 {
-            classify_batch(
-                circuit,
-                waveform,
-                &batch,
-                &mut values,
-                required_state_ppos,
-                scratch,
-                &mut detected,
-            );
-            filled = 0;
+        let root = circuit.region_root(site.branch.map_or(site.stem, |(sink, _)| sink));
+        let slot = &mut p.slot[root.index()];
+        if *slot == NO_SLOT {
+            *slot = p.roots.len() as u32;
+            p.roots.push(root);
         }
+        p.resolved.push((idx, Target::Root(*slot)));
     }
-    if filled > 0 {
-        classify_batch(
-            circuit,
-            waveform,
-            &batch[..filled],
-            &mut values,
-            required_state_ppos,
-            scratch,
-            &mut detected,
-        );
-    }
-    *L::values(scratch) = values;
-    // Direct hits and batch hits interleave; the scalar oracles report
-    // in fault-list order.
-    detected.sort_unstable_by_key(|&(idx, _)| idx);
-    detected
 }
 
-/// Classifies one batch of at most 64 provoked faults with a
-/// combinational observation path in one selective trace. `values`
-/// holds the broadcast fault-free values and is restored on return.
-fn classify_batch<L: Lane>(
+/// Whether a fault effect on input `pin` of `gate` reaches the gate's
+/// output while every other input holds its fault-free value.
+fn passes<L: Lane>(
     circuit: &Circuit,
     waveform: &[DelayValue],
-    batch: &[(usize, FaultSite)],
+    values: &[L],
+    gate: NodeId,
+    pin: u8,
+) -> bool {
+    let node = circuit.node(gate);
+    let ins = node.fanin().iter().enumerate().map(|(k, f)| {
+        if k == pin as usize {
+            L::faulty(waveform[f.index()])
+        } else {
+            values[f.index()]
+        }
+    });
+    L::eval(node.kind(), ins).carried(waveform[gate.index()]) != 0
+}
+
+/// The lanes set in `mask`, lowest first.
+fn lanes(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let lane = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            lane
+        })
+    })
+}
+
+/// Traces the roots of `batch`, one per lane, in one selective trace:
+/// resolves the lanes a PO observes (the first PO in output order that
+/// carries the effect) and records the PPO and relied-PPO carry masks of
+/// the others. `values` holds the broadcast fault-free values and is
+/// restored on return.
+fn trace_batch<L: Lane>(
+    circuit: &Circuit,
+    waveform: &[DelayValue],
+    batch: usize,
     values: &mut [L],
     required_state_ppos: &[NodeId],
-    scratch: &mut SimScratch,
-    detected: &mut Vec<(usize, DelayObservation)>,
+    p: &mut Phase3Scratch,
+    queue: &mut LevelQueue,
 ) {
-    scratch.stem_mask.resize(circuit.num_nodes(), 0);
-    scratch.branch_flag.resize(circuit.num_nodes(), false);
-    scratch.stem_nodes.clear();
-    scratch.branch_list.clear();
-
-    // Injection tables, one lane per fault.
-    for (k, &(_, site)) in batch.iter().enumerate() {
-        match site.branch {
-            None => {
-                let stem = site.stem.index();
-                if scratch.stem_mask[stem] == 0 {
-                    scratch.stem_nodes.push(site.stem.0);
-                }
-                scratch.stem_mask[stem] |= 1 << k;
-            }
-            Some((sink, pin)) => {
-                if let Some(entry) = scratch
-                    .branch_list
-                    .iter_mut()
-                    .find(|e| e.0 == sink.0 && e.1 == pin)
-                {
-                    entry.2 |= 1 << k;
-                } else {
-                    scratch.branch_list.push((sink.0, pin, 1 << k));
-                    scratch.branch_flag[sink.index()] = true;
-                }
-            }
-        }
+    let first = batch * 64;
+    let roots = &p.roots[first..p.roots.len().min(first + 64)];
+    // Each root holds its stem mark in its own lane.
+    for (k, &root) in roots.iter().enumerate() {
+        let i = root.index();
+        p.hold[i] = 1 << k;
+        let injected = values[i].select(p.hold[i], L::faulty(waveform[i]));
+        queue.inject(circuit, values, root, injected);
     }
-
-    // A stem fault changes its node in its lanes; a branch fault changes
-    // only what its sink sees.
-    let queue = &mut scratch.queue;
-    for &node in &scratch.stem_nodes {
-        let i = node as usize;
-        let injected = values[i].select(scratch.stem_mask[i], L::faulty(waveform[i]));
-        queue.inject(circuit, values, NodeId(node), injected);
-    }
-    for &(sink, ..) in &scratch.branch_list {
-        queue.schedule(circuit, NodeId(sink));
-    }
-    let (stem_mask, branch_flag) = (&scratch.stem_mask, &scratch.branch_flag);
-    let branch_list = &scratch.branch_list;
+    let hold = &p.hold;
     queue.run(circuit, values, |gate, values| {
-        let gi = gate.index();
         let node = circuit.node(gate);
-        let mut out = if branch_flag[gi] {
-            // Rare: a faulty branch carries its stem's faulty value into
-            // this gate in the fault's lanes.
-            L::eval(
-                node.kind(),
-                node.fanin().iter().enumerate().map(|(pin, &f)| {
-                    branch_list
-                        .iter()
-                        .filter(|e| e.0 == gate.0 && e.1 == pin as u8)
-                        .fold(values[f.index()], |v, e| {
-                            v.select(e.2, L::faulty(waveform[f.index()]))
-                        })
-                }),
-            )
-        } else {
-            L::eval(node.kind(), node.fanin().iter().map(|f| values[f.index()]))
-        };
-        let held = stem_mask[gi];
-        if held != 0 {
-            // A slow stem holds its faulty value in its own lanes.
-            out = out.select(held, L::faulty(waveform[gi]));
+        let out = L::eval(node.kind(), node.fanin().iter().map(|f| values[f.index()]));
+        match hold[gate.index()] {
+            0 => out,
+            held => out.select(held, L::faulty(waveform[gate.index()])),
         }
-        out
     });
 
-    let lanes = u64::MAX >> (64 - batch.len());
-    observe_lanes(
-        circuit,
-        lanes,
-        &scratch.observe,
-        waveform,
-        required_state_ppos,
-        |n| values[n.index()].carried(waveform[n.index()]),
-        |k, obs| detected.push((batch[k].0, obs)),
-    );
-
-    // Restore the broadcast for the next batch, and reset the sparse
-    // injection tables the same way.
-    queue.restore(values, |i| L::good(waveform[i]));
-    for &node in &scratch.stem_nodes {
-        scratch.stem_mask[node as usize] = 0;
-    }
-    for &(sink, ..) in &scratch.branch_list {
-        scratch.branch_flag[sink as usize] = false;
-    }
-}
-
-/// Puts the `observable` PPOs into `scratch.observe` in flip-flop order,
-/// the order the scalar oracles try them in.
-fn observation_order(circuit: &Circuit, observable: &[NodeId], scratch: &mut SimScratch) {
-    let flag = &mut scratch.node_flag;
-    flag.resize(circuit.num_nodes(), false);
-    for &ppo in observable {
-        flag[ppo.index()] = true;
-    }
-    scratch.observe.clear();
-    scratch
-        .observe
-        .extend(circuit.ppos().iter().filter(|ppo| flag[ppo.index()]));
-    for &ppo in observable {
-        flag[ppo.index()] = false;
-    }
-}
-
-/// Resolves the `lanes` of one traced batch a word at a time, in the
-/// scalar oracles' order: the first PO in output order that carries a
-/// lane's fault effect observes it; otherwise the first PPO of `observe`
-/// (flip-flop order) that carries it does, unless the invalidation rule
-/// strikes the lane. `carried(node)` is the lane mask of fault effects at
-/// `node`; `hit(lane, observation)` receives each detection.
-fn observe_lanes(
-    circuit: &Circuit,
-    lanes: u64,
-    observe: &[NodeId],
-    waveform: &[DelayValue],
-    required_state_ppos: &[NodeId],
-    carried: impl Fn(NodeId) -> u64,
-    mut hit: impl FnMut(usize, DelayObservation),
-) {
-    let mut report = |mut lanes: u64, obs: DelayObservation| {
-        while lanes != 0 {
-            hit(lanes.trailing_zeros() as usize, obs);
-            lanes &= lanes - 1;
-        }
-    };
-    let mut open = lanes;
+    let carried = |n: NodeId| values[n.index()].carried(waveform[n.index()]);
+    let mut open = u64::MAX >> (64 - roots.len());
     for &po in circuit.outputs() {
         if open == 0 {
-            return;
+            break;
         }
         let hits = carried(po) & open;
         open &= !hits;
-        report(hits, DelayObservation::AtPo(po));
-    }
-    for &ppo in observe {
-        if open == 0 {
-            return;
+        for lane in lanes(hits) {
+            p.found[first + lane] = Some(DelayObservation::AtPo(po));
         }
-        let hits = carried(ppo) & open;
-        if hits == 0 {
+    }
+    if open != 0 {
+        for (i, ppo) in circuit.ppos().iter().enumerate() {
+            let mask = carried(*ppo) & open;
+            if mask != 0 {
+                p.ppo_masks.push((batch as u32, i as u32, mask));
+                p.ppo_flag[ppo.index()] = true;
+            }
+        }
+    }
+    p.relied_masks
+        .extend(required_state_ppos.iter().map(|&req| carried(req)));
+
+    queue.restore(values, |i| L::good(waveform[i]));
+    for root in roots {
+        p.hold[root.index()] = 0;
+    }
+}
+
+/// Resolves the lanes no PO observed from the recorded masks, in the
+/// scalar oracles' order: the first observable PPO in flip-flop order
+/// that carries a lane's fault effect observes it, unless the
+/// invalidation rule strikes the lane. `p.ppo_flag` marks the
+/// observable PPOs.
+fn observe_ppos(
+    circuit: &Circuit,
+    waveform: &[DelayValue],
+    required_state_ppos: &[NodeId],
+    p: &mut Phase3Scratch,
+) {
+    let relied = required_state_ppos.len();
+    let (mut batch, mut open) = (u32::MAX, 0u64);
+    for &(b, ff, mask) in &p.ppo_masks {
+        if b != batch {
+            (batch, open) = (b, !0);
+        }
+        let ppo = circuit.ppos()[ff as usize];
+        let hits = mask & open;
+        if hits == 0 || !p.ppo_flag[ppo.index()] {
             continue;
         }
         open &= !hits;
         // Invalidation: the fault effect must not reach any other state
         // bit the propagation phase relies on, and those bits must be
         // steady and hazard-free in the good waveform.
+        let carried = &p.relied_masks[b as usize * relied..][..relied];
         let mut invalid = 0u64;
-        for &req in required_state_ppos {
+        for (&req, &mask) in required_state_ppos.iter().zip(carried) {
             if req != ppo {
-                invalid |= carried(req);
+                invalid |= mask;
                 if !waveform[req.index()].is_steady_clean() {
                     invalid = !0;
                 }
             }
         }
-        report(hits & !invalid, DelayObservation::AtPpo(ppo));
+        for lane in lanes(hits & !invalid) {
+            p.found[b as usize * 64 + lane] = Some(DelayObservation::AtPpo(ppo));
+        }
     }
 }

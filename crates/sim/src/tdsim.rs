@@ -4,20 +4,19 @@
 //! Works on the fault-free two-frame waveform from [`crate::waveform`]. For
 //! every still-undetected candidate fault whose site actually shows the
 //! provoking transition, the fault mark (`R → Rc` / `F → Fc`) is traced
-//! through the fault's output cone using the 8-valued algebra itself, so
-//! the sensitization and robustness conditions are *identical by
-//! construction* to the ones TDgen generates with. This is the
-//! critical-path-tracing pass of the paper implemented as forward mark
-//! propagation (same results, evaluated from the fault site toward the
-//! observation points instead of backwards from the outputs).
+//! using the 8-valued algebra itself, so the sensitization and robustness
+//! conditions are *identical by construction* to the ones TDgen generates
+//! with.
 //!
-//! [`detected_delay_faults`] re-evaluates each fault's output cone; the
-//! packed [`detected_delay_faults_packed`] traces 64 faults per word and
-//! evaluates only the gates a mark actually reaches, in level order,
-//! restoring only those afterwards — so its cost follows the paths the
-//! fault effects take. The scalar function is its oracle. The packed
-//! trace is the one phase-3 driver both at-speed models run; this model's
-//! lanes hold [`PackedWave`]s, [`crate::tfsim`]'s hold final values.
+//! [`detected_delay_faults`], the oracle, re-evaluates each fault's
+//! output cone. The packed [`detected_delay_faults_packed`] is the
+//! paper's critical path tracing per fanout-free region: it walks each
+//! provoked fault's critical path to its region root on good values,
+//! traces each root that some fault reaches once, 64 roots per word,
+//! evaluating only the gates a mark reaches, and fans each root's
+//! observation back out to its faults. That is the one phase-3 driver
+//! both at-speed models run; this model's lanes hold [`PackedWave`]s,
+//! [`crate::tfsim`]'s hold final values.
 //!
 //! The paper's *invalidation* rule is enforced: a fault observed only at a
 //! PPO counts as detected only if (a) that PPO was shown observable by the
@@ -192,12 +191,15 @@ fn trace_one(
     Some(DelayObservation::AtPpo(ppo))
 }
 
-/// Word-parallel variant of [`detected_delay_faults`]: classifies up to 64
-/// candidate faults per packed selective trace, one fault per bit lane,
-/// each lane holding the 8-valued delay algebra
-/// ([`PackedWave`]) and the `car` plane marking the fault effect. Results
-/// are element-identical to the scalar function — same faults, same
-/// observations, same order — which the differential tests pin down.
+/// Word-parallel variant of [`detected_delay_faults`] by critical path
+/// tracing per fanout-free region: each provoked fault is resolved to the
+/// region root its critical path reaches, and each such root is traced
+/// once, one root per bit lane and up to 64 per selective trace, each
+/// lane holding the 8-valued delay algebra ([`PackedWave`]) and the
+/// `car` plane marking the fault effect. Results are element-identical
+/// to the scalar function — same faults, same observations, same order —
+/// which the differential tests pin down. A PPO counts as observable
+/// only if it is in `observable_ppos`.
 ///
 /// The trace is the phase-3 driver [`crate::tfsim`] shares: each batch
 /// evaluates, in level order, only the gates one of whose fanins carries
@@ -219,7 +221,7 @@ pub fn detected_delay_faults_packed(
     scratch: &mut SimScratch,
 ) -> Vec<(usize, DelayObservation)> {
     let sites = faults.iter().map(|f| (f.site, f.kind));
-    phase3::detect::<PackedWave>(
+    phase3::detect_given::<PackedWave>(
         circuit,
         waveform,
         sites,

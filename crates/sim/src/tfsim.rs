@@ -16,10 +16,12 @@
 //! difference cannot corrupt any state bit the propagation relies on.
 //!
 //! [`detected_transition_faults_packed`] runs the phase-3 driver both
-//! models share with one `u64` word of final values per node, one fault
-//! per bit lane, evaluating only the gates a flipped final value
-//! reaches, in level order. The scalar [`detected_transition_faults`] is
-//! the reference the packed path is differential-tested against.
+//! models share with one `u64` word of final values per node: each
+//! provoked fault is resolved to the fanout-free-region root its flipped
+//! final value reaches, and each such root is traced once, one per bit
+//! lane, evaluating only the gates a flipped final value reaches, in
+//! level order. The scalar [`detected_transition_faults`] is the
+//! reference the packed path is differential-tested against.
 
 use crate::packed::SimScratch;
 use crate::phase3;
@@ -129,11 +131,13 @@ pub fn detected_transition_faults(
     detected
 }
 
-/// Word-parallel variant of [`detected_transition_faults`]: classifies up
-/// to 64 candidate faults per selective trace, one fault per bit lane,
-/// each lane holding a frame-2 value and any difference from the good
-/// final value marking the fault effect. Results are element-identical
-/// to the scalar function.
+/// Word-parallel variant of [`detected_transition_faults`]: resolves each
+/// provoked fault to the fanout-free-region root its flipped final value
+/// reaches and traces up to 64 such roots per selective trace, one per
+/// bit lane, each lane holding a frame-2 value and any difference from
+/// the good final value marking the fault effect. Results are
+/// element-identical to the scalar function. A PPO counts as observable
+/// only if it is in `observable_ppos`.
 ///
 /// The trace is the phase-3 driver [`crate::tdsim`] shares, which
 /// evaluates only the gates a flipped final value reaches. Skipping the
@@ -154,7 +158,7 @@ pub fn detected_transition_faults_packed(
     scratch: &mut SimScratch,
 ) -> Vec<(usize, DelayObservation)> {
     let sites = faults.iter().map(|f| (f.site, f.kind));
-    phase3::detect::<u64>(
+    phase3::detect_given::<u64>(
         circuit,
         waveform,
         sites,

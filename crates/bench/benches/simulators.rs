@@ -1,14 +1,18 @@
 //! Criterion benchmarks for the simulation substrate: good-machine
 //! simulation, phase 1 of §5 grading (scalar composition against packed
-//! batches of one and 64 sequences), phases 2 and 3 of one graded
-//! sequence, two-frame waveform evaluation and phase-3 fault simulation
-//! over the full fault universe, under both at-speed models.
+//! batches of one and 64 sequences), phase 3's screen of a 16-sequence
+//! batch, phases 2 and 3 of one graded sequence, `grade_patterns` over a
+//! 16-sequence set, two-frame waveform evaluation and phase-3 fault
+//! simulation over the full fault universe, under both at-speed models.
 
 use gdf_algebra::Logic3;
 use gdf_bench::criterion::{black_box, criterion_group, criterion_main, Criterion};
+use gdf_core::artifact::{CircuitSource, PatternEntry, PatternSet};
+use gdf_core::session::grade_patterns;
+use gdf_core::TestSequence;
 use gdf_netlist::generator::{generate, CircuitProfile};
-use gdf_netlist::{suite, Circuit, Fault, FaultUniverse};
-use gdf_sim::grading::{grade_lane, simulate_batch, GradeScratch, MAX_LANES};
+use gdf_netlist::{suite, Circuit, Fault, FaultUniverse, ModelKind};
+use gdf_sim::grading::{grade_lane, screen_batch, simulate_batch, GradeScratch, MAX_LANES};
 use gdf_sim::{
     detected_delay_faults, detected_delay_faults_packed, detected_transition_faults_packed,
     two_frame_values, GoodSimulator, SimScratch,
@@ -190,11 +194,73 @@ fn bench_phases_two_three(c: &mut Criterion) {
     });
 }
 
+/// The `grade_gen10k` pattern shape on gen10k: `count` random, fully
+/// specified sequences.
+fn gen10k_sequences(circuit: &Circuit, count: usize, seed: u64) -> Vec<Vec<Vec<bool>>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let frames = INIT_FRAMES + 2 + PROPAGATION_FRAMES;
+    (0..count)
+        .map(|_| {
+            (0..frames)
+                .map(|_| (0..circuit.num_inputs()).map(|_| rng.gen()).collect())
+                .collect()
+        })
+        .collect()
+}
+
+/// Phase 3's screen of one 16-sequence batch against the full universe,
+/// and `grade_patterns` of a 16-sequence set (one batch, dropping on),
+/// the `grade_gen10k` workload's unit of work, under both models.
+fn bench_screen_and_grade_patterns(c: &mut Criterion) {
+    let circuit = gen10k();
+    let sequences = gen10k_sequences(&circuit, 16, 0x9A77);
+    let universe = FaultUniverse::default();
+    let mut scratch = GradeScratch::default();
+    let mut rng = StdRng::seed_from_u64(11);
+    simulate_batch(
+        &circuit,
+        &sequences,
+        INIT_FRAMES + 1,
+        &mut rng,
+        &mut scratch,
+    );
+    let to3 = |v: &Vec<bool>| -> Vec<Logic3> { v.iter().map(|&b| Logic3::from_bool(b)).collect() };
+    let set = PatternSet {
+        circuit: CircuitSource::of(&circuit),
+        backend: "random".into(),
+        seed: 0x9A77,
+        patterns: sequences
+            .iter()
+            .map(|seq| PatternEntry {
+                sequence: TestSequence::new(
+                    seq[..INIT_FRAMES].iter().map(to3).collect(),
+                    to3(&seq[INIT_FRAMES]),
+                    to3(&seq[INIT_FRAMES + 1]),
+                    seq[INIT_FRAMES + 2..].iter().map(to3).collect(),
+                ),
+                relied_ppos: Vec::new(),
+            })
+            .collect(),
+    };
+    let mut screen = Vec::new();
+    for model in [ModelKind::Delay, ModelKind::Transition] {
+        let faults: Vec<Fault> = model.model().enumerate(&circuit, &universe).collect();
+        c.bench_function(&format!("phase3 screen gen10k 16 lanes ({model})"), |b| {
+            b.iter(|| screen_batch(&circuit, black_box(&faults), &mut screen, &mut scratch))
+        });
+        c.bench_function(
+            &format!("grade_patterns gen10k 16 sequences ({model})"),
+            |b| b.iter(|| grade_patterns(&circuit, black_box(&set), model, &universe, 0x6AD3)),
+        );
+    }
+}
+
 criterion_group!(
     benches,
     bench_goodsim,
     bench_phase_one,
     bench_waveform_and_tdsim,
-    bench_phases_two_three
+    bench_phases_two_three,
+    bench_screen_and_grade_patterns
 );
 criterion_main!(benches);

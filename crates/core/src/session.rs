@@ -17,8 +17,9 @@
 //!   partial ones;
 //! * [`grade_patterns`] — re-runs a saved [`PatternSet`] through the
 //!   packed three-phase fault simulator ([`gdf_sim::grading`], phase 1
-//!   batched up to 64 sequences per pass), so exported tests can be
-//!   re-validated independently of the run that generated them.
+//!   and phase 3's fault screen batched up to 64 sequences per pass), so
+//!   exported tests can be re-validated independently of the run that
+//!   generated them.
 //!
 //! # Example
 //!
@@ -44,7 +45,7 @@ use crate::json::Json;
 use crate::report::{CircuitReport, Coverage, Table3Row};
 use gdf_algebra::logic3::Logic3;
 use gdf_netlist::{Circuit, Fault, FaultUniverse, ModelKind};
-use gdf_sim::grading::{grade_lane, simulate_batch, GradeScratch, MAX_LANES};
+use gdf_sim::grading::{grade_screened, screen_batch, simulate_batch, GradeScratch, MAX_LANES};
 use gdf_tdgen::Sensitization;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -933,8 +934,16 @@ impl std::fmt::Display for GradeReport {
 /// `X` in any PI frame; a static sequence, a shape change or a sequence
 /// with PI `X`s ends it. The followers draw no PI fill, so every draw —
 /// the state fill included — lands where a sequence-at-a-time loop puts
-/// it, and the report is identical to one. Phases 2 and 3, dropping and
-/// the relied-PPO lookup run per sequence, in order.
+/// it, and the report is identical to one.
+///
+/// Phase 3's screen ([`gdf_sim::grading::screen_batch`]) also runs once
+/// per batch: it gives each fault no earlier batch detected the lanes
+/// whose sequence provokes it and carries its effect to its
+/// fanout-free-region root. Phases 2 and 3 and the relied-PPO lookup
+/// then run per sequence, in order, for the faults its lane admits and
+/// no earlier lane detected ([`gdf_sim::grading::grade_screened`]).
+/// Dropping happens per batch: the batch's detections leave the fault
+/// list in one pass after its last sequence.
 ///
 /// # Errors
 ///
@@ -997,12 +1006,16 @@ pub fn grade_patterns(
             }
         }
     }
-    let faults: Vec<Fault> = model.model().enumerate(circuit, universe).collect();
+    // The faults no earlier batch detected, in list order, and their
+    // indexes into the fault list.
+    let mut remaining: Vec<Fault> = model.model().enumerate(circuit, universe).collect();
+    let total_faults = remaining.len();
+    let mut ids: Vec<usize> = (0..total_faults).collect();
     let mut rng = StdRng::seed_from_u64(seed);
     let mut scratch = GradeScratch::default();
     let mut filled: Vec<Vec<Vec<bool>>> = Vec::new();
-    let mut first_detector: Vec<Option<usize>> = vec![None; faults.len()];
-    let mut remaining: Vec<usize> = (0..faults.len()).collect();
+    let mut first_detector: Vec<Option<usize>> = vec![None; total_faults];
+    let mut screen: Vec<(usize, u64)> = Vec::new();
     let mut patterns_graded = 0usize;
     let mut skipped_static = 0usize;
 
@@ -1041,39 +1054,42 @@ pub fn grade_patterns(
             p.sequence.fill_into(|| rng.gen(), dst);
         }
         simulate_batch(circuit, &filled[..lanes], fast, &mut rng, &mut scratch);
+        // Phase 3's screen, once for the batch: per remaining fault, the
+        // lanes whose sequence can detect it.
+        screen_batch(circuit, &remaining, &mut screen, &mut scratch);
 
-        // Phases 2 and 3 per sequence, in order, against the shrinking
-        // fault list.
+        // Phases 2 and 3 per sequence, in order, for the faults its lane
+        // admits and no earlier lane detected.
+        let mut undetected = remaining.len();
         for (lane, pi) in (start..start + lanes).enumerate() {
-            if remaining.is_empty() {
-                patterns_graded += 1;
+            patterns_graded += 1;
+            if undetected == 0 {
                 continue;
             }
             let relied = set.relied_nodes(circuit, pi)?;
-            let candidates: Vec<Fault> = remaining.iter().map(|&k| faults[k]).collect();
-            let mut hits = grade_lane(circuit, lane, &relied, &candidates, &mut scratch);
-            patterns_graded += 1;
-            // Strike the detected faults from the remaining list in one
-            // pass that keeps the order of the rest.
-            hits.sort_unstable();
-            let mut hits = hits.into_iter().peekable();
-            let mut pos = 0;
-            remaining.retain(|&k| {
-                let detected = hits.next_if_eq(&pos).is_some();
-                pos += 1;
-                if detected {
-                    first_detector[k] = Some(pi);
-                }
-                !detected
-            });
+            for k in grade_screened(circuit, lane, &relied, &remaining, &screen, &mut scratch) {
+                first_detector[ids[k]] = Some(pi);
+                // No later lane grades a detected fault again.
+                let at = screen.partition_point(|&(j, _)| j < k);
+                screen[at].1 = 0;
+                undetected -= 1;
+            }
         }
+        // Strike the batch's detections in one pass that keeps the order
+        // of the rest.
+        let mut k = 0;
+        remaining.retain(|_| {
+            k += 1;
+            first_detector[ids[k - 1]].is_none()
+        });
+        ids.retain(|&id| first_detector[id].is_none());
         start += lanes;
     }
 
     Ok(GradeReport {
         circuit: circuit.name().to_string(),
         model,
-        total_faults: faults.len(),
+        total_faults,
         first_detector,
         patterns_graded,
         skipped_static,

@@ -8,6 +8,7 @@
 //! whether that clock tick is "slow" or "fast".
 
 use crate::gate::GateKind;
+use crate::scoap::Testability;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -155,6 +156,9 @@ pub struct Circuit {
     /// fault cone).
     cone_words: std::sync::OnceLock<Vec<u64>>,
     cone_stride: usize,
+    /// SCOAP measures, computed on first use: every test generator over
+    /// the circuit reads the same ones.
+    testability: std::sync::OnceLock<Testability>,
     /// Fanout-free regions: the single `(sink, pin)` of each node inside
     /// a region, `None` for a region root.
     region_sink: Vec<Option<(NodeId, u8)>>,
@@ -363,6 +367,14 @@ impl Circuit {
         let words = self.cone_words.get_or_init(|| self.compute_cone_words());
         let s = seed.index() * self.cone_stride;
         &words[s..s + self.cone_stride]
+    }
+
+    /// The SCOAP testability measures of the circuit
+    /// ([`Testability::compute`]), computed on first use and cached for
+    /// the circuit's lifetime, so the test generators built per fault
+    /// share one copy.
+    pub fn testability(&self) -> &Testability {
+        self.testability.get_or_init(|| Testability::compute(self))
     }
 
     /// Builds the full cone table: one pass in reverse topological order —
@@ -750,6 +762,7 @@ impl CircuitBuilder {
             topo_kinds,
             cone_words: std::sync::OnceLock::new(),
             cone_stride,
+            testability: std::sync::OnceLock::new(),
             region_sink,
             region_root,
         })

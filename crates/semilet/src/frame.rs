@@ -113,7 +113,7 @@ impl FrameResult {
 pub struct FrameEngine<'c> {
     circuit: &'c Circuit,
     backtrack_limit: u32,
-    testability: Testability,
+    testability: &'c Testability,
 }
 
 #[derive(Debug)]
@@ -155,7 +155,7 @@ impl<'c> FrameEngine<'c> {
         FrameEngine {
             circuit,
             backtrack_limit,
-            testability: Testability::compute(circuit),
+            testability: circuit.testability(),
         }
     }
 

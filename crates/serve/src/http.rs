@@ -274,10 +274,11 @@ impl Response {
     }
 
     /// Writes the full response with `Content-Length` and
-    /// `Connection: close`.
+    /// `Connection: close`, head and body in one write.
     pub fn write(&self, stream: &mut impl Write) -> std::io::Result<()> {
+        let mut frame = Vec::with_capacity(160 + self.body.len());
         write!(
-            stream,
+            frame,
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n",
             self.status,
             status_reason(self.status),
@@ -285,10 +286,11 @@ impl Response {
             self.body.len()
         )?;
         if let Some(seconds) = self.retry_after {
-            write!(stream, "Retry-After: {seconds}\r\n")?;
+            write!(frame, "Retry-After: {seconds}\r\n")?;
         }
-        stream.write_all(b"\r\n")?;
-        stream.write_all(&self.body)?;
+        frame.extend_from_slice(b"\r\n");
+        frame.extend_from_slice(&self.body);
+        stream.write_all(&frame)?;
         stream.flush()
     }
 }
@@ -296,23 +298,28 @@ impl Response {
 /// Writer half of a `Transfer-Encoding: chunked` response — the
 /// transport of `GET /jobs/<id>/events`. Every [`ChunkedWriter::chunk`]
 /// is flushed immediately so subscribers see events as they happen.
+/// The head and each chunk are framed in one reused buffer and sent
+/// with one write.
 pub struct ChunkedWriter<W: Write> {
     inner: W,
+    frame: Vec<u8>,
 }
 
 impl<W: Write> ChunkedWriter<W> {
     /// Writes the status line and headers, switching the connection to
     /// chunked streaming.
     pub fn start(mut inner: W, status: u16, content_type: &str) -> std::io::Result<Self> {
+        let mut frame = Vec::with_capacity(256);
         write!(
-            inner,
+            frame,
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n",
             status,
             status_reason(status),
             content_type
         )?;
+        inner.write_all(&frame)?;
         inner.flush()?;
-        Ok(ChunkedWriter { inner })
+        Ok(ChunkedWriter { inner, frame })
     }
 
     /// Sends one chunk (empty data is skipped — an empty chunk would
@@ -321,9 +328,11 @@ impl<W: Write> ChunkedWriter<W> {
         if data.is_empty() {
             return Ok(());
         }
-        write!(self.inner, "{:x}\r\n", data.len())?;
-        self.inner.write_all(data)?;
-        self.inner.write_all(b"\r\n")?;
+        self.frame.clear();
+        write!(self.frame, "{:x}\r\n", data.len())?;
+        self.frame.extend_from_slice(data);
+        self.frame.extend_from_slice(b"\r\n");
+        self.inner.write_all(&self.frame)?;
         self.inner.flush()
     }
 
@@ -547,18 +556,21 @@ mod tests {
         read_request(&mut Cursor::new(text.as_bytes()), DEFAULT_BODY_LIMIT)
     }
 
+    /// A writer that records each `write` call.
+    struct Writes(Vec<Vec<u8>>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
     #[test]
     fn a_request_goes_out_in_one_write() {
-        struct Writes(Vec<Vec<u8>>);
-        impl Write for Writes {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0.push(buf.to_vec());
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
         let mut out = Writes(Vec::new());
         write_request(&mut out, "POST", "/jobs", "h:1", b"abcd", &[("X-A", "1")]).unwrap();
         assert_eq!(out.0.len(), 1, "request split over several writes");
@@ -634,6 +646,56 @@ mod tests {
         assert!(text.contains("Transfer-Encoding: chunked"));
         assert!(text.contains("8\r\n{\"a\":1}\n\r\n"));
         assert!(text.ends_with("2\r\nxy\r\n0\r\n\r\n"));
+    }
+
+    #[test]
+    fn a_response_goes_out_in_one_write() {
+        for response in [
+            Response::text(200, "hello"),
+            Response::error(503, "draining").with_retry_after(2),
+            Response::json_bytes(200, Vec::new()),
+        ] {
+            let mut out = Writes(Vec::new());
+            response.write(&mut out).unwrap();
+            assert_eq!(out.0.len(), 1, "response split over several writes");
+            let mut expected = format!(
+                "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n",
+                response.status,
+                status_reason(response.status),
+                response.content_type,
+                response.body.len()
+            );
+            if let Some(seconds) = response.retry_after {
+                expected.push_str(&format!("Retry-After: {seconds}\r\n"));
+            }
+            expected.push_str("\r\n");
+            let mut expected = expected.into_bytes();
+            expected.extend_from_slice(&response.body);
+            assert_eq!(out.0[0], expected);
+        }
+    }
+
+    #[test]
+    fn each_chunk_goes_out_in_one_write() {
+        let mut out = Writes(Vec::new());
+        let mut w = ChunkedWriter::start(&mut out, 200, "application/x-ndjson").unwrap();
+        w.chunk(b"{\"a\":1}\n").unwrap();
+        w.chunk(b"").unwrap();
+        w.chunk(&[b'z'; 300]).unwrap();
+        w.finish().unwrap();
+        let head = "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n\
+                    Transfer-Encoding: chunked\r\nConnection: close\r\n\r\n";
+        let big = format!("12c\r\n{}\r\n", "z".repeat(300));
+        let expected: [&[u8]; 4] = [
+            head.as_bytes(),
+            b"8\r\n{\"a\":1}\n\r\n",
+            big.as_bytes(),
+            b"0\r\n\r\n",
+        ];
+        assert_eq!(
+            out.0, expected,
+            "one write for the head, each chunk and the end"
+        );
     }
 
     #[test]

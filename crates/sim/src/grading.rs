@@ -26,19 +26,29 @@
 //!    faults trace final values
 //!    ([`crate::tfsim::detected_transition_faults_packed`]).
 //!
-//! Phases 2 and 3 run per sequence ([`grade_lane`], under the model of
-//! the faults it is given): each reads its own lane of the batch, so the
-//! caller can shrink the fault list between sequences. Phase 3 runs
-//! first and records which PPOs a fault effect reaches; phase 2 then
-//! runs FAUSIM only for the flip-flops that latch the non-steady ones
-//! among them, and the PPO observations resolve last. FAUSIM answers one
-//! flip-flop per lane, so asking about a subset gives each flip-flop the
-//! answer the full set would; a PPO is observable if one of the
-//! flip-flops that latch it is. A call whose faults reach no PPO runs no
-//! FAUSIM at all.
+//! Phase 3 starts with a screen of the whole batch ([`screen_batch`]),
+//! one sequence per lane: one criticality sweep and one pass over the
+//! candidates give each fault the lanes whose sequence provokes it and
+//! carries its effect to its fanout-free-region root. A sequence can
+//! detect no other fault.
+//!
+//! Phases 2 and 3 then run per sequence ([`grade_screened`], under the
+//! model of the faults it is given) for the faults its lane admits: each
+//! reads its own lane of the batch, so the caller can drop faults
+//! between sequences by clearing their masks. Phase 3 traces first and
+//! records which PPOs a fault effect reaches; phase 2 then runs FAUSIM
+//! only for the flip-flops that latch the non-steady ones among them,
+//! and the PPO observations resolve last. FAUSIM answers one flip-flop
+//! per lane, so asking about a subset gives each flip-flop the answer
+//! the full set would; a PPO is observable if one of the flip-flops that
+//! latch it is. A call whose faults reach no PPO runs no FAUSIM at all.
+//! [`grade_lane`] screens its own fault list and grades one lane.
 //!
 //! Phase 1 does not depend on the fault list, so computing it ahead for
-//! the whole batch changes no result. Phase 3 starts from the batch's
+//! the whole batch changes no result. Nor does the screen: whether a
+//! fault is provoked and reaches its root depends on the fault and the
+//! sequence alone, and a fault's detection does not depend on which
+//! other faults are graded with it. Phase 3 starts from the batch's
 //! waveform and phase 2 from its propagation frames, so both start from
 //! consistent values — every gate holds its gate function of its fanins'
 //! values — which is what makes skipping unreached gates exact.
@@ -55,7 +65,7 @@
 //! batched grading is identical to one sequence at a time.
 //!
 //! [`grade_filled_sequence`] is a one-lane batch of delay faults
-//! followed by phases 2 and 3. The ATPG driver
+//! followed by the screen and phases 2 and 3. The ATPG driver
 //! (`gdf_core::DelayAtpg::fault_simulate_sequence`) X-fills a
 //! `TestSequence` and grades it as a one-lane batch through
 //! [`grade_lane`], so the engine's credit pass and pattern re-grading
@@ -81,7 +91,6 @@
 use crate::fausim::Fausim;
 use crate::packed::{PackedGoodSim, PackedLogic, SimScratch};
 use crate::phase3::{self, Lane};
-use gdf_algebra::delay::DelayValue;
 use gdf_algebra::logic3::Logic3;
 use gdf_algebra::packed::PackedWave;
 use gdf_netlist::{Circuit, DelayFault, DelayFaultKind, Fault, FaultSite, ModelKind, NodeId};
@@ -92,8 +101,8 @@ use rand::Rng;
 pub const MAX_LANES: usize = 64;
 
 /// Reusable buffers for grading: the phase-1 results of the current
-/// batch and the per-sequence buffers of phases 2 and 3. Keep one per
-/// worker and hand it to every call, so the sweeps allocate nothing
+/// batch and the buffers of the screen and of phases 2 and 3. Keep one
+/// per worker and hand it to every call, so the sweeps allocate nothing
 /// after warm-up.
 #[derive(Debug, Default, Clone)]
 pub struct GradeScratch {
@@ -111,10 +120,10 @@ pub struct GradeScratch {
     lanes: usize,
     /// Propagation frames of the batch's sequences.
     propagation: usize,
-    /// One lane's waveform, for phase 3.
-    lane_wave: Vec<DelayValue>,
     /// One lane's propagation frames, for phase 2.
     lane_good: Vec<Vec<Logic3>>,
+    /// The screen of [`grade_lane`] and [`grade_filled_sequence`].
+    screen: Vec<(usize, u64)>,
     /// The shared packed-simulator scratch.
     sim: SimScratch,
 }
@@ -123,7 +132,8 @@ pub struct GradeScratch {
 /// good-machine simulation of the initialization frames, random fill of
 /// the state bits they leave unknown, the fault-free two-frame waveform
 /// and the propagation frames. The results stay in `scratch` for
-/// [`grade_lane`] until the next batch.
+/// [`screen_batch`], [`grade_screened`] and [`grade_lane`] until the next
+/// batch.
 ///
 /// Every sequence holds all its applied PI frames; `fast` is the index of
 /// the at-speed capture frame of each (`[fast - 1]` launches, `[fast]`
@@ -254,13 +264,83 @@ fn pack_frame<S: AsRef<[Vec<bool>]>>(sequences: &[S], frame: usize, pi: &mut Vec
     }
 }
 
+/// Phase 3's screen of the last [`simulate_batch`]: gives each fault of
+/// `faults` the lanes whose sequence provokes it and carries its effect
+/// to its fanout-free-region root (for a branch straight into a
+/// flip-flop, the lanes whose sequence provokes it), and sets `screen` to
+/// the `(index into faults, lanes)` pairs of the faults with some lane,
+/// in list order. A sequence detects no fault its lane does not admit,
+/// so [`grade_screened`] grades only those. One sweep over the circuit
+/// and one pass over `faults` serve every lane.
+///
+/// # Panics
+///
+/// Panics if no batch was simulated, or if `faults` are not all delay
+/// faults or all transition faults.
+pub fn screen_batch(
+    circuit: &Circuit,
+    faults: &[Fault],
+    screen: &mut Vec<(usize, u64)>,
+    scratch: &mut GradeScratch,
+) {
+    let model = model_of(faults);
+    let sites = faults.iter().map(|&f| at_speed_site(model, f));
+    match model {
+        ModelKind::Transition => screen_sites::<u64>(circuit, sites, screen, scratch),
+        _ => screen_sites::<PackedWave>(circuit, sites, screen, scratch),
+    }
+}
+
+/// [`screen_batch`] of fault `sites` under the model of lane type `L`.
+fn screen_sites<L: Lane>(
+    circuit: &Circuit,
+    sites: impl IntoIterator<Item = (FaultSite, DelayFaultKind)>,
+    screen: &mut Vec<(usize, u64)>,
+    scratch: &mut GradeScratch,
+) {
+    let s = scratch;
+    assert!(s.lanes > 0, "no batch was simulated");
+    let used = u64::MAX >> (MAX_LANES - s.lanes);
+    phase3::screen::<L>(circuit, &s.wave, used, sites, &mut s.sim, screen);
+}
+
 /// Phases 2 and 3 of the sequence in `lane` of the last
-/// [`simulate_batch`]: returns the indexes (into `faults`) of the
-/// detected ones, in list order, robustly for delay faults and
-/// non-robustly for transition faults. Phase 2 runs only for the PPOs a
-/// fault effect reaches. `relied_ppos` are the PPO nets whose steady
-/// value the sequence's propagation phase relies on — the §5
-/// invalidation check strikes faults that corrupt them.
+/// [`simulate_batch`] for the faults [`screen_batch`] admitted in that
+/// lane; `screen` is its result for `faults`, in which the caller may
+/// clear the lanes of faults it no longer grades. Returns the indexes
+/// (into `faults`) of the detected ones, in list order, robustly for
+/// delay faults and non-robustly for transition faults. Phase 2 runs
+/// only for the PPOs a fault effect reaches. `relied_ppos` are the PPO
+/// nets whose steady value the sequence's propagation phase relies on —
+/// the §5 invalidation check strikes faults that corrupt them.
+///
+/// # Panics
+///
+/// Panics if `lane` is not a lane of the last batch, if `screen` names a
+/// fault past the end of `faults`, or if `faults` are not all delay
+/// faults or all transition faults.
+pub fn grade_screened(
+    circuit: &Circuit,
+    lane: usize,
+    relied_ppos: &[NodeId],
+    faults: &[Fault],
+    screen: &[(usize, u64)],
+    scratch: &mut GradeScratch,
+) -> Vec<usize> {
+    let model = model_of(faults);
+    let admitted = admitted(screen, lane).map(|k| (k, at_speed_site(model, faults[k]).0));
+    match model {
+        ModelKind::Transition => {
+            phases_two_three::<u64>(circuit, lane, relied_ppos, admitted, scratch)
+        }
+        _ => phases_two_three::<PackedWave>(circuit, lane, relied_ppos, admitted, scratch),
+    }
+}
+
+/// Phases 2 and 3 of the sequence in `lane` of the last
+/// [`simulate_batch`]: [`screen_batch`] of `faults`, then
+/// [`grade_screened`] of `lane`. Returns the indexes (into `faults`) of
+/// the detected ones, in list order.
 ///
 /// # Panics
 ///
@@ -273,29 +353,45 @@ pub fn grade_lane(
     faults: &[Fault],
     scratch: &mut GradeScratch,
 ) -> Vec<usize> {
-    let model = faults.first().map_or(ModelKind::Delay, |f| f.model());
-    let sites = faults.iter().map(|&fault| match (model, fault) {
+    let mut screen = std::mem::take(&mut scratch.screen);
+    screen_batch(circuit, faults, &mut screen, scratch);
+    let hits = grade_screened(circuit, lane, relied_ppos, faults, &screen, scratch);
+    scratch.screen = screen;
+    hits
+}
+
+/// The at-speed model of `faults`: the first fault's, delay for none.
+fn model_of(faults: &[Fault]) -> ModelKind {
+    faults.first().map_or(ModelKind::Delay, |f| f.model())
+}
+
+/// The site and slow transition of `fault`, a fault of `model`.
+fn at_speed_site(model: ModelKind, fault: Fault) -> (FaultSite, DelayFaultKind) {
+    match (model, fault) {
         (ModelKind::Delay, Fault::Delay(f)) => (f.site, f.kind),
         (ModelKind::Transition, Fault::Transition(f)) => (f.site, f.kind),
         _ => panic!("phase 3 grades one at-speed model a call, not {fault:?} in {model}"),
-    });
-    match model {
-        ModelKind::Transition => {
-            phases_two_three::<u64>(circuit, lane, relied_ppos, sites, scratch)
-        }
-        _ => phases_two_three::<PackedWave>(circuit, lane, relied_ppos, sites, scratch),
     }
 }
 
+/// The indexes of the faults `screen` admits in `lane`.
+fn admitted(screen: &[(usize, u64)], lane: usize) -> impl Iterator<Item = usize> + '_ {
+    screen
+        .iter()
+        .filter(move |&&(_, lanes)| lanes >> lane & 1 == 1)
+        .map(|&(k, _)| k)
+}
+
 /// Phases 2 and 3 of the sequence in `lane` under the model of lane
-/// type `L`: phase 3 traces first, then phase 2 runs FAUSIM only for the
-/// non-steady PPOs a traced fault effect reaches, one flip-flop per
-/// lane.
+/// type `L`, for the `(index, site)` pairs of the faults the screen
+/// admitted in that lane: phase 3 traces first, then phase 2 runs FAUSIM
+/// only for the non-steady PPOs a traced fault effect reaches, one
+/// flip-flop per lane.
 fn phases_two_three<L: Lane>(
     circuit: &Circuit,
     lane: usize,
     relied_ppos: &[NodeId],
-    faults: impl IntoIterator<Item = (FaultSite, DelayFaultKind)>,
+    faults: impl IntoIterator<Item = (usize, FaultSite)>,
     scratch: &mut GradeScratch,
 ) -> Vec<usize> {
     let s = scratch;
@@ -304,11 +400,10 @@ fn phases_two_three<L: Lane>(
         "lane {lane} is not in the last batch of {}",
         s.lanes
     );
-    s.lane_wave.clear();
-    s.lane_wave.extend(s.wave.iter().map(|w| w.lane(lane)));
     let hits = phase3::detect::<L>(
         circuit,
-        &s.lane_wave,
+        &s.wave,
+        lane,
         faults,
         relied_ppos,
         &mut s.sim,
@@ -316,7 +411,7 @@ fn phases_two_three<L: Lane>(
             // Phase 2 on demand: a steady PPO latches no difference to
             // propagate, and without propagation frames nothing is observed.
             ffs.retain(|&i| {
-                s.propagation > 0 && !s.lane_wave[circuit.ppos()[i].index()].is_steady_clean()
+                s.propagation > 0 && !phase3::steady_clean(s.wave[circuit.ppos()[i].index()], lane)
             });
             if ffs.is_empty() {
                 return;
@@ -378,8 +473,13 @@ pub fn grade_filled_sequence(
     scratch: &mut GradeScratch,
 ) -> Vec<usize> {
     simulate_batch(circuit, &[filled], fast, rng, scratch);
+    let mut screen = std::mem::take(&mut scratch.screen);
     let sites = faults.iter().map(|f| (f.site, f.kind));
-    phases_two_three::<PackedWave>(circuit, 0, relied_ppos, sites, scratch)
+    screen_sites::<PackedWave>(circuit, sites, &mut screen, scratch);
+    let admitted = admitted(&screen, 0).map(|k| (k, faults[k].site));
+    let hits = phases_two_three::<PackedWave>(circuit, 0, relied_ppos, admitted, scratch);
+    scratch.screen = screen;
+    hits
 }
 
 #[cfg(test)]

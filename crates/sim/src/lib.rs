@@ -37,17 +37,23 @@
 //!    two-frame 8-valued waveform, including the paper's *invalidation*
 //!    check for faults observed through a PPO; [`tfsim`] is the same
 //!    phase for transition faults. One packed driver serves both models
-//!    and traces per **fanout-free region**: a provoked fault is resolved
-//!    by walking its critical path to its region root
-//!    ([`gdf_netlist::Circuit::region_root`]) on good values only, each
-//!    root that some fault reaches is traced once, **one root per lane**
-//!    and up to 64 per selective trace, and each root's observation fans
-//!    back out to the faults of its region. Only the lane differs:
+//!    and traces per **fanout-free region**. A **screen**
+//!    ([`grading::screen_batch`]) runs once per phase-1 batch, **one
+//!    sequence per lane**: one reverse sweep marks, per node, the lanes
+//!    where a fault effect reaches its region root
+//!    ([`gdf_netlist::Circuit::region_root`]) on good values only, and one
+//!    pass over the candidates gives each fault the lanes where it is
+//!    provoked and reaches its root. Each sequence then sees only the
+//!    faults its lane admits: each root that one of them reaches is
+//!    traced once, **one root per lane** and up to 64 per selective
+//!    trace, and each root's observation fans back out to the faults of
+//!    its region. Only the lane differs:
 //!    [`detected_delay_faults_packed`] traces
 //!    [`gdf_algebra::packed::PackedWave`] bit-planes, whose `car` plane
 //!    is the fault effect, and [`detected_transition_faults_packed`]
 //!    traces one word of final values, where any difference from the
-//!    good value is the fault effect.
+//!    good value is the fault effect. Both take one scalar waveform and
+//!    screen it as a one-lane batch.
 //!
 //! The packed simulators run on *selective trace*: they start from the
 //! fault-free values, visit gates in level order, evaluate a gate only

@@ -3,30 +3,42 @@
 //!
 //! A fanout-free region is a tree of single-fanout nets ending at one
 //! root ([`Circuit::region_root`]); every PO and every PPO is a root.
-//! [`detect`] classifies candidate faults against one fault-free
-//! two-frame waveform in four steps:
+//! Phase 3 runs in two stages. The **screen** ([`screen`]) runs once per
+//! phase-1 batch, over its fault-free waveforms with one sequence per
+//! bit lane:
 //!
-//! 1. **Criticality.** One sweep in reverse topological order marks the
-//!    nodes whose fault effect reaches their region root. Inside a region
-//!    an effect moves along one path whose side inputs hold fault-free
-//!    values, so whether it passes a gate depends on good values only:
-//!    it is the gate evaluated with just that pin faulty.
-//! 2. **Resolution.** A provoked fault maps to the root its critical
-//!    path reaches, or, on a branch straight into a flip-flop, to that
-//!    PPO. Any other provoked fault goes undetected.
-//! 3. **Tracing.** Each root that some fault reaches is traced once, one
-//!    root per bit lane and up to 64 per selective trace: its stem mark
-//!    is injected there and the level-ordered queue evaluates only the
-//!    gates an effect reaches. Past its root a fault's effect equals that
-//!    mark. POs resolve at trace time, in output order. For the lanes no
-//!    PO observes, each batch records the nonzero PPO carry masks in
-//!    flip-flop order and the relied PPOs' carry masks, then restores the
-//!    nodes its trace touched.
+//! 1. **Criticality.** One sweep in reverse topological order marks, per
+//!    node, the lanes where a fault effect there reaches its region root.
+//!    Inside a region an effect moves along one path whose side inputs
+//!    hold fault-free values, so whether it passes a gate depends on good
+//!    values only: it is the gate evaluated with just that pin faulty.
+//! 2. **Provocation.** One pass over the candidate faults gives each the
+//!    lanes where it is provoked and its critical path reaches its root.
+//!    A branch straight into a flip-flop latches the faulty value into
+//!    that PPO, its only observation point, so it needs only to be
+//!    provoked. A fault outside a lane's mask cannot be detected by that
+//!    lane's sequence.
+//!
+//! **Detection** ([`detect`]) then classifies, for one sequence, the
+//! faults the screen admitted in its lane:
+//!
+//! 3. **Tracing.** Each root that an admitted fault reaches is traced
+//!    once, one root per bit lane and up to 64 per selective trace: its
+//!    stem mark is injected there and the level-ordered queue evaluates
+//!    only the gates an effect reaches. Past its root a fault's effect
+//!    equals that mark. POs resolve at trace time, in output order. For
+//!    the lanes no PO observes, each batch records the nonzero PPO carry
+//!    masks in flip-flop order and the relied PPOs' carry masks, then
+//!    restores the nodes its trace touched.
 //! 4. **Observation.** The caller decides which of the PPOs that may
 //!    observe an effect are observable, asked per flip-flop: phase 2 on
 //!    demand ([`crate::grading`]) or a given list. The recorded masks then
 //!    resolve under the invalidation rule, and each root's observation
 //!    fans back out to its faults, in fault-list order.
+//!
+//! The packed entry points that take one scalar waveform
+//! ([`detect_given`]) screen it as a one-lane batch, so there is one
+//! criticality for every caller.
 //!
 //! The models differ only in what a lane holds, the [`Lane`]:
 //!
@@ -40,7 +52,7 @@
 //!   the non-robust condition.
 //!
 //! In both models the value a node carrying a fault effect holds depends
-//! only on its fault-free value ([`Lane::faulty`]). That is what makes
+//! only on its fault-free value ([`Lane::mark`]). That is what makes
 //! the region walk exact and lets a root's stem mark stand for every
 //! fault of its region.
 
@@ -50,18 +62,19 @@ use gdf_algebra::delay::DelayValue;
 use gdf_algebra::packed::PackedWave;
 use gdf_netlist::{Circuit, DelayFaultKind, FaultSite, GateKind, NodeId};
 
-/// One node's value in the 64 lanes of a phase-3 trace.
+/// One node's values in 64 bit lanes under one at-speed model: one
+/// sequence per lane in the screen, one traced root per lane in a trace.
 pub(crate) trait Lane: Copy + PartialEq {
-    /// The fault-free value `v` in every lane.
-    fn good(v: DelayValue) -> Self;
+    /// The model's view of the fault-free values `w`, lane for lane.
+    fn good(w: PackedWave) -> Self;
 
-    /// The value a node whose fault-free value is `v` holds in the lanes
-    /// where it carries a fault effect.
-    fn faulty(v: DelayValue) -> Self;
+    /// The lanes where a node whose fault-free values are `w` can carry
+    /// a fault effect.
+    fn can_carry(w: PackedWave) -> u64;
 
-    /// Whether a node whose fault-free value is `v` can carry a fault
-    /// effect at all.
-    fn can_carry(v: DelayValue) -> bool;
+    /// The value a node whose fault-free value is `good` holds where it
+    /// carries a fault effect, in every lane that can carry one.
+    fn mark(good: Self) -> Self;
 
     /// `other` in the lanes of `mask`, `self` in the rest.
     fn select(self, mask: u64, other: Self) -> Self;
@@ -72,26 +85,27 @@ pub(crate) trait Lane: Copy + PartialEq {
 
     /// The lanes that carry a fault effect at a node whose fault-free
     /// value is `good`.
-    fn carried(self, good: DelayValue) -> u64;
+    fn carried(self, good: Self) -> u64;
 
     /// The scratch buffer holding one value per node.
     fn values(scratch: &mut Phase3Scratch) -> &mut Vec<Self>;
 }
 
 impl Lane for PackedWave {
-    fn good(v: DelayValue) -> Self {
-        PackedWave::splat(v)
+    fn good(w: PackedWave) -> Self {
+        w
     }
 
-    fn faulty(v: DelayValue) -> Self {
-        PackedWave::splat(
-            v.with_fault_mark()
-                .expect("a fault effect rides on a transition"),
-        )
+    fn can_carry(w: PackedWave) -> u64 {
+        // A fault effect rides on a transition.
+        w.transitions()
     }
 
-    fn can_carry(v: DelayValue) -> bool {
-        v.is_transition()
+    fn mark(good: Self) -> Self {
+        PackedWave {
+            car: good.car | Self::can_carry(good),
+            ..good
+        }
     }
 
     fn select(self, mask: u64, other: Self) -> Self {
@@ -113,7 +127,7 @@ impl Lane for PackedWave {
         }
     }
 
-    fn carried(self, _good: DelayValue) -> u64 {
+    fn carried(self, _good: Self) -> u64 {
         self.car
     }
 
@@ -123,20 +137,16 @@ impl Lane for PackedWave {
 }
 
 impl Lane for u64 {
-    fn good(v: DelayValue) -> Self {
-        if v.final_value() {
-            !0
-        } else {
-            0
-        }
+    fn good(w: PackedWave) -> Self {
+        w.fin
     }
 
-    fn faulty(v: DelayValue) -> Self {
-        !Self::good(v)
+    fn can_carry(_w: PackedWave) -> u64 {
+        !0
     }
 
-    fn can_carry(_v: DelayValue) -> bool {
-        true
+    fn mark(good: Self) -> Self {
+        !good
     }
 
     fn select(self, mask: u64, other: Self) -> Self {
@@ -158,8 +168,8 @@ impl Lane for u64 {
         }
     }
 
-    fn carried(self, good: DelayValue) -> u64 {
-        self ^ Self::good(good)
+    fn carried(self, good: Self) -> u64 {
+        self ^ good
     }
 
     fn values(scratch: &mut Phase3Scratch) -> &mut Vec<Self> {
@@ -167,7 +177,24 @@ impl Lane for u64 {
     }
 }
 
-/// Where a provoked fault's effect can be observed from.
+/// Lane `lane` of the fault-free values `w` in every lane, as the model
+/// of `L` sees it.
+fn spread<L: Lane>(w: PackedWave, lane: usize) -> L {
+    let bit = |plane: u64| (plane >> lane & 1).wrapping_neg();
+    L::good(PackedWave {
+        init: bit(w.init),
+        fin: bit(w.fin),
+        haz: bit(w.haz),
+        car: bit(w.car),
+    })
+}
+
+/// Whether lane `lane` of `w` is steady and hazard-free.
+pub(crate) fn steady_clean(w: PackedWave, lane: usize) -> bool {
+    w.steady_clean() >> lane & 1 == 1
+}
+
+/// Where an admitted fault's effect can be observed from.
 #[derive(Debug, Clone, Copy)]
 enum Target {
     /// The traced root in this slot.
@@ -177,8 +204,8 @@ enum Target {
     Latch(NodeId),
 }
 
-/// The reusable buffers of [`detect`]. Between calls every sparse table
-/// is clear and every list empty.
+/// The reusable buffers of [`screen`] and [`detect`]. Between calls
+/// every sparse table is clear and every list empty.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct Phase3Scratch {
     /// Node values of the robust model: the delay algebra, one traced
@@ -187,8 +214,14 @@ pub(crate) struct Phase3Scratch {
     /// Node values of the transition model: final values, one traced
     /// root per lane.
     fin: Vec<u64>,
-    /// Per node: whether a fault effect there reaches its region root.
-    critical: Vec<bool>,
+    /// Per node: the lanes of the screened batch where a fault effect
+    /// there reaches its region root.
+    critical: Vec<u64>,
+    /// The one-lane batch [`detect_given`] screens: its waveform in every
+    /// lane.
+    batch: Vec<PackedWave>,
+    /// The faults the screen of [`detect_given`] admits.
+    admitted: Vec<(usize, u64)>,
     /// Per node: the slot of a traced root, `NO_SLOT` for the rest.
     slot: Vec<u32>,
     /// The traced roots by slot: slot `s` is lane `s % 64` of batch
@@ -198,8 +231,7 @@ pub(crate) struct Phase3Scratch {
     found: Vec<Option<DelayObservation>>,
     /// Per node: the lanes a root holds its stem mark in, this batch.
     hold: Vec<u64>,
-    /// The provoked faults with an observation point, in fault-list
-    /// order.
+    /// The admitted faults, in fault-list order.
     resolved: Vec<(usize, Target)>,
     /// `(batch, flip-flop index, lanes)`: the nonzero PPO carry masks of
     /// the lanes no PO observes, in batch and flip-flop order.
@@ -215,9 +247,92 @@ pub(crate) struct Phase3Scratch {
 
 const NO_SLOT: u32 = u32::MAX;
 
-/// Classifies `faults`, each a site and its slow transition, against the
-/// fault-free `waveform` under the model of lane type `L`. Returns
-/// `(fault index, observation)` pairs in fault-list order.
+/// Screens `faults`, each a site and its slow transition, against `wave`,
+/// the fault-free waveforms of a batch of sequences, one per lane, under
+/// the model of lane type `L`. A fault's lanes are the lanes of `used`
+/// where it is provoked and a fault effect at its site reaches its region
+/// root, or, for a branch straight into a flip-flop, the lanes where it
+/// is provoked. Sets `admitted` to the `(fault index, lanes)` pairs of
+/// the faults with some lane, in fault-list order. [`detect`] takes only
+/// the faults a lane admits.
+///
+/// `wave` must be consistent (see [`detect`]) and fault-free: no lane
+/// carries a fault mark.
+pub(crate) fn screen<L: Lane>(
+    circuit: &Circuit,
+    wave: &[PackedWave],
+    used: u64,
+    faults: impl IntoIterator<Item = (FaultSite, DelayFaultKind)>,
+    scratch: &mut SimScratch,
+    admitted: &mut Vec<(usize, u64)>,
+) {
+    assert_eq!(wave.len(), circuit.num_nodes(), "waveform length");
+    let critical = &mut scratch.phase3.critical;
+    mark_critical::<L>(circuit, wave, used, critical);
+    admitted.clear();
+    for (idx, (site, kind)) in faults.into_iter().enumerate() {
+        let stem = wave[site.stem.index()];
+        let provoked = match kind {
+            DelayFaultKind::SlowToRise => stem.rising(),
+            DelayFaultKind::SlowToFall => stem.falling(),
+        };
+        let lanes = match site.branch {
+            _ if provoked == 0 => continue,
+            None => provoked & critical[site.stem.index()],
+            Some((sink, _)) if !circuit.node(sink).kind().is_combinational() => provoked & used,
+            Some((sink, pin)) => match provoked & critical[sink.index()] {
+                0 => continue,
+                open => open & passes::<L>(circuit, wave, sink, pin),
+            },
+        };
+        if lanes != 0 {
+            admitted.push((idx, lanes));
+        }
+    }
+}
+
+/// Sets `critical` to the lanes of `used`, per node, where a fault effect
+/// there reaches its region root. A sink comes after its fanins in
+/// topological order and every source's sink is a gate, so the reverse
+/// sweep settles each sink before its fanins.
+fn mark_critical<L: Lane>(
+    circuit: &Circuit,
+    wave: &[PackedWave],
+    used: u64,
+    critical: &mut Vec<u64>,
+) {
+    critical.resize(circuit.num_nodes(), 0);
+    let sources = circuit.inputs().iter().chain(circuit.dffs());
+    for &id in circuit.topo_order().iter().rev().chain(sources) {
+        critical[id.index()] = match circuit.region_sink(id) {
+            None => used,
+            Some((sink, pin)) => match critical[sink.index()] & L::can_carry(wave[id.index()]) {
+                0 => 0,
+                open => open & passes::<L>(circuit, wave, sink, pin),
+            },
+        };
+    }
+}
+
+/// The lanes where a fault effect on input `pin` of `gate` reaches the
+/// gate's output while every other input holds its fault-free value.
+fn passes<L: Lane>(circuit: &Circuit, wave: &[PackedWave], gate: NodeId, pin: u8) -> u64 {
+    let node = circuit.node(gate);
+    let ins = node.fanin().iter().enumerate().map(|(k, f)| {
+        let good = L::good(wave[f.index()]);
+        if k == pin as usize {
+            L::mark(good)
+        } else {
+            good
+        }
+    });
+    L::eval(node.kind(), ins).carried(L::good(wave[gate.index()]))
+}
+
+/// Classifies `faults` against lane `lane` of `wave`, a batch
+/// [`screen`]ed under the model of lane type `L`. `faults` are
+/// `(index, site)` pairs of the faults the screen admitted in that lane,
+/// in index order. Returns `(index, observation)` pairs in that order.
 ///
 /// `observable` decides which PPOs the propagation phase makes
 /// observable: it receives, in flip-flop order, the flip-flops whose PPO
@@ -226,30 +341,30 @@ const NO_SLOT: u32 = u32::MAX;
 /// It runs once, after the traces, with the queue, the value buffers and
 /// the (clear) PPO flags of `scratch` free for its own use.
 ///
-/// `waveform` must be consistent: every gate holds its gate function of
-/// its fanins' values. That is what makes skipping unreached gates exact.
+/// `wave` must be consistent: every gate holds its gate function of its
+/// fanins' values. That is what makes skipping unreached gates exact.
 pub(crate) fn detect<L: Lane>(
     circuit: &Circuit,
-    waveform: &[DelayValue],
-    faults: impl IntoIterator<Item = (FaultSite, DelayFaultKind)>,
+    wave: &[PackedWave],
+    lane: usize,
+    faults: impl IntoIterator<Item = (usize, FaultSite)>,
     required_state_ppos: &[NodeId],
     scratch: &mut SimScratch,
     observable: impl FnOnce(&mut Vec<usize>, &mut SimScratch),
 ) -> Vec<(usize, DelayObservation)> {
-    assert_eq!(waveform.len(), circuit.num_nodes(), "waveform length");
+    assert_eq!(wave.len(), circuit.num_nodes(), "waveform length");
     let n = circuit.num_nodes();
-    // Broadcast the fault-free values once; every batch injects into
-    // them and restores exactly the nodes its trace changed.
+    // Broadcast the lane's fault-free values once; every batch injects
+    // into them and restores exactly the nodes its trace changed.
     let mut values = std::mem::take(L::values(&mut scratch.phase3));
     values.clear();
-    values.extend(waveform.iter().map(|&v| L::good(v)));
+    values.extend(wave.iter().map(|&w| spread::<L>(w, lane)));
     let p = &mut scratch.phase3;
     p.slot.resize(n, NO_SLOT);
     p.hold.resize(n, 0);
     p.ppo_flag.resize(n, false);
 
-    mark_critical::<L>(circuit, waveform, &values, &mut p.critical);
-    resolve(circuit, waveform, &values, faults, p);
+    resolve(circuit, faults, p);
 
     p.found.clear();
     p.found.resize(p.roots.len(), None);
@@ -257,7 +372,7 @@ pub(crate) fn detect<L: Lane>(
     for batch in 0..p.roots.len().div_ceil(64) {
         trace_batch(
             circuit,
-            waveform,
+            (wave, lane),
             batch,
             &mut values,
             required_state_ppos,
@@ -286,7 +401,7 @@ pub(crate) fn detect<L: Lane>(
     }
     p.ffs = ffs;
 
-    observe_ppos(circuit, waveform, required_state_ppos, p);
+    observe_ppos(circuit, (wave, lane), required_state_ppos, p);
     let detected = p
         .resolved
         .iter()
@@ -296,7 +411,7 @@ pub(crate) fn detect<L: Lane>(
                 Target::Latch(ppo) => (p.ppo_flag[ppo.index()]
                     && required_state_ppos
                         .iter()
-                        .all(|&req| req == ppo || waveform[req.index()].is_steady_clean()))
+                        .all(|&req| req == ppo || steady_clean(wave[req.index()], lane)))
                 .then_some(DelayObservation::AtPpo(ppo)),
             };
             obs.map(|obs| (idx, obs))
@@ -315,19 +430,34 @@ pub(crate) fn detect<L: Lane>(
     detected
 }
 
+/// Classifies `faults`, each a site and its slow transition, against one
+/// scalar fault-free `waveform`: [`screen`] as a one-lane batch, then
 /// [`detect`] with the PPOs in `observable_ppos` as the observable ones,
 /// the answer the packed public entry points take from their caller.
+/// Returns `(fault index, observation)` pairs in fault-list order.
 pub(crate) fn detect_given<L: Lane>(
     circuit: &Circuit,
     waveform: &[DelayValue],
-    faults: impl IntoIterator<Item = (FaultSite, DelayFaultKind)>,
+    faults: impl Iterator<Item = (FaultSite, DelayFaultKind)> + Clone,
     observable_ppos: &[NodeId],
     required_state_ppos: &[NodeId],
     scratch: &mut SimScratch,
 ) -> Vec<(usize, DelayObservation)> {
-    detect::<L>(
+    assert_eq!(waveform.len(), circuit.num_nodes(), "waveform length");
+    // Every lane holds the waveform; lane 0 is read.
+    let mut batch = std::mem::take(&mut scratch.phase3.batch);
+    let mut admitted = std::mem::take(&mut scratch.phase3.admitted);
+    batch.clear();
+    batch.extend(waveform.iter().map(|&v| PackedWave::splat(v)));
+    screen::<L>(circuit, &batch, 1, faults.clone(), scratch, &mut admitted);
+    let mut next = admitted.iter().map(|&(k, _)| k).peekable();
+    let faults = faults
+        .enumerate()
+        .filter_map(|(k, (site, _))| next.next_if_eq(&k).map(|k| (k, site)));
+    let detected = detect::<L>(
         circuit,
-        waveform,
+        &batch,
+        0,
         faults,
         required_state_ppos,
         scratch,
@@ -341,94 +471,39 @@ pub(crate) fn detect_given<L: Lane>(
                 flag[ppo.index()] = false;
             }
         },
-    )
+    );
+    scratch.phase3.batch = batch;
+    scratch.phase3.admitted = admitted;
+    detected
 }
 
-/// Marks in `critical` the nodes whose fault effect reaches their region
-/// root. `values` holds the broadcast fault-free values. A sink comes
-/// after its fanins in topological order and every source's sink is a
-/// gate, so the reverse sweep settles each sink before its fanins.
-fn mark_critical<L: Lane>(
+/// Fills `p.resolved` with the admitted `faults` and their observation
+/// points, in fault-list order, and `p.roots` with the roots they reach,
+/// in first-reached order. Flags the PPOs that branches into flip-flops
+/// latch.
+fn resolve(
     circuit: &Circuit,
-    waveform: &[DelayValue],
-    values: &[L],
-    critical: &mut Vec<bool>,
-) {
-    critical.resize(circuit.num_nodes(), false);
-    let sources = circuit.inputs().iter().chain(circuit.dffs());
-    for &id in circuit.topo_order().iter().rev().chain(sources) {
-        critical[id.index()] = match circuit.region_sink(id) {
-            None => true,
-            Some((sink, pin)) => {
-                critical[sink.index()]
-                    && L::can_carry(waveform[id.index()])
-                    && passes(circuit, waveform, values, sink, pin)
-            }
-        };
-    }
-}
-
-/// Fills `p.resolved` with the provoked `faults` that have an
-/// observation point, in fault-list order, and `p.roots` with the roots
-/// they reach, in first-reached order. Flags the PPOs that provoked
-/// branches into flip-flops latch.
-fn resolve<L: Lane>(
-    circuit: &Circuit,
-    waveform: &[DelayValue],
-    values: &[L],
-    faults: impl IntoIterator<Item = (FaultSite, DelayFaultKind)>,
+    faults: impl IntoIterator<Item = (usize, FaultSite)>,
     p: &mut Phase3Scratch,
 ) {
-    for (idx, (site, kind)) in faults.into_iter().enumerate() {
-        let needed = match kind {
-            DelayFaultKind::SlowToRise => DelayValue::R,
-            DelayFaultKind::SlowToFall => DelayValue::F,
-        };
-        if waveform[site.stem.index()] != needed {
-            continue; // fault not provoked by this vector pair
-        }
-        let reaches = match site.branch {
-            None => p.critical[site.stem.index()],
+    for (idx, site) in faults {
+        let target = match site.branch {
             Some((sink, _)) if !circuit.node(sink).kind().is_combinational() => {
                 p.ppo_flag[site.stem.index()] = true;
-                p.resolved.push((idx, Target::Latch(site.stem)));
-                continue;
+                Target::Latch(site.stem)
             }
-            Some((sink, pin)) => {
-                p.critical[sink.index()] && passes(circuit, waveform, values, sink, pin)
+            _ => {
+                let root = circuit.region_root(site.branch.map_or(site.stem, |(sink, _)| sink));
+                let slot = &mut p.slot[root.index()];
+                if *slot == NO_SLOT {
+                    *slot = p.roots.len() as u32;
+                    p.roots.push(root);
+                }
+                Target::Root(*slot)
             }
         };
-        if !reaches {
-            continue;
-        }
-        let root = circuit.region_root(site.branch.map_or(site.stem, |(sink, _)| sink));
-        let slot = &mut p.slot[root.index()];
-        if *slot == NO_SLOT {
-            *slot = p.roots.len() as u32;
-            p.roots.push(root);
-        }
-        p.resolved.push((idx, Target::Root(*slot)));
+        p.resolved.push((idx, target));
     }
-}
-
-/// Whether a fault effect on input `pin` of `gate` reaches the gate's
-/// output while every other input holds its fault-free value.
-fn passes<L: Lane>(
-    circuit: &Circuit,
-    waveform: &[DelayValue],
-    values: &[L],
-    gate: NodeId,
-    pin: u8,
-) -> bool {
-    let node = circuit.node(gate);
-    let ins = node.fanin().iter().enumerate().map(|(k, f)| {
-        if k == pin as usize {
-            L::faulty(waveform[f.index()])
-        } else {
-            values[f.index()]
-        }
-    });
-    L::eval(node.kind(), ins).carried(waveform[gate.index()]) != 0
 }
 
 /// The lanes set in `mask`, lowest first.
@@ -449,7 +524,7 @@ fn lanes(mut mask: u64) -> impl Iterator<Item = usize> {
 /// restored on return.
 fn trace_batch<L: Lane>(
     circuit: &Circuit,
-    waveform: &[DelayValue],
+    (wave, lane): (&[PackedWave], usize),
     batch: usize,
     values: &mut [L],
     required_state_ppos: &[NodeId],
@@ -462,7 +537,7 @@ fn trace_batch<L: Lane>(
     for (k, &root) in roots.iter().enumerate() {
         let i = root.index();
         p.hold[i] = 1 << k;
-        let injected = values[i].select(p.hold[i], L::faulty(waveform[i]));
+        let injected = values[i].select(p.hold[i], L::mark(values[i]));
         queue.inject(circuit, values, root, injected);
     }
     let hold = &p.hold;
@@ -471,11 +546,11 @@ fn trace_batch<L: Lane>(
         let out = L::eval(node.kind(), node.fanin().iter().map(|f| values[f.index()]));
         match hold[gate.index()] {
             0 => out,
-            held => out.select(held, L::faulty(waveform[gate.index()])),
+            held => out.select(held, L::mark(spread(wave[gate.index()], lane))),
         }
     });
 
-    let carried = |n: NodeId| values[n.index()].carried(waveform[n.index()]);
+    let carried = |n: NodeId| values[n.index()].carried(spread(wave[n.index()], lane));
     let mut open = u64::MAX >> (64 - roots.len());
     for &po in circuit.outputs() {
         if open == 0 {
@@ -499,7 +574,7 @@ fn trace_batch<L: Lane>(
     p.relied_masks
         .extend(required_state_ppos.iter().map(|&req| carried(req)));
 
-    queue.restore(values, |i| L::good(waveform[i]));
+    queue.restore(values, |i| spread(wave[i], lane));
     for root in roots {
         p.hold[root.index()] = 0;
     }
@@ -512,7 +587,7 @@ fn trace_batch<L: Lane>(
 /// observable PPOs.
 fn observe_ppos(
     circuit: &Circuit,
-    waveform: &[DelayValue],
+    (wave, lane): (&[PackedWave], usize),
     required_state_ppos: &[NodeId],
     p: &mut Phase3Scratch,
 ) {
@@ -536,7 +611,7 @@ fn observe_ppos(
         for (&req, &mask) in required_state_ppos.iter().zip(carried) {
             if req != ppo {
                 invalid |= mask;
-                if !waveform[req.index()].is_steady_clean() {
+                if !steady_clean(wave[req.index()], lane) {
                     invalid = !0;
                 }
             }

@@ -77,7 +77,7 @@ impl TdGenOutcome {
 pub struct TdGen<'c> {
     circuit: &'c Circuit,
     config: TdGenConfig,
-    testability: Testability,
+    testability: &'c Testability,
 }
 
 #[derive(Debug)]
@@ -125,7 +125,7 @@ impl<'c> TdGen<'c> {
         TdGen {
             circuit,
             config,
-            testability: Testability::compute(circuit),
+            testability: circuit.testability(),
         }
     }
 

@@ -22,14 +22,23 @@
 //! `DelayAtpg::fault_simulate_sequence_scalar` too. The packed entry
 //! points must also report the same observations as the scalar ones
 //! for a given list of observable PPOs.
+//!
+//! Phase 3's screen (`screen_batch`) gives each fault, once per batch of
+//! 1, 16 or 64 sequences, the lanes whose sequence may detect it. Every
+//! fault the unscreened scalar composition detects in lane k must have
+//! bit k set, and `grade_patterns`, which grades each lane only for the
+//! faults the screen admits there and no earlier lane detected, must
+//! equal a sequence-at-a-time loop over the scalar composition.
 
 use gdf::algebra::{DelayValue, Logic3};
+use gdf::core::artifact::{CircuitSource, PatternEntry, PatternSet};
+use gdf::core::session::grade_patterns;
 use gdf::core::{DelayAtpg, DelayAtpgConfig, TestSequence};
 use gdf::netlist::{
     Circuit, CircuitBuilder, DelayFault, DelayFaultKind, Fault, FaultSite, FaultUniverse, GateKind,
-    NodeId, TransitionFault,
+    ModelKind, NodeId, TransitionFault,
 };
-use gdf::sim::grading::{grade_lane, simulate_batch, GradeScratch};
+use gdf::sim::grading::{grade_lane, grade_screened, screen_batch, simulate_batch, GradeScratch};
 use gdf::sim::{
     detected_delay_faults, detected_delay_faults_packed, detected_transition_faults,
     detected_transition_faults_packed, two_frame_values, Fausim, GoodSimulator, SimScratch,
@@ -442,6 +451,170 @@ fn packed_observations_match_scalar_for_given_lists() {
                     "{case}: transition"
                 );
             }
+        }
+    }
+}
+
+/// The delay and transition universes of `c`.
+fn both_models(c: &Circuit) -> [Vec<Fault>; 2] {
+    let universe = FaultUniverse::default();
+    [ModelKind::Delay, ModelKind::Transition].map(|m| m.model().enumerate(c, &universe).collect())
+}
+
+#[test]
+fn the_screen_admits_every_fault_a_lane_detects() {
+    // (initialization frames, propagation frames) per batch.
+    let shapes = [(1, 2), (0, 0), (2, 1)];
+    let mut admitted_some = [false, false];
+    for seed in 0..6u64 {
+        let c = netlist(0x5C2 + seed, 3 + seed as usize % 3, 4, 36);
+        let models = both_models(&c);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut packed_rng = StdRng::seed_from_u64(seed ^ 0x5EED);
+        let mut scalar_rng = packed_rng.clone();
+        let mut scratch = GradeScratch::default();
+        let mut screen = Vec::new();
+        for (lanes, (init, prop)) in [1, 16, 64].into_iter().zip(shapes) {
+            let fast = init + 1;
+            let seqs: Vec<Vec<Vec<bool>>> = (0..lanes)
+                .map(|_| filled(&mut rng, &c, init, prop))
+                .collect();
+            simulate_batch(&c, &seqs, fast, &mut packed_rng, &mut scratch);
+            let lane_cases: Vec<_> = seqs
+                .iter()
+                .map(|seq| {
+                    let (w, observable) = scalar_phases_one_two(&c, seq, fast, &mut scalar_rng);
+                    (w, observable, relied(&mut rng, &c, prop))
+                })
+                .collect();
+            for (model, faults) in models.iter().enumerate() {
+                screen_batch(&c, faults, &mut screen, &mut scratch);
+                let mut lanes_of = vec![0u64; faults.len()];
+                for &(k, m) in &screen {
+                    lanes_of[k] = m;
+                }
+                let past_batch = u64::MAX.checked_shl(lanes as u32).unwrap_or(0);
+                assert!(
+                    screen.iter().all(|&(_, m)| m != 0 && m & past_batch == 0),
+                    "an empty mask or lanes past the batch"
+                );
+                for (lane, (w, observable, relied)) in lane_cases.iter().enumerate() {
+                    let case = format!(
+                        "{} seed {seed} lane {lane} of {lanes}, {:?}",
+                        c.name(),
+                        faults[0]
+                    );
+                    let detected = scalar_phase_three(&c, w, faults, observable, relied);
+                    for &k in &detected {
+                        assert!(
+                            lanes_of[k] >> lane & 1 == 1,
+                            "{case}: {:?} screened out",
+                            faults[k]
+                        );
+                    }
+                    let graded = grade_screened(&c, lane, relied, faults, &screen, &mut scratch);
+                    assert_eq!(graded, detected, "{case}: screened grading");
+                    let admits = lanes_of.iter().filter(|&&m| m >> lane & 1 == 1).count();
+                    assert!(
+                        admits < faults.len(),
+                        "{case}: the screen admits every fault"
+                    );
+                    admitted_some[model] |= admits > detected.len();
+                }
+            }
+        }
+    }
+    assert_eq!(
+        admitted_some,
+        [true, true],
+        "the screen never admitted an undetected fault"
+    );
+}
+
+/// Fully specified sequences in runs of one shape, `(count, init, prop)`
+/// each; a run of up to 64 is one `grade_patterns` batch.
+fn pattern_set(c: &Circuit, seed: u64, runs: &[(usize, usize, usize)]) -> PatternSet {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let to3 = |v: &Vec<bool>| -> Vec<Logic3> { v.iter().map(|&b| Logic3::from_bool(b)).collect() };
+    let mut patterns = Vec::new();
+    for &(count, init, prop) in runs {
+        for _ in 0..count {
+            let seq = filled(&mut rng, c, init, prop);
+            let relied_ppos = relied(&mut rng, c, prop)
+                .into_iter()
+                .map(|ppo| c.node(ppo).name().to_string())
+                .collect();
+            patterns.push(PatternEntry {
+                sequence: TestSequence::new(
+                    seq[..init].iter().map(to3).collect(),
+                    to3(&seq[init]),
+                    to3(&seq[init + 1]),
+                    seq[init + 2..].iter().map(to3).collect(),
+                ),
+                relied_ppos,
+            });
+        }
+    }
+    PatternSet {
+        circuit: CircuitSource::of(c),
+        backend: "random".into(),
+        seed,
+        patterns,
+    }
+}
+
+/// The first detectors of `set` graded one sequence at a time through
+/// the unscreened scalar composition, dropping detected faults, with the
+/// RNG `grade_patterns` draws the state fill from.
+fn sequence_at_a_time(
+    c: &Circuit,
+    set: &PatternSet,
+    faults: &[Fault],
+    seed: u64,
+) -> Vec<Option<usize>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut remaining: Vec<usize> = (0..faults.len()).collect();
+    let mut first = vec![None; faults.len()];
+    for (pi, p) in set.patterns.iter().enumerate() {
+        let seq = &p.sequence;
+        let frames: Vec<Vec<bool>> = seq.filled_with(|| unreachable!("no PI X"));
+        let fast = seq.fast_frame_index();
+        let (w, observable) = scalar_phases_one_two(c, &frames, fast, &mut rng);
+        let relied = set.relied_nodes(c, pi).expect("relied PPOs resolve");
+        let candidates: Vec<Fault> = remaining.iter().map(|&k| faults[k]).collect();
+        let hits = scalar_phase_three(c, &w, &candidates, &observable, &relied);
+        for &pos in hits.iter().rev() {
+            first[remaining.remove(pos)] = Some(pi);
+        }
+    }
+    first
+}
+
+#[test]
+fn screened_grade_patterns_equals_sequence_at_a_time() {
+    // Runs of 1, 16, 64, 17 and 1 sequences, each of its own shape and
+    // so one `grade_patterns` batch.
+    let runs = [(1, 1, 2), (16, 2, 1), (64, 0, 2), (17, 1, 1), (1, 0, 0)];
+    let universe = FaultUniverse::default();
+    for seed in 0..4u64 {
+        let c = netlist(0x6A7 + seed, 4, 3 + seed as usize % 3, 40);
+        let set = pattern_set(&c, seed, &runs);
+        for (model, faults) in [ModelKind::Delay, ModelKind::Transition]
+            .into_iter()
+            .zip(both_models(&c))
+        {
+            let report = grade_patterns(&c, &set, model, &universe, seed).unwrap();
+            let reference = sequence_at_a_time(&c, &set, &faults, seed);
+            let case = format!("{} seed {seed} {model:?}", c.name());
+            assert_eq!(report.first_detector, reference, "{case}: first detectors");
+            assert_eq!(report.patterns_graded, set.patterns.len(), "{case}");
+            // Several lanes of the 64-sequence batch detect faults.
+            let detectors: std::collections::BTreeSet<usize> =
+                reference.iter().flatten().copied().collect();
+            assert!(
+                detectors.range(17..81).count() > 1,
+                "{case}: one lane of the 64-sequence batch detects everything"
+            );
         }
     }
 }

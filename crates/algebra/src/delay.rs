@@ -32,6 +32,13 @@
 //! the image of `a` against every value of `B` — 3 × 8 × 256 bytes. A
 //! set-by-set image is the union of the rows of the first set's values, and
 //! [`DelaySet::not`] swaps the bit pairs Table 2 maps onto each other.
+//!
+//! The non-robust model has one scalar definition too,
+//! [`eval_gate_nonrobust`]. Its set functions ([`eval_gate_sets_nonrobust`],
+//! [`narrow_inputs_nonrobust`]) fold 16 states per gate — the robust core
+//! value times the faulty machine's final bit — through the same rows, and
+//! map the folded states to output values through a 3 KiB table built once
+//! from [`eval_gate_nonrobust`].
 
 use gdf_netlist::GateKind;
 use std::fmt;
@@ -670,6 +677,253 @@ pub fn narrow_inputs(kind: GateKind, out_allowed: &mut DelaySet, ins: &mut [Dela
         }
     }
     changed
+}
+
+// ---------------------------------------------------------------------------
+// Non-robust sensitization
+// ---------------------------------------------------------------------------
+
+/// Non-robust value-level gate evaluation: the robust value of
+/// [`eval_gate`], whose transitions carry the fault mark exactly when
+/// flipping the carrying inputs' *final* values flips the gate's final
+/// value. Hazards may invalidate such a test; differences that leave the
+/// good-machine output steady are not representable in the algebra and
+/// are dropped.
+///
+/// This is the only definition of the non-robust model:
+/// [`eval_gate_sets_nonrobust`] and [`narrow_inputs_nonrobust`] are built
+/// from it.
+///
+/// # Panics
+///
+/// Panics if `kind` is `Input`/`Dff` or `vals` is empty.
+pub fn eval_gate_nonrobust(kind: GateKind, vals: &[DelayValue]) -> DelayValue {
+    let robust = eval_gate(kind, vals);
+    if !robust.is_transition() {
+        return robust;
+    }
+    let good_fin = kind.eval_bools(vals.iter().map(|v| v.final_value()));
+    let faulty_fin = kind.eval_bools(vals.iter().map(|v| faulty_final(*v)));
+    if good_fin != faulty_fin {
+        robust.with_fault_mark().expect("transition")
+    } else {
+        robust.without_fault_mark()
+    }
+}
+
+/// The value's final bit in the faulty machine: a fault-carrying
+/// transition arrives late, so its faulty final value is its initial one.
+fn faulty_final(v: DelayValue) -> bool {
+    v.final_value() != v.carries_fault()
+}
+
+/// The values whose faulty-machine final bit is 1: `1`, `R`, `1h`, `Fc`.
+const FAULTY_FINAL_ONE: u8 = 0b1010_0110;
+
+/// The six multi-input gate kinds, in [`NrTables`] order.
+const MULTI_INPUT_KINDS: [GateKind; 6] = [
+    GateKind::And,
+    GateKind::Nand,
+    GateKind::Or,
+    GateKind::Nor,
+    GateKind::Xor,
+    GateKind::Xnor,
+];
+
+/// The fold state of a set of input tuples under the non-robust model:
+/// per faulty-machine final bit of the core op (index 0 or 1), the robust
+/// core values reachable with it. A gate's non-robust value is a function
+/// of its robust core value and that bit, and both fold associatively, so
+/// these 16 states replace the Cartesian product of the input sets.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct NrState([DelaySet; 2]);
+
+impl NrState {
+    /// The states of one input set: its values, split by faulty final bit.
+    fn of(s: DelaySet) -> NrState {
+        NrState([
+            DelaySet(s.0 & !FAULTY_FINAL_ONE),
+            DelaySet(s.0 & FAULTY_FINAL_ONE),
+        ])
+    }
+
+    /// The states of every pair of a state of `self` and one of `other`
+    /// under `op`.
+    fn fold(self, op: CoreOp, rows: &SetRows, other: NrState) -> NrState {
+        let mut out = [DelaySet::EMPTY; 2];
+        for (fa, &a) in self.0.iter().enumerate() {
+            for (fb, &b) in other.0.iter().enumerate() {
+                if !a.is_empty() && !b.is_empty() {
+                    let f = usize::from(nr_bit(op, fa == 1, fb == 1));
+                    out[f] = out[f].union(set_core2(rows, a, b));
+                }
+            }
+        }
+        NrState(out)
+    }
+
+    /// The output values of the states for gate `kind` (table index `k`).
+    fn output(self, k: usize) -> DelaySet {
+        let out = &nr_tables()[k];
+        DelaySet(out[0][self.0[0].0 as usize] | out[1][self.0[1].0 as usize])
+    }
+}
+
+/// The faulty-machine final bit of the core op over two faulty bits.
+fn nr_bit(op: CoreOp, a: bool, b: bool) -> bool {
+    let kind = match op {
+        CoreOp::And => GateKind::And,
+        CoreOp::Or => GateKind::Or,
+        CoreOp::Xor => GateKind::Xor,
+    };
+    kind.eval_bools([a, b])
+}
+
+/// `[kind][faulty bit][core set]`: the non-robust output values of the
+/// states `(v, bit)` for `v` in the core set, as a raw bitmask.
+type NrTables = [[[u8; 256]; 2]; 6];
+
+/// The non-robust output tables of the six multi-input kinds, 3 KiB in
+/// all, built once. Each state the core fold can reach gets a shortest
+/// input tuple that reaches it, and its output is [`eval_gate_nonrobust`]
+/// of that tuple — which stays the only definition of the model. A state
+/// no tuple reaches never arises in a fold and maps to no value.
+fn nr_tables() -> &'static NrTables {
+    static TABLES: OnceLock<NrTables> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let mut tables = [[[0u8; 256]; 2]; 6];
+        for (kind, table) in MULTI_INPUT_KINDS.into_iter().zip(&mut tables) {
+            let (op, _) = core_of(kind).expect("multi-input kind");
+            // Breadth-first over states `(bit, core value)`, from the
+            // single values, extending a reached state's tuple by a value.
+            let mut tuple: [[Option<Vec<DelayValue>>; 8]; 2] = Default::default();
+            let mut queue = std::collections::VecDeque::new();
+            for v in DelayValue::ALL {
+                let (f, c) = (usize::from(faulty_final(v)), v.index() as usize);
+                if tuple[f][c].is_none() {
+                    tuple[f][c] = Some(vec![v]);
+                    queue.push_back((f, c));
+                }
+            }
+            while let Some((f, c)) = queue.pop_front() {
+                for v in DelayValue::ALL {
+                    let nf = usize::from(nr_bit(op, f == 1, faulty_final(v)));
+                    let nc = core2(op, DelayValue::from_index(c as u8), v).index() as usize;
+                    if tuple[nf][nc].is_none() {
+                        let mut longer = tuple[f][c].clone().expect("reached state");
+                        longer.push(v);
+                        tuple[nf][nc] = Some(longer);
+                        queue.push_back((nf, nc));
+                    }
+                }
+            }
+            for (row, tuples) in table.iter_mut().zip(&tuple) {
+                let value: [u8; 8] = std::array::from_fn(|c| {
+                    tuples[c]
+                        .as_deref()
+                        .map_or(0, |t| 1 << eval_gate_nonrobust(kind, t).index())
+                });
+                for set in 1..256usize {
+                    row[set] = row[set & (set - 1)] | value[set.trailing_zeros() as usize];
+                }
+            }
+        }
+        tables
+    })
+}
+
+/// Set-level forward implication under the non-robust model: exactly the
+/// values [`eval_gate_nonrobust`] takes over the Cartesian product of the
+/// input sets, computed as a fold over 16 states (the non-robust carry
+/// rule alone is not associative for parity gates; paired with the
+/// faulty final bit it is).
+///
+/// # Panics
+///
+/// Panics if `kind` is `Input`/`Dff` or `ins` is empty.
+pub fn eval_gate_sets_nonrobust(kind: GateKind, ins: &[DelaySet]) -> DelaySet {
+    debug_assert!(!ins.is_empty());
+    match kind {
+        GateKind::Buf | GateKind::Not => eval_gate_sets(kind, ins),
+        _ => {
+            let (k, op, rows) = nr_kind(kind);
+            ins[1..]
+                .iter()
+                .fold(NrState::of(ins[0]), |acc, &b| {
+                    acc.fold(op, rows, NrState::of(b))
+                })
+                .output(k)
+        }
+    }
+}
+
+/// Backward implication under the non-robust model, with the contract of
+/// [`narrow_inputs`]: input `i` keeps `v` iff some completion (inputs
+/// `0..i` as already narrowed, the rest as given) maps into
+/// `out_allowed`, and `out_allowed` shrinks to what the narrowed inputs
+/// produce. Returns `true` if any set changed.
+///
+/// # Panics
+///
+/// Panics if `kind` is `Input`/`Dff` or `ins` is empty.
+pub fn narrow_inputs_nonrobust(
+    kind: GateKind,
+    out_allowed: &mut DelaySet,
+    ins: &mut [DelaySet],
+) -> bool {
+    debug_assert!(!ins.is_empty());
+    if matches!(kind, GateKind::Buf | GateKind::Not) {
+        return narrow_inputs(kind, out_allowed, ins);
+    }
+    let (k, op, rows) = nr_kind(kind);
+    let mut changed = false;
+    let mut prefix: Option<NrState> = None;
+    for i in 0..ins.len() {
+        let own = ins[i];
+        let suffix = ins[i + 1..]
+            .iter()
+            .map(|&b| NrState::of(b))
+            .reduce(|acc, b| acc.fold(op, rows, b));
+        let others = match (prefix, suffix) {
+            (Some(p), Some(s)) => Some(p.fold(op, rows, s)),
+            (p, s) => p.or(s),
+        };
+        let mut keep = DelaySet::EMPTY;
+        for v in own.iter() {
+            let pinned = NrState::of(DelaySet::singleton(v));
+            let state = others.map_or(pinned, |o| pinned.fold(op, rows, o));
+            if !state.output(k).intersect(*out_allowed).is_empty() {
+                keep.insert(v);
+            }
+        }
+        if keep != own {
+            ins[i] = keep;
+            changed = true;
+        }
+        let kept = NrState::of(keep);
+        prefix = Some(prefix.map_or(kept, |p| p.fold(op, rows, kept)));
+    }
+    let producible = prefix.expect("non-empty inputs").output(k);
+    let meet = out_allowed.intersect(producible);
+    if meet != *out_allowed {
+        *out_allowed = meet;
+        changed = true;
+    }
+    changed
+}
+
+/// The table index, core op and core set rows of a multi-input kind.
+///
+/// # Panics
+///
+/// Panics if `kind` is not one of the six multi-input kinds.
+fn nr_kind(kind: GateKind) -> (usize, CoreOp, &'static SetRows) {
+    let k = MULTI_INPUT_KINDS
+        .iter()
+        .position(|&m| m == kind)
+        .unwrap_or_else(|| panic!("non-robust set evaluation of non-combinational kind {kind:?}"));
+    let (op, _) = core_of(kind).expect("multi-input kind");
+    (k, op, set_rows(op))
 }
 
 #[cfg(test)]

@@ -4,11 +4,13 @@
 //! are checked against brute-force enumeration through the scalar
 //! `eval_gate` (Tables 1/2 for the delay algebra, the component-wise
 //! D-calculus for the static one), which stays the single definition of
-//! each algebra:
+//! each algebra; so are the non-robust set functions of the delay
+//! algebra, against the scalar `eval_gate_nonrobust`:
 //!
 //! * every pair of 2-input sets, all six multi-input gate kinds;
 //! * every 1-input set for BUF and NOT;
-//! * seeded 1-, 3- and 4-input cases with arbitrary targets;
+//! * seeded 1-, 3- and 4-input cases with arbitrary targets (1 to 5
+//!   inputs for the non-robust functions);
 //! * every set under `not()`.
 //!
 //! The brute force never folds or reuses a set image: it enumerates the
@@ -28,7 +30,7 @@ const MULTI_INPUT: [GateKind; 6] = [
 ];
 
 /// Largest arity the oracle drives (fixed-size conversion buffers).
-const MAX_ARITY: usize = 4;
+const MAX_ARITY: usize = 5;
 
 /// One algebra seen through raw bitmasks: value `i` is bit `i` of a set.
 struct Algebra {
@@ -99,6 +101,53 @@ fn delay_algebra() -> Algebra {
         not_set: |b| DelaySet::from_bits(b).not().bits(),
         not_value: |i| DelayValue::from_index(i).not().index(),
         targets,
+    }
+}
+
+/// The delay algebra under the non-robust model: the same values, sets
+/// and inverter, with `eval_gate_nonrobust` as the scalar reference. Its
+/// exhaustive narrowing runs against the targets where the two models
+/// differ (the fault-carrying values) plus the clean and full sets.
+fn nonrobust_algebra() -> Algebra {
+    let targets = [
+        DelaySet::singleton(DelayValue::Rc),
+        DelaySet::singleton(DelayValue::Fc),
+    ]
+    .into_iter()
+    .chain([DelaySet::CARRYING, DelaySet::CLEAN, DelaySet::ALL])
+    .map(DelaySet::bits)
+    .collect();
+    Algebra {
+        name: "delay non-robust",
+        targets,
+        scalar: |kind, vals| {
+            let mut v = [DelayValue::S0; MAX_ARITY];
+            for (slot, &i) in v.iter_mut().zip(vals) {
+                *slot = DelayValue::from_index(i);
+            }
+            delay::eval_gate_nonrobust(kind, &v[..vals.len()]).index()
+        },
+        image: |kind, ins| {
+            let mut s = [DelaySet::EMPTY; MAX_ARITY];
+            for (slot, &b) in s.iter_mut().zip(ins) {
+                *slot = DelaySet::from_bits(b);
+            }
+            delay::eval_gate_sets_nonrobust(kind, &s[..ins.len()]).bits()
+        },
+        narrow: |kind, out, ins| {
+            let mut s = [DelaySet::EMPTY; MAX_ARITY];
+            for (slot, &b) in s.iter_mut().zip(ins.iter()) {
+                *slot = DelaySet::from_bits(b);
+            }
+            let mut o = DelaySet::from_bits(*out);
+            let changed = delay::narrow_inputs_nonrobust(kind, &mut o, &mut s[..ins.len()]);
+            *out = o.bits();
+            for (b, slot) in ins.iter_mut().zip(s) {
+                *b = slot.bits();
+            }
+            changed
+        },
+        ..delay_algebra()
     }
 }
 
@@ -301,15 +350,15 @@ impl SplitMix {
     }
 }
 
-/// Seeded 1-, 3- and 4-input cases (including arity-1 core gates) with
+/// Seeded cases of the given arities (including arity-1 core gates) with
 /// arbitrary input sets and targets, against full enumeration.
-fn seeded_wide(alg: &Algebra, seed: u64, cases: usize) {
+fn seeded_wide(alg: &Algebra, seed: u64, cases: usize, arities: &[usize]) {
     let mut rng = SplitMix(seed);
     let full = alg.full();
     for _ in 0..cases {
         let r = rng.next();
         let kind = MULTI_INPUT[(r % 6) as usize];
-        let n = [1, 3, 4][((r >> 8) % 3) as usize];
+        let n = arities[((r >> 8) % arities.len() as u64) as usize];
         let mut ins = [0u8; MAX_ARITY];
         for s in ins.iter_mut().take(n) {
             // Mostly non-empty sets; an empty one now and then.
@@ -361,12 +410,23 @@ fn single_input_kinds_match_enumeration() {
 
 #[test]
 fn delay_wide_gates_match_enumeration() {
-    seeded_wide(&delay_algebra(), 1995, 3000);
+    seeded_wide(&delay_algebra(), 1995, 3000, &[1, 3, 4]);
 }
 
 #[test]
 fn static_wide_gates_match_enumeration() {
-    seeded_wide(&static_algebra(), 1995, 3000);
+    seeded_wide(&static_algebra(), 1995, 3000, &[1, 3, 4]);
+}
+
+#[test]
+fn nonrobust_pairs_match_enumeration() {
+    exhaustive_pairs(&nonrobust_algebra());
+    exhaustive_single_input(&nonrobust_algebra());
+}
+
+#[test]
+fn nonrobust_wide_gates_match_enumeration() {
+    seeded_wide(&nonrobust_algebra(), 1995, 2000, &[1, 2, 3, 4, 5]);
 }
 
 #[test]

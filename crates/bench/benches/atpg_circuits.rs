@@ -1,12 +1,14 @@
-//! Criterion benchmarks for the test generators: TDgen per-fault search,
-//! the SEMILET per-frame engine, and the synchronizer.
+//! Criterion benchmarks for the test generators: TDgen per-fault search
+//! (robust and non-robust), the SEMILET per-frame engine and multi-frame
+//! propagation, and the synchronizer.
 
 use gdf_algebra::static5::{StaticSet, StaticValue};
 use gdf_bench::criterion::{black_box, criterion_group, criterion_main, Criterion};
 use gdf_netlist::{suite, DelayFault, DelayFaultKind, FaultSite, FaultUniverse};
 use gdf_semilet::frame::{FrameEngine, FrameGoal, PpiConstraint};
 use gdf_semilet::justify::{synchronize, SyncLimits};
-use gdf_tdgen::TdGen;
+use gdf_semilet::propagate::{propagate_to_po, PropagateLimits};
+use gdf_tdgen::{Sensitization, TdGen, TdGenConfig, TdGenOutcome};
 
 fn bench_tdgen(c: &mut Criterion) {
     let s27 = suite::s27();
@@ -31,6 +33,29 @@ fn bench_tdgen(c: &mut Criterion) {
             }
         })
     });
+
+    // Non-robust set images fold 16 states per gate; the search takes
+    // hundreds of steps per fault here.
+    let s208 = suite::table3_circuit("s208").expect("suite circuit");
+    let gen_nr = TdGen::with_config(
+        &s208,
+        TdGenConfig {
+            sensitization: Sensitization::NonRobust,
+            ..TdGenConfig::default()
+        },
+    );
+    let sample_nr: Vec<DelayFault> = FaultUniverse::default()
+        .delay_faults(&s208)
+        .into_iter()
+        .take(8)
+        .collect();
+    c.bench_function("tdgen 8 faults s208_syn non-robust", |b| {
+        b.iter(|| {
+            for &f in &sample_nr {
+                black_box(gen_nr.generate(f));
+            }
+        })
+    });
 }
 
 fn bench_semilet(c: &mut Criterion) {
@@ -43,6 +68,33 @@ fn bench_semilet(c: &mut Criterion) {
     ];
     c.bench_function("frame engine propagate s27", |b| {
         b.iter(|| engine.solve(black_box(&ppis), &FrameGoal::ObserveAtPo, None))
+    });
+
+    // Multi-frame propagation from the local tests TDgen observes at a
+    // PPO: many frame-engine steps per start, most of them aborting.
+    let s344 = suite::table3_circuit("s344").expect("suite circuit");
+    let gen = TdGen::new(&s344);
+    let starts: Vec<Vec<StaticSet>> = FaultUniverse::default()
+        .delay_faults(&s344)
+        .into_iter()
+        .filter_map(|f| match gen.generate(f) {
+            TdGenOutcome::Test(t) if t.needs_propagation() => {
+                Some(t.ppo_values.iter().map(|v| v.static_set()).collect())
+            }
+            _ => None,
+        })
+        .take(8)
+        .collect();
+    c.bench_function("propagate_to_po 8 local tests s344_syn", |b| {
+        b.iter(|| {
+            for start in &starts {
+                black_box(propagate_to_po(
+                    &s344,
+                    black_box(start),
+                    PropagateLimits::default(),
+                ));
+            }
+        })
     });
 
     let sr = gdf_netlist::generator::shift_register(6);

@@ -31,7 +31,7 @@ use crate::phase;
 use crate::report::CircuitReport;
 use gdf_algebra::delay::DelaySet;
 use gdf_algebra::logic3::Logic3;
-use gdf_algebra::static5::{StaticSet, StaticValue};
+use gdf_algebra::static5::StaticSet;
 use gdf_netlist::{Circuit, DelayFault, Fault, FaultUniverse, ModelKind, NodeId};
 use gdf_semilet::justify::{synchronize, SyncLimits, SyncOutcome};
 use gdf_semilet::propagate::{propagate_to_po, PropagateLimits, PropagateOutcome};
@@ -440,16 +440,7 @@ impl<'c> DelayAtpg<'c> {
     /// The 5-valued state handed to the propagation phase: the latched
     /// fault effect, the steady specifiable bits, and `Xf` elsewhere.
     fn start_state(&self, t: &LocalTest) -> Vec<StaticSet> {
-        t.ppo_values
-            .iter()
-            .map(|v| match v {
-                PpoValue::Steady0 => StaticSet::singleton(StaticValue::S0),
-                PpoValue::Steady1 => StaticSet::singleton(StaticValue::S1),
-                PpoValue::FaultEffect { good_one: true } => StaticSet::singleton(StaticValue::D),
-                PpoValue::FaultEffect { good_one: false } => StaticSet::singleton(StaticValue::Db),
-                PpoValue::UnjustifiableX => StaticSet::GOOD,
-            })
-            .collect()
+        t.ppo_values.iter().map(|v| v.static_set()).collect()
     }
 
     /// Initialization phase. `Err(true)` = aborted, `Err(false)` =

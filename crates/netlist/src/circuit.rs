@@ -67,6 +67,13 @@ impl Node {
         &self.fanout
     }
 
+    /// Whether every fanin pin reads a different net (no net drives two
+    /// pins of this node).
+    pub fn has_distinct_fanins(&self) -> bool {
+        let fanin = &self.fanin;
+        (1..fanin.len()).all(|i| !fanin[..i].contains(&fanin[i]))
+    }
+
     /// Whether this node's output net is a primary output.
     pub fn is_output(&self) -> bool {
         self.is_output

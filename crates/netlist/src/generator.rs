@@ -15,7 +15,8 @@
 //! counter) used by the examples and tests, where a known structure makes
 //! expected ATPG behaviour easy to reason about.
 
-use crate::circuit::{Circuit, CircuitBuilder};
+use crate::circuit::{Circuit, CircuitBuilder, NodeId};
+use crate::fault::FaultSite;
 use crate::gate::GateKind;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -382,6 +383,86 @@ fn pick_source(rng: &mut StdRng, available: usize) -> usize {
         rng.gen_range(available - window..available)
     } else {
         rng.gen_range(0..available)
+    }
+}
+
+/// Builds a small random sequential circuit from `seed`: 1–3 PIs, up to
+/// two flip-flops and 3–9 gates of every kind. Its gates often read one
+/// net on several pins, and a flip-flop may latch its own Q — the corner
+/// cases of set implication and fault-site conversion that the profile
+/// generator never draws. The last gate is the one PO.
+pub fn random_tangle(seed: u64) -> Circuit {
+    const KINDS: [GateKind; 8] = [
+        GateKind::And,
+        GateKind::Nand,
+        GateKind::Or,
+        GateKind::Nor,
+        GateKind::Xor,
+        GateKind::Xnor,
+        GateKind::Not,
+        GateKind::Buf,
+    ];
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut b = CircuitBuilder::new(format!("tangle{seed}"));
+    let mut nets: Vec<String> = Vec::new();
+    for i in 0..rng.gen_range(1..4usize) {
+        b.add_input(format!("i{i}"));
+        nets.push(format!("i{i}"));
+    }
+    let dffs = rng.gen_range(0..3usize);
+    nets.extend((0..dffs).map(|i| format!("q{i}")));
+    let gates = rng.gen_range(3..10usize);
+    for g in 0..gates {
+        let kind = KINDS[rng.gen_range(0..KINDS.len())];
+        let arity = match kind {
+            GateKind::Not | GateKind::Buf => 1,
+            _ => rng.gen_range(1..4usize),
+        };
+        let mut fanin: Vec<&str> = Vec::with_capacity(arity);
+        for _ in 0..arity {
+            let net = if !fanin.is_empty() && rng.gen_bool(0.3) {
+                fanin[rng.gen_range(0..fanin.len())]
+            } else {
+                &nets[rng.gen_range(0..nets.len())]
+            };
+            fanin.push(net);
+        }
+        b.add_gate(format!("g{g}"), kind, &fanin);
+        nets.push(format!("g{g}"));
+    }
+    for i in 0..dffs {
+        b.add_dff(format!("q{i}"), nets[rng.gen_range(0..nets.len())].clone());
+    }
+    b.mark_output(format!("g{}", gates - 1));
+    b.build().expect("random tangle is valid by construction")
+}
+
+/// Draws a fault site of `c`: a stem, or one of its fanout branches — half
+/// the time, when `c` has one, a pin of a gate that reads its stem on
+/// another pin too.
+pub fn random_site(c: &Circuit, rng: &mut StdRng) -> FaultSite {
+    let branches: Vec<FaultSite> = (0..c.num_nodes() as u32)
+        .map(NodeId)
+        .flat_map(|stem| {
+            let fanout = c.node(stem).fanout();
+            fanout
+                .iter()
+                .map(move |&(sink, pin)| FaultSite::on_branch(stem, sink, pin))
+        })
+        .collect();
+    let reads_twice = |site: &FaultSite| {
+        let (sink, _) = site.branch.expect("branch site");
+        let fanin = c.node(sink).fanin();
+        fanin.iter().filter(|&&f| f == site.stem).count() > 1
+    };
+    let shared: Vec<FaultSite> = branches.iter().copied().filter(reads_twice).collect();
+    let draw = rng.gen_range(0..4u32);
+    if draw < 2 && !shared.is_empty() {
+        shared[rng.gen_range(0..shared.len())]
+    } else if draw < 3 && !branches.is_empty() {
+        branches[rng.gen_range(0..branches.len())]
+    } else {
+        FaultSite::on_stem(NodeId(rng.gen_range(0..c.num_nodes() as u32)))
     }
 }
 

@@ -9,11 +9,21 @@
 //! TDgen, §3's refs 8 and 20, specialized to the static algebra); success is
 //! declared only on a *forward functional image* from the decided leaves,
 //! so a solution with don't-care `X` positions holds for every completion.
+//!
+//! As in TDgen, a search step costs what changed. A gate whose pins read
+//! distinct nets is not woken again by its own narrowings, because one
+//! pass is its own fixpoint; a gate that reads one net on several pins
+//! is. The forward image is a pure function of the source sets and the
+//! fault, so the engine keeps it from one step, one solve and one
+//! simulated frame to the next, and re-evaluates only the gates with a
+//! changed fanin, in level order.
 
-use gdf_algebra::logic3::{eval_gate3, Logic3};
+use gdf_algebra::logic3::Logic3;
 use gdf_algebra::static5::{eval_gate_sets, narrow_inputs, StaticSet, StaticValue};
 use gdf_netlist::scoap::Testability;
 use gdf_netlist::{Circuit, GateKind, NodeId, StuckFault};
+use gdf_sim::packed::LevelQueue;
+use std::cell::RefCell;
 use std::collections::VecDeque;
 
 /// Constraint on one pseudo primary input for this frame.
@@ -91,6 +101,12 @@ impl FrameResult {
 
 /// The per-frame engine.
 ///
+/// The engine keeps the buffers of its last search, forward image
+/// included, so the next [`FrameEngine::solve`] or
+/// [`FrameEngine::simulate_frame`] re-evaluates only the gates whose
+/// inputs differ. That makes it `!Sync`: build one per thread (it is
+/// cheap).
+///
 /// # Example
 ///
 /// ```
@@ -114,6 +130,7 @@ pub struct FrameEngine<'c> {
     circuit: &'c Circuit,
     backtrack_limit: u32,
     testability: &'c Testability,
+    scratch: RefCell<Scratch>,
 }
 
 #[derive(Debug)]
@@ -128,17 +145,91 @@ struct Net {
     conflict: bool,
 }
 
-/// Buffers the search loop reuses, allocated once per
-/// [`FrameEngine::solve`] call.
+/// Buffers the search loop reuses, kept by the engine from one
+/// [`FrameEngine::solve`] call to the next.
 #[derive(Debug, Default)]
 struct Scratch {
-    /// The forward functional image, one set per node.
-    image: Vec<StaticSet>,
-    /// Input sets of the gate being evaluated by the image.
-    ins: Vec<StaticSet>,
+    /// The decided leaf set of each source (PI or flip-flop), by node.
+    leaf: Vec<StaticSet>,
+    /// The forward functional image, kept from one search step (and one
+    /// frame) to the next.
+    image: FrameImage,
     /// Backtrace: a gate's edge sets before and after narrowing.
     orig: Vec<StaticSet>,
     narrowed: Vec<StaticSet>,
+}
+
+/// The forward functional image of one frame: one set per node, from the
+/// sets of the sources (PIs and flip-flops) and the injected fault.
+///
+/// The image is a pure function of the source sets and the fault, so the
+/// engine keeps it from one step to the next and [`FrameImage::update`]
+/// re-evaluates, in level order, only the gates with a changed fanin. The
+/// first update, and the first under another fault, schedules every gate.
+#[derive(Debug, Default)]
+struct FrameImage {
+    /// One set per node; a stuck stem holds its observed (stuck) value.
+    f: Vec<StaticSet>,
+    /// The fault `f` was computed under.
+    fault: Option<StuckFault>,
+    /// Input sets of the gate being evaluated.
+    ins: Vec<StaticSet>,
+    queue: LevelQueue,
+}
+
+impl FrameImage {
+    /// Brings the image up to date with new `sources` sets (every PI and
+    /// flip-flop), injecting `fault`.
+    fn update(
+        &mut self,
+        circuit: &Circuit,
+        fault: Option<StuckFault>,
+        sources: impl IntoIterator<Item = (NodeId, StaticSet)>,
+    ) {
+        let FrameImage {
+            f,
+            fault: image_fault,
+            ins,
+            queue,
+        } = self;
+        queue.prepare(circuit);
+        if f.len() != circuit.num_nodes() || *image_fault != fault {
+            *image_fault = fault;
+            f.clear();
+            f.resize(circuit.num_nodes(), StaticSet::EMPTY);
+            for &g in circuit.topo_order() {
+                queue.schedule(circuit, g);
+            }
+        }
+        // A stuck stem overrides its own observed value too. Conversion is
+        // idempotent, so its fanout edges may read the stored value.
+        let observed = |node: NodeId, s: StaticSet| match fault {
+            Some(flt) if flt.site.branch.is_none() && flt.site.stem == node => {
+                FrameEngine::convert(flt, s)
+            }
+            _ => s,
+        };
+        for (src, set) in sources {
+            let v = observed(src, set);
+            if v != f[src.index()] {
+                queue.inject(circuit, f, src, v);
+            }
+        }
+        queue.run(circuit, f, |g, f| {
+            let node = circuit.node(g);
+            ins.clear();
+            ins.extend(node.fanin().iter().enumerate().map(|(pin, &src)| {
+                let s = f[src.index()];
+                if FrameEngine::edge_converted(fault, src, g, pin as u8) {
+                    FrameEngine::convert(fault.expect("converted"), s)
+                } else {
+                    s
+                }
+            }));
+            observed(g, eval_gate_sets(node.kind(), ins))
+        });
+        queue.forget_touched();
+    }
 }
 
 #[derive(Debug)]
@@ -156,6 +247,7 @@ impl<'c> FrameEngine<'c> {
             circuit,
             backtrack_limit,
             testability: circuit.testability(),
+            scratch: RefCell::default(),
         }
     }
 
@@ -172,7 +264,7 @@ impl<'c> FrameEngine<'c> {
         let mut net = self.init_net(ppis, fault);
         let mut stack: Vec<Decision> = Vec::new();
         let mut backtracks: u32 = 0;
-        let mut scratch = Scratch::default();
+        let mut scratch = self.scratch.borrow_mut();
 
         // Seed goal constraints into the arc network where possible.
         if let FrameGoal::JustifyPpos(targets) = goal {
@@ -190,7 +282,7 @@ impl<'c> FrameEngine<'c> {
             if consistent {
                 self.forward_image(ppis, &stack, fault, &mut scratch);
                 if let Some(sol) =
-                    self.forward_success(goal, ppis, &stack, &scratch.image, backtracks, fault)
+                    self.forward_success(goal, ppis, &stack, &scratch.image.f, backtracks, fault)
                 {
                     return FrameResult::Solved(sol);
                 }
@@ -366,46 +458,64 @@ impl<'c> FrameEngine<'c> {
         }
     }
 
+    /// Runs implications to a fixpoint. A gate whose pins read distinct
+    /// nets keeps its queued flag while it runs: its narrowing is exact
+    /// per pin, so one pass is its own fixpoint and its own narrowings
+    /// need not wake it again. A gate that reads one net on several pins
+    /// is woken as before. The fixpoint is unique, so every set and every
+    /// conflict stays the same.
     fn propagate(&self, net: &mut Net, fault: Option<StuckFault>) -> bool {
         while let Some(g) = net.queue.pop_front() {
             net.queued[g.index()] = false;
             if net.conflict {
                 break;
             }
-            let node = self.circuit.node(g);
-            let kind = node.kind();
-            let fanin = node.fanin();
-            let mut ins = std::mem::take(&mut net.ins);
-            ins.clear();
-            ins.extend((0..fanin.len()).map(|p| self.edge_set(net, fault, g, p)));
-            let mut out = net.sets[g.index()];
-            let image = eval_gate_sets(kind, &ins);
-            out = out.intersect(image);
-            narrow_inputs(kind, &mut out, &mut ins);
-            let mut failed = !self.assign(net, g, out);
-            if !failed {
-                for (p, &stem) in fanin.iter().enumerate() {
-                    let pre = if Self::edge_converted(fault, stem, g, p as u8) {
-                        Self::unconvert_within(
-                            fault.expect("converted"),
-                            ins[p],
-                            net.sets[stem.index()],
-                        )
-                    } else {
-                        ins[p]
-                    };
-                    if !self.assign(net, stem, pre) {
-                        failed = true;
-                        break;
-                    }
-                }
+            let settles = self.circuit.node(g).has_distinct_fanins();
+            net.queued[g.index()] = settles;
+            let ok = self.imply_gate(net, fault, g);
+            if settles {
+                net.queued[g.index()] = false;
             }
-            net.ins = ins;
-            if failed {
+            if !ok {
                 break;
             }
         }
         !net.conflict
+    }
+
+    /// One pass of gate `g`'s constraint: forward image, then backward
+    /// narrowing of its pins. Returns `false` on a conflict.
+    fn imply_gate(&self, net: &mut Net, fault: Option<StuckFault>, g: NodeId) -> bool {
+        let node = self.circuit.node(g);
+        let kind = node.kind();
+        let fanin = node.fanin();
+        let mut ins = std::mem::take(&mut net.ins);
+        ins.clear();
+        ins.extend((0..fanin.len()).map(|p| self.edge_set(net, fault, g, p)));
+        let mut out = net.sets[g.index()];
+        let image = eval_gate_sets(kind, &ins);
+        out = out.intersect(image);
+        narrow_inputs(kind, &mut out, &mut ins);
+        let mut ok = self.assign(net, g, out);
+        if ok {
+            for (p, &stem) in fanin.iter().enumerate() {
+                let pre = if Self::edge_converted(fault, stem, g, p as u8) {
+                    Self::unconvert_within(
+                        fault.expect("converted"),
+                        ins[p],
+                        net.sets[stem.index()],
+                    )
+                } else {
+                    ins[p]
+                };
+                if !self.assign(net, stem, pre) {
+                    ok = false;
+                    break;
+                }
+            }
+        }
+        net.ins = ins;
+        ok
     }
 
     // ------------------------------------------------------------------
@@ -422,8 +532,8 @@ impl<'c> FrameEngine<'c> {
         s
     }
 
-    /// Computes the forward functional image from the decided leaves into
-    /// `scratch.image`.
+    /// Brings the forward functional image in `scratch.image` up to date
+    /// with the decided leaves.
     fn forward_image(
         &self,
         ppis: &[PpiConstraint],
@@ -432,42 +542,19 @@ impl<'c> FrameEngine<'c> {
         scratch: &mut Scratch,
     ) {
         let circuit = self.circuit;
-        let Scratch { image: f, ins, .. } = scratch;
-        f.clear();
-        f.resize(circuit.num_nodes(), StaticSet::EMPTY);
+        let Scratch { leaf, image, .. } = scratch;
+        leaf.resize(circuit.num_nodes(), StaticSet::EMPTY);
         for &pi in circuit.inputs() {
-            f[pi.index()] = self.leaf_set(pi, StaticSet::GOOD, stack);
+            leaf[pi.index()] = StaticSet::GOOD;
         }
         for (i, &ff) in circuit.dffs().iter().enumerate() {
-            f[ff.index()] = self.leaf_set(ff, ppis[i].leaf(), stack);
+            leaf[ff.index()] = ppis[i].leaf();
         }
-        self.eval_frame(f, ins, fault);
-    }
-
-    /// Evaluates every gate in topological order over the value sets `f`
-    /// (sources already set), injecting `fault`; `ins` is scratch.
-    fn eval_frame(&self, f: &mut [StaticSet], ins: &mut Vec<StaticSet>, fault: Option<StuckFault>) {
-        let circuit = self.circuit;
-        for &g in circuit.topo_order() {
-            let node = circuit.node(g);
-            ins.clear();
-            ins.extend(node.fanin().iter().enumerate().map(|(pin, &src)| {
-                let s = f[src.index()];
-                if Self::edge_converted(fault, src, g, pin as u8) {
-                    Self::convert(fault.expect("converted"), s)
-                } else {
-                    s
-                }
-            }));
-            f[g.index()] = eval_gate_sets(node.kind(), ins);
+        for d in stack {
+            leaf[d.node.index()] = leaf[d.node.index()].intersect(d.applied);
         }
-        // A stuck stem overrides its own observed value too.
-        if let Some(flt) = fault {
-            if flt.site.branch.is_none() {
-                let idx = flt.site.stem.index();
-                f[idx] = Self::convert(flt, f[idx]);
-            }
-        }
+        let sources = circuit.inputs().iter().chain(circuit.dffs());
+        image.update(circuit, fault, sources.map(|&src| (src, leaf[src.index()])));
     }
 
     fn forward_ppo(&self, image: &[StaticSet], i: usize) -> StaticSet {
@@ -602,7 +689,7 @@ impl<'c> FrameEngine<'c> {
         fault: Option<StuckFault>,
         scratch: &mut Scratch,
     ) -> bool {
-        let objective = self.pick_objective(net, goal, fault, &scratch.image);
+        let objective = self.pick_objective(net, goal, fault, &scratch.image.f);
         let decision = objective
             .and_then(|objective| self.backtrace(net, ppis, stack, objective, fault, scratch))
             .or_else(|| self.fallback_variable(net, ppis, stack));
@@ -935,18 +1022,18 @@ impl<'c> FrameEngine<'c> {
         assert_eq!(state.len(), self.circuit.num_dffs());
         assert_eq!(pi.len(), self.circuit.num_inputs());
         let circuit = self.circuit;
-        let mut f = vec![StaticSet::EMPTY; circuit.num_nodes()];
-        for (i, &p) in circuit.inputs().iter().enumerate() {
-            f[p.index()] = match pi[i].to_bool() {
+        let pis = circuit.inputs().iter().zip(pi).map(|(&p, l)| {
+            let set = match l.to_bool() {
                 Some(true) => StaticSet::singleton(StaticValue::S1),
                 Some(false) => StaticSet::singleton(StaticValue::S0),
                 None => StaticSet::GOOD,
             };
-        }
-        for (i, &ff) in circuit.dffs().iter().enumerate() {
-            f[ff.index()] = state[i];
-        }
-        self.eval_frame(&mut f, &mut Vec::new(), fault);
+            (p, set)
+        });
+        let ffs = circuit.dffs().iter().copied().zip(state.iter().copied());
+        let image = &mut self.scratch.borrow_mut().image;
+        image.update(circuit, fault, pis.chain(ffs));
+        let f = &image.f;
         let pos = circuit.outputs().iter().map(|&po| f[po.index()]).collect();
         let next = (0..circuit.num_dffs())
             .map(|i| {
@@ -962,34 +1049,6 @@ impl<'c> FrameEngine<'c> {
             .collect();
         (pos, next)
     }
-}
-
-/// 3-valued sanity helper: evaluates the good machine of one frame given
-/// a PI vector and 3-valued state.
-#[allow(dead_code)]
-pub(crate) fn good_frame(
-    circuit: &Circuit,
-    pi: &[Logic3],
-    state: &[Logic3],
-) -> (Vec<Logic3>, Vec<Logic3>) {
-    let mut values = vec![Logic3::X; circuit.num_nodes()];
-    for (i, &id) in circuit.inputs().iter().enumerate() {
-        values[id.index()] = pi[i];
-    }
-    for (i, &ff) in circuit.dffs().iter().enumerate() {
-        values[ff.index()] = state[i];
-    }
-    for &g in circuit.topo_order() {
-        let node = circuit.node(g);
-        let ins: Vec<Logic3> = node.fanin().iter().map(|&f| values[f.index()]).collect();
-        values[g.index()] = eval_gate3(node.kind(), &ins);
-    }
-    let next = circuit
-        .dffs()
-        .iter()
-        .map(|&ff| values[circuit.ppo_of_dff(ff).index()])
-        .collect();
-    (values, next)
 }
 
 #[cfg(test)]
@@ -1136,6 +1195,70 @@ mod tests {
             .cloned()
             .expect("excitable");
         assert_eq!(sol.pi[0], Logic3::One);
+    }
+
+    /// The reference fixpoint: every gate implied round-robin, in
+    /// topological order, until a whole round narrows nothing.
+    fn round_robin(engine: &FrameEngine<'_>, net: &mut Net, fault: Option<StuckFault>) -> bool {
+        loop {
+            let before = net.trail.len();
+            for &g in engine.circuit.topo_order() {
+                if !engine.imply_gate(net, fault, g) {
+                    return false;
+                }
+            }
+            if net.trail.len() == before {
+                return true;
+            }
+        }
+    }
+
+    #[test]
+    fn propagate_reaches_the_round_robin_fixpoint() {
+        use gdf_netlist::generator;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(1995);
+        for seed in 0..300 {
+            let c = generator::random_tangle(seed);
+            let engine = FrameEngine::new(&c, 100);
+            let site = generator::random_site(&c, &mut rng);
+            let stuck = StuckFault {
+                site,
+                kind: StuckAtKind::ALL[rng.gen_range(0..2usize)],
+            };
+            let ppis: Vec<PpiConstraint> = (0..c.num_dffs())
+                .map(|_| match rng.gen_range(0..3u32) {
+                    0 => PpiConstraint::Assignable,
+                    _ => PpiConstraint::Fixed(StaticSet::from_bits(rng.gen_range(1..16u8))),
+                })
+                .collect();
+            for fault in [None, Some(stuck)] {
+                let mut queued = engine.init_net(&ppis, fault);
+                let mut reference = engine.init_net(&ppis, fault);
+                // A search-like walk: narrow a random net, compare the
+                // fixpoints, and undo the step on a conflict.
+                for step in 0..9 {
+                    let marks = (queued.trail.len(), reference.trail.len());
+                    if step > 0 {
+                        let node = NodeId(rng.gen_range(0..c.num_nodes() as u32));
+                        let narrowed = StaticSet::from_bits(rng.gen_range(0..16u8))
+                            .intersect(queued.sets[node.index()]);
+                        let ok = engine.assign(&mut queued, node, narrowed);
+                        assert_eq!(engine.assign(&mut reference, node, narrowed), ok);
+                    }
+                    let got = engine.propagate(&mut queued, fault);
+                    let want = round_robin(&engine, &mut reference, fault) && !reference.conflict;
+                    assert_eq!(got, want, "{} {fault:?}: conflict status", c.name());
+                    if got {
+                        assert_eq!(queued.sets, reference.sets, "{} {fault:?}", c.name());
+                    } else {
+                        engine.rollback(&mut queued, marks.0);
+                        engine.rollback(&mut reference, marks.1);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,10 @@
 //! (`F`) is converted into `Rc` (`Fc`); the state register contributes the
 //! `final(PPI) = initial(PPO)` correlation.
 
-use gdf_algebra::delay::{eval_gate, eval_gate_sets, narrow_inputs, DelaySet, DelayValue};
+use gdf_algebra::delay::{
+    eval_gate_sets, eval_gate_sets_nonrobust, narrow_inputs, narrow_inputs_nonrobust, DelaySet,
+    DelayValue,
+};
 use gdf_netlist::{Circuit, DelayFault, DelayFaultKind, GateKind, NodeId};
 use std::collections::VecDeque;
 
@@ -53,6 +56,11 @@ impl std::str::FromStr for Sensitization {
     }
 }
 
+/// Non-robust value-level gate evaluation (see
+/// [`Sensitization::NonRobust`]); defined in the algebra beside the set
+/// functions built from it.
+pub use gdf_algebra::delay::eval_gate_nonrobust;
+
 /// Result of an implication pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Implied {
@@ -60,88 +68,6 @@ pub enum Implied {
     Consistent,
     /// Some set became empty.
     Conflict,
-}
-
-/// Non-robust value-level gate evaluation (see [`Sensitization::NonRobust`]).
-pub fn eval_gate_nonrobust(kind: GateKind, vals: &[DelayValue]) -> DelayValue {
-    let robust = eval_gate(kind, vals);
-    if !robust.is_transition() {
-        return robust;
-    }
-    let good_fin = kind.eval_bools(vals.iter().map(|v| v.final_value()));
-    let faulty_fin = kind.eval_bools(vals.iter().map(|v| v.final_value() != v.carries_fault()));
-    let differs = good_fin != faulty_fin;
-    if differs {
-        robust.with_fault_mark().expect("transition")
-    } else {
-        robust.without_fault_mark()
-    }
-}
-
-/// Set-level non-robust evaluation by direct enumeration (the non-robust
-/// carry rule is not associative for parity gates, so no folding).
-fn eval_sets_nonrobust(kind: GateKind, ins: &[DelaySet]) -> DelaySet {
-    match kind {
-        GateKind::Buf => return ins[0],
-        GateKind::Not => return ins[0].not(),
-        _ => {}
-    }
-    let mut out = DelaySet::EMPTY;
-    let mut combo: Vec<DelayValue> = Vec::with_capacity(ins.len());
-    enumerate(kind, ins, 0, &mut combo, &mut out);
-    out
-}
-
-fn enumerate(
-    kind: GateKind,
-    ins: &[DelaySet],
-    depth: usize,
-    combo: &mut Vec<DelayValue>,
-    out: &mut DelaySet,
-) {
-    if depth == ins.len() {
-        out.insert(eval_gate_nonrobust(kind, combo));
-        return;
-    }
-    for v in ins[depth].iter() {
-        combo.push(v);
-        enumerate(kind, ins, depth + 1, combo, out);
-        combo.pop();
-    }
-}
-
-/// Set-level non-robust backward narrowing by direct enumeration. Input
-/// `i` is narrowed against inputs `0..i` as already narrowed.
-fn narrow_nonrobust(kind: GateKind, out_allowed: &mut DelaySet, ins: &mut [DelaySet]) -> bool {
-    if matches!(kind, GateKind::Buf | GateKind::Not) {
-        return narrow_inputs(kind, out_allowed, ins);
-    }
-    let mut changed = false;
-    let n = ins.len();
-    for i in 0..n {
-        let own = ins[i];
-        let mut keep = DelaySet::EMPTY;
-        for v in own.iter() {
-            // Pin input `i` in place; it is restored below.
-            ins[i] = DelaySet::singleton(v);
-            let image = eval_sets_nonrobust(kind, ins);
-            if !image.intersect(*out_allowed).is_empty() {
-                keep.insert(v);
-            }
-        }
-        ins[i] = own;
-        if keep != ins[i] {
-            ins[i] = keep;
-            changed = true;
-        }
-    }
-    let producible = eval_sets_nonrobust(kind, ins);
-    let meet = out_allowed.intersect(producible);
-    if meet != *out_allowed {
-        *out_allowed = meet;
-        changed = true;
-    }
-    changed
 }
 
 /// The implication network for one target fault.
@@ -437,14 +363,14 @@ impl<'c> ImplicationNet<'c> {
     fn eval_sets_m(&self, kind: GateKind, ins: &[DelaySet]) -> DelaySet {
         match self.model {
             Sensitization::Robust => eval_gate_sets(kind, ins),
-            Sensitization::NonRobust => eval_sets_nonrobust(kind, ins),
+            Sensitization::NonRobust => eval_gate_sets_nonrobust(kind, ins),
         }
     }
 
     fn narrow_m(&self, kind: GateKind, out: &mut DelaySet, ins: &mut [DelaySet]) -> bool {
         match self.model {
             Sensitization::Robust => narrow_inputs(kind, out, ins),
-            Sensitization::NonRobust => narrow_nonrobust(kind, out, ins),
+            Sensitization::NonRobust => narrow_inputs_nonrobust(kind, out, ins),
         }
     }
 
@@ -461,21 +387,54 @@ impl<'c> ImplicationNet<'c> {
     }
 
     /// Runs implications to a fixpoint.
+    ///
+    /// A constraint whose one pass is already its own fixpoint keeps its
+    /// queued flag while it runs, so its own narrowings do not wake it
+    /// again: a gate whose pins read distinct nets, and a flip-flop
+    /// coupling whose D net is not its own Q. The fixpoint of these
+    /// monotone narrowings is unique, so skipping those passes changes no
+    /// set and no conflict.
     pub fn propagate(&mut self) -> Implied {
         while let Some(c) = self.queue.pop_front() {
-            self.queued[c.index(self.circuit)] = false;
+            let idx = c.index(self.circuit);
+            self.queued[idx] = false;
             if self.conflict {
                 break;
             }
+            let settles = self.settles_in_one_pass(c);
+            self.queued[idx] = settles;
             match c {
                 Constraint::Gate(g) => self.imply_gate(g),
                 Constraint::Dff(i) => self.imply_dff(i),
+            }
+            if settles {
+                self.queued[idx] = false;
             }
         }
         if self.conflict {
             Implied::Conflict
         } else {
             Implied::Consistent
+        }
+    }
+
+    /// Whether one pass of `c` leaves nothing for a second pass to narrow.
+    ///
+    /// A gate's narrowing is exact per pin (a pin keeps exactly the values
+    /// some completion of the other pins maps into the output set), and
+    /// the fault-site conversion is a function of the stem's values, so
+    /// when its pins read distinct nets a second pass finds every
+    /// narrowed set supported. A flip-flop coupling is a binary constraint
+    /// between its Q and D nets and settles likewise unless D is Q itself.
+    /// A gate that reads one net on several pins narrows each pin against
+    /// the other's old set, and may narrow again.
+    fn settles_in_one_pass(&self, c: Constraint) -> bool {
+        match c {
+            Constraint::Gate(g) => self.circuit.node(g).has_distinct_fanins(),
+            Constraint::Dff(i) => {
+                let q = self.circuit.dffs()[i];
+                self.circuit.ppo_of_dff(q) != q
+            }
         }
     }
 
@@ -536,7 +495,10 @@ impl<'c> ImplicationNet<'c> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gdf_netlist::{suite, CircuitBuilder, FaultSite};
+    use gdf_algebra::delay::eval_gate;
+    use gdf_netlist::{generator, suite, CircuitBuilder, FaultSite};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn str_fault(c: &Circuit, name: &str) -> DelayFault {
         DelayFault {
@@ -693,7 +655,7 @@ mod tests {
         use DelayValue::*;
         let a = DelaySet::from_values([Fc, R]);
         let b = DelaySet::from_values([H1, S1]);
-        let got = eval_sets_nonrobust(GateKind::And, &[a, b]);
+        let got = eval_gate_sets_nonrobust(GateKind::And, &[a, b]);
         let mut expect = DelaySet::EMPTY;
         for va in a.iter() {
             for vb in b.iter() {
@@ -701,6 +663,89 @@ mod tests {
             }
         }
         assert_eq!(got, expect);
+    }
+
+    /// The reference fixpoint: every constraint applied round-robin (gates
+    /// in topological order, then flip-flops) until a whole round narrows
+    /// nothing. No queue and no wake-ups.
+    fn round_robin(net: &mut ImplicationNet<'_>) -> Implied {
+        loop {
+            let before = net.trail.len();
+            for &g in net.circuit.topo_order() {
+                net.imply_gate(g);
+                if net.conflict {
+                    return Implied::Conflict;
+                }
+            }
+            for i in 0..net.circuit.num_dffs() {
+                net.imply_dff(i);
+                if net.conflict {
+                    return Implied::Conflict;
+                }
+            }
+            if net.trail.len() == before {
+                return Implied::Consistent;
+            }
+        }
+    }
+
+    /// `propagate` and the reference agree on conflict and, without one,
+    /// on every set.
+    fn assert_same_fixpoint(
+        c: &Circuit,
+        queued: &mut ImplicationNet<'_>,
+        reference: &mut ImplicationNet<'_>,
+    ) {
+        let got = queued.propagate();
+        let want = round_robin(reference);
+        assert_eq!(got, want, "conflict status on {c:?}");
+        if got == Implied::Consistent {
+            for id in 0..c.num_nodes() {
+                let id = NodeId(id as u32);
+                assert_eq!(
+                    queued.set(id),
+                    reference.set(id),
+                    "set of {}",
+                    c.node(id).name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn propagate_reaches_the_round_robin_fixpoint() {
+        let mut rng = StdRng::seed_from_u64(1995);
+        for seed in 0..300 {
+            let c = generator::random_tangle(seed);
+            let fault = DelayFault {
+                site: generator::random_site(&c, &mut rng),
+                kind: if rng.gen_bool(0.5) {
+                    DelayFaultKind::SlowToRise
+                } else {
+                    DelayFaultKind::SlowToFall
+                },
+            };
+            for model in [Sensitization::Robust, Sensitization::NonRobust] {
+                let mut queued = ImplicationNet::new(&c, fault, model);
+                let mut reference = queued.clone();
+                assert_same_fixpoint(&c, &mut queued, &mut reference);
+                // A search-like walk: narrow a random net, compare, and
+                // undo the step on a conflict.
+                for _ in 0..8 {
+                    let node = NodeId(rng.gen_range(0..c.num_nodes() as u32));
+                    let narrowed =
+                        DelaySet::from_bits(queued.set(node).bits() & rng.gen::<u32>() as u8);
+                    let marks = (queued.checkpoint(), reference.checkpoint());
+                    let ok = queued.assign(node, narrowed);
+                    assert_eq!(reference.assign(node, narrowed), ok);
+                    assert_same_fixpoint(&c, &mut queued, &mut reference);
+                    if queued.conflict {
+                        queued.rollback(marks.0);
+                        reference.rollback(marks.1);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

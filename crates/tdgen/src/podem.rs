@@ -19,6 +19,18 @@
 //!   of the remaining don't-cares detects the fault — which is what the
 //!   emitted test with `X` positions promises.
 //!
+//! One search step costs what changed, not the whole circuit. The
+//! implication network skips a constraint's wake-up by its own narrowings
+//! only when one pass is that constraint's own fixpoint (a gate whose pins
+//! read distinct nets, a flip-flop coupling whose D net is not its own
+//! Q); the fixpoint is unique, so no set or conflict changes. The forward
+//! image is a pure function of the decided leaves, so it is kept from one
+//! step to the next and updated by events: only the gates with a changed
+//! fanin are re-evaluated, in level order, with the PPO-initial →
+//! PPI-final coupling as one more edge. The first image of a search is
+//! the same update with every gate scheduled. Every search decision is
+//! the one a full recomputation would take.
+//!
 //! Completeness comes from the decision tree covering the full PI/PPI
 //! space; objectives are heuristics only. The paper's backtrack-limit
 //! abort (default 100) sits on top.
@@ -29,6 +41,7 @@ use gdf_algebra::delay::{DelaySet, DelayValue};
 use gdf_algebra::logic3::{eval_gate3, Logic3};
 use gdf_netlist::scoap::Testability;
 use gdf_netlist::{Circuit, DelayFault, GateKind, NodeId};
+use gdf_sim::packed::LevelQueue;
 
 /// Configuration of the local test generator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,13 +103,18 @@ struct Decision {
     trail_mark: usize,
 }
 
-/// Forward functional image: one set per node. The buffers are reused by
-/// every image one search computes.
+/// Forward functional image: one set per node, kept from one search step
+/// to the next (see [`TdGen::forward_image`]).
 #[derive(Default)]
 struct ForwardImage {
-    f: Vec<DelaySet>,
+    /// The decided leaf set of each source (PI or flip-flop), by node.
+    leaf: Vec<DelaySet>,
     /// Pass 1 of the image: initial-frame values.
     init3: Vec<Logic3>,
+    /// Pass 2 of the image: the 8-valued sets.
+    f: Vec<DelaySet>,
+    /// The level-ordered scheduler both passes run on.
+    queue: LevelQueue,
     /// Input values of the gate being evaluated, one buffer per pass.
     ins3: Vec<Logic3>,
     ins: Vec<DelaySet>,
@@ -193,7 +211,7 @@ impl<'c> TdGen<'c> {
                     let obs = self
                         .forward_success(&net, image)
                         .expect("minimization preserves success");
-                    return TdGenOutcome::Test(self.extract(&net, restr, image, obs, backtracks));
+                    return TdGenOutcome::Test(self.extract(&net, image, obs, backtracks));
                 }
                 if self.may_reach_observable(&net)
                     && self
@@ -237,23 +255,20 @@ impl<'c> TdGen<'c> {
         s
     }
 
-    /// Same, over a plain restriction list.
-    fn leaf_set_r(&self, node: NodeId, restr: &[(NodeId, DelaySet)]) -> DelaySet {
-        let mut s = DelaySet::HAZARD_FREE;
-        for &(n, r) in restr {
-            if n == node {
-                s = s.intersect(r);
-            }
-        }
-        s
-    }
-
     /// Computes the forward functional image from the decided leaves:
     /// undecided PIs keep their full 4-value domain, PPI finals follow the
     /// functionally determined PPO initial bits, and the fault site
     /// converts on its faulted edges. Correlation between reconvergent
     /// signals is lost in the set domain, so the image over-approximates —
     /// which makes the success check conservative (sound).
+    ///
+    /// The image is a pure function of the decided leaves, so it is kept
+    /// from one call to the next and brought up to date by events: each
+    /// pass re-evaluates, in level order, only the gates with a changed
+    /// fanin, starting from the sources whose value changed. The
+    /// PPO-initial → PPI-final coupling is one more edge from pass 1 to
+    /// pass 2. The first image of a search is the same update with every
+    /// gate scheduled.
     fn forward_image(
         &self,
         net: &ImplicationNet<'_>,
@@ -263,45 +278,71 @@ impl<'c> TdGen<'c> {
         let circuit = self.circuit;
         let n = circuit.num_nodes();
         let ForwardImage {
-            f,
+            leaf,
             init3,
+            f,
+            queue,
             ins3,
             ins,
         } = image;
+        let first = f.len() != n;
+        if first {
+            leaf.resize(n, DelaySet::HAZARD_FREE);
+            init3.resize(n, Logic3::X);
+            f.resize(n, DelaySet::EMPTY);
+        }
+        let sources = || circuit.inputs().iter().chain(circuit.dffs());
+        for &src in sources() {
+            leaf[src.index()] = DelaySet::HAZARD_FREE;
+        }
+        for &(node, r) in restr {
+            leaf[node.index()] = leaf[node.index()].intersect(r);
+        }
+        queue.prepare(circuit);
+        let schedule_all = |queue: &mut LevelQueue| {
+            if first {
+                for &g in circuit.topo_order() {
+                    queue.schedule(circuit, g);
+                }
+            }
+        };
 
         // Pass 1: 3-valued initial-frame values (functional in leaf inits).
-        init3.clear();
-        init3.resize(n, Logic3::X);
-        for &pi in circuit.inputs() {
-            init3[pi.index()] = component3(self.leaf_set_r(pi, restr), DelaySet::with_initial);
+        schedule_all(queue);
+        for &src in sources() {
+            let v = component3(leaf[src.index()], DelaySet::with_initial);
+            if v != init3[src.index()] {
+                queue.inject(circuit, init3, src, v);
+            }
         }
-        for &ff in circuit.dffs() {
-            init3[ff.index()] = component3(self.leaf_set_r(ff, restr), DelaySet::with_initial);
-        }
-        for &g in circuit.topo_order() {
+        queue.run(circuit, init3, |g, init3| {
             let node = circuit.node(g);
             ins3.clear();
             ins3.extend(node.fanin().iter().map(|&f| init3[f.index()]));
-            init3[g.index()] = eval_gate3(node.kind(), ins3);
-        }
+            eval_gate3(node.kind(), ins3)
+        });
+        queue.forget_touched();
 
         // Pass 2: 8-valued forward sets with the site conversion.
-        f.clear();
-        f.resize(n, DelaySet::EMPTY);
+        schedule_all(queue);
         for &pi in circuit.inputs() {
-            f[pi.index()] = self.leaf_set_r(pi, restr);
+            if leaf[pi.index()] != f[pi.index()] {
+                queue.inject(circuit, f, pi, leaf[pi.index()]);
+            }
         }
         for &ff in circuit.dffs() {
-            let mut leaf = self.leaf_set_r(ff, restr);
+            let mut v = leaf[ff.index()];
             // Register coupling, forward direction only: the PPI's final
             // value is the PPO's (functionally determined) initial value.
             if let Some(b) = init3[circuit.ppo_of_dff(ff).index()].to_bool() {
-                leaf = leaf.with_final(b);
+                v = v.with_final(b);
             }
-            f[ff.index()] = leaf;
+            if v != f[ff.index()] {
+                queue.inject(circuit, f, ff, v);
+            }
         }
         let fault = net.fault();
-        for &g in circuit.topo_order() {
+        queue.run(circuit, f, |g, f| {
             let node = circuit.node(g);
             ins.clear();
             ins.extend(node.fanin().iter().enumerate().map(|(pin, &src)| {
@@ -316,8 +357,9 @@ impl<'c> TdGen<'c> {
                     s
                 }
             }));
-            f[g.index()] = net.eval_scratch(node.kind(), ins);
-        }
+            net.eval_scratch(node.kind(), ins)
+        });
+        queue.forget_touched();
     }
 
     /// Observed set at a PO in the forward image.
@@ -772,32 +814,33 @@ impl<'c> TdGen<'c> {
     }
 
     /// Builds the [`LocalTest`] from the decided leaves and the forward
-    /// image (both of which the emitted `X` semantics are sound for).
+    /// image they give (both of which the emitted `X` semantics are sound
+    /// for).
     fn extract(
         &self,
         net: &ImplicationNet<'_>,
-        restr: &[(NodeId, DelaySet)],
         image: &ForwardImage,
         observation: LocalObservation,
         backtracks: u32,
     ) -> LocalTest {
+        let leaf = |node: NodeId| image.leaf[node.index()];
         let v1 = self
             .circuit
             .inputs()
             .iter()
-            .map(|&pi| component3(self.leaf_set_r(pi, restr), DelaySet::with_initial))
+            .map(|&pi| component3(leaf(pi), DelaySet::with_initial))
             .collect();
         let v2 = self
             .circuit
             .inputs()
             .iter()
-            .map(|&pi| component3(self.leaf_set_r(pi, restr), DelaySet::with_final))
+            .map(|&pi| component3(leaf(pi), DelaySet::with_final))
             .collect();
         let required_state = self
             .circuit
             .dffs()
             .iter()
-            .map(|&ff| component3(self.leaf_set_r(ff, restr), DelaySet::with_initial))
+            .map(|&ff| component3(leaf(ff), DelaySet::with_initial))
             .collect();
         let ppo_values = (0..self.circuit.num_dffs())
             .map(

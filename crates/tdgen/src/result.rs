@@ -1,6 +1,7 @@
 //! Output types of the local (combinational two-frame) test generation.
 
 use gdf_algebra::logic3::Logic3;
+use gdf_algebra::static5::{StaticSet, StaticValue};
 use gdf_netlist::NodeId;
 use std::fmt;
 
@@ -56,6 +57,18 @@ impl PpoValue {
     /// Whether the propagation phase may rely on this value.
     pub fn is_specifiable(self) -> bool {
         !matches!(self, PpoValue::UnjustifiableX)
+    }
+
+    /// The 5-valued set the propagation phase starts from for this PPO:
+    /// the latched fault effect, a steady value, or `Xf`.
+    pub fn static_set(self) -> StaticSet {
+        match self {
+            PpoValue::Steady0 => StaticSet::singleton(StaticValue::S0),
+            PpoValue::Steady1 => StaticSet::singleton(StaticValue::S1),
+            PpoValue::FaultEffect { good_one: true } => StaticSet::singleton(StaticValue::D),
+            PpoValue::FaultEffect { good_one: false } => StaticSet::singleton(StaticValue::Db),
+            PpoValue::UnjustifiableX => StaticSet::GOOD,
+        }
     }
 }
 

@@ -2,16 +2,18 @@
 //!
 //! Each case runs `Atpg::builder(c).seed(1995)` serially and pins the
 //! Table 3 counts `(tested, untestable, aborted, patterns)` and the digest
-//! of the canonical artifact. Every decision the search takes (objective,
-//! backtrace, alternative order, backtrack point) shows up in these bytes,
-//! so a change that only makes the search cheaper must leave them alone.
+//! of the canonical artifact. The robust non-scan cases cover every row
+//! the `table3_atpg` benchmark workload times (`s27`, `s208`, `s298`,
+//! `s344`). Every decision the search takes (objective, backtrace,
+//! alternative order, backtrack point) shows up in these bytes, so a
+//! change that only makes the search cheaper must leave them alone.
 //!
 //! A change that alters search decisions on purpose (branch-and-bound
 //! pruning, SCOAP decision ordering — ROADMAP item 4) updates these
 //! constants, and says in CHANGES.md why the new outcomes are expected.
 
 use gdf::core::{Atpg, Backend, CircuitSource, Digest, RunArtifact, RunConfig, Sensitization};
-use gdf::netlist::suite;
+use gdf::netlist::{suite, CircuitBuilder, GateKind};
 
 /// One golden case: suite circuit, backend, sensitization, expected
 /// `(tested, untestable, aborted, patterns)` and artifact digest.
@@ -84,6 +86,17 @@ fn s119_robust() {
 }
 
 #[test]
+fn s208_robust() {
+    check(&Golden {
+        circuit: "s208",
+        backend: Backend::NonScan,
+        sensitization: Sensitization::Robust,
+        counts: (0, 337, 171, 0),
+        digest: "5bd1f594b6871c865f1ebf075f6b762e",
+    });
+}
+
+#[test]
 fn s298_robust() {
     check(&Golden {
         circuit: "s298",
@@ -91,6 +104,17 @@ fn s298_robust() {
         sensitization: Sensitization::Robust,
         counts: (62, 523, 57, 20),
         digest: "3dd06ba14f5654cb2a64f5f8ae99b2a5",
+    });
+}
+
+#[test]
+fn s344_robust() {
+    check(&Golden {
+        circuit: "s344",
+        backend: Backend::NonScan,
+        sensitization: Sensitization::Robust,
+        counts: (246, 314, 294, 82),
+        digest: "54821c338f67e53098fba63f5c183d22",
     });
 }
 
@@ -103,4 +127,32 @@ fn s27_stuck_at() {
         counts: (41, 0, 11, 134),
         digest: "c21159e5b0f0825d6890bb041d93832b",
     });
+}
+
+/// A 13-input AND under the non-robust model. Its set image once
+/// enumerated the Cartesian product of the input sets (up to 4^13 tuples
+/// per evaluation) and ran for minutes; the 16-state fold makes each
+/// evaluation polynomial in the arity. Every fault has a test.
+#[test]
+fn wide_and_non_robust() {
+    let mut b = CircuitBuilder::new("and13");
+    let inputs: Vec<String> = (0..13).map(|i| format!("a{i}")).collect();
+    for name in &inputs {
+        b.add_input(name);
+    }
+    let fanin: Vec<&str> = inputs.iter().map(String::as_str).collect();
+    b.add_gate("y", GateKind::And, &fanin);
+    b.mark_output("y");
+    let circuit = b.build().expect("valid circuit");
+    let run = Atpg::builder(&circuit)
+        .sensitization(Sensitization::NonRobust)
+        .seed(1995)
+        .build()
+        .run();
+    let row = &run.report.row;
+    assert_eq!(
+        (row.tested, row.untestable, row.aborted, row.patterns),
+        (28, 0, 0, 28),
+        "(tested, untestable, aborted, patterns)"
+    );
 }

@@ -313,15 +313,15 @@ struct CacheFigures {
 /// The result-cache trajectory: two identical rounds of stuck-at `s27`
 /// jobs against **one** server directory. Round one lands on an empty
 /// store (cold — real generation); round two resubmits the same spec and
-/// is answered from the exact result cache (warm). Also runs the
-/// bloom-gated campaign compaction over fresh non-scan `s27`+`s42` runs
-/// and records the global vectors-after/vectors-before ratio.
+/// is answered from the exact result cache (warm). Also runs campaign
+/// compaction over fresh non-scan `s27`+`s42` runs and records the
+/// global vectors-after/vectors-before ratio.
 fn cache_throughput(jobs: usize, workers: usize) -> CacheFigures {
     use gdf_core::artifact::{CircuitSource, RunArtifact};
+    use gdf_core::compact_campaign;
     use gdf_core::engine::{Atpg, Backend, RunConfig};
     use gdf_serve::server::submission_for_suite;
     use gdf_serve::{Client, JobServer, ServeConfig};
-    use gdf_store::compact_campaign;
 
     let dir = std::env::temp_dir().join(format!("gdf-bench-cache-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -373,11 +373,11 @@ fn cache_throughput(jobs: usize, workers: usize) -> CacheFigures {
         );
         inputs.push((circuit, artifact));
     }
-    let compaction = compact_campaign(&inputs, 0x1995).expect("bench compaction");
-    let compaction_ratio = if compaction.set.patterns_before == 0 {
+    let compaction = compact_campaign(&inputs).expect("bench compaction");
+    let compaction_ratio = if compaction.patterns_before == 0 {
         1.0
     } else {
-        compaction.set.patterns_after as f64 / compaction.set.patterns_before as f64
+        compaction.patterns_after as f64 / compaction.patterns_before as f64
     };
     CacheFigures {
         jobs,

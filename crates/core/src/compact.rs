@@ -13,12 +13,19 @@
 //! Compaction preserves coverage by construction (asserted here and in the
 //! integration tests): the kept set detects every fault the full set
 //! detected, under the same §5 fault-simulation semantics.
+//!
+//! [`compact_campaign`] runs the same greedy over each saved run of a
+//! campaign and assembles one [`CampaignSet`] document (`gdf compact`).
 
+use crate::artifact::{write_atomic, ArtifactError, PatternSet, RunArtifact};
 use crate::driver::{AtpgRun, DelayAtpg, FaultClassification, FsimScratch};
+use crate::engine::Backend;
+use crate::json::Json;
 use crate::pattern::TestSequence;
-use gdf_netlist::Fault;
+use gdf_netlist::{Circuit, Fault};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::path::Path;
 
 /// The result of compacting a run's test set.
 #[derive(Debug, Clone)]
@@ -37,11 +44,15 @@ pub struct CompactionResult {
 impl CompactionResult {
     /// Pattern-count reduction, `0.0..1.0`.
     pub fn reduction(&self) -> f64 {
-        if self.patterns_before == 0 {
-            0.0
-        } else {
-            1.0 - self.patterns_after as f64 / self.patterns_before as f64
-        }
+        reduction(self.patterns_before, self.patterns_after)
+    }
+}
+
+fn reduction(before: u32, after: u32) -> f64 {
+    if before == 0 {
+        0.0
+    } else {
+        1.0 - after as f64 / before as f64
     }
 }
 
@@ -134,6 +145,96 @@ pub fn compact_sequences(atpg: &DelayAtpg<'_>, run: &AtpgRun) -> CompactionResul
     }
 }
 
+/// The compacted pattern document of a campaign: one compacted
+/// [`PatternSet`] per circuit, plus the vector totals.
+#[derive(Debug, Clone)]
+pub struct CampaignSet {
+    /// Total vectors across all circuits before compaction.
+    pub patterns_before: u32,
+    /// Total vectors across all circuits after compaction.
+    pub patterns_after: u32,
+    /// One compacted set per circuit, in campaign order.
+    pub sets: Vec<PatternSet>,
+}
+
+impl CampaignSet {
+    /// Pattern-count reduction, `0.0..1.0`.
+    pub fn reduction(&self) -> f64 {
+        reduction(self.patterns_before, self.patterns_after)
+    }
+
+    /// Serializes to pretty-printed JSON.
+    pub fn encode(&self) -> String {
+        let sets = self
+            .sets
+            .iter()
+            .map(|s| Json::parse(&s.encode()).expect("pattern sets encode as JSON"));
+        Json::Obj(vec![
+            ("format".into(), Json::Str("gdf-campaign-patterns".into())),
+            ("version".into(), Json::Num(2.0)),
+            (
+                "patterns_before".into(),
+                Json::Num(self.patterns_before as f64),
+            ),
+            (
+                "patterns_after".into(),
+                Json::Num(self.patterns_after as f64),
+            ),
+            ("sets".into(), Json::Arr(sets.collect())),
+        ])
+        .pretty()
+    }
+
+    /// Writes the document atomically through the artifact I/O facade.
+    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), ArtifactError> {
+        write_atomic(path.as_ref(), &self.encode())
+    }
+}
+
+/// Compacts every run of a campaign: [`compact_sequences`] per circuit,
+/// each kept set exported as a [`PatternSet`] in campaign order.
+///
+/// Each entry pairs a resolved circuit with its complete non-scan run
+/// artifact. A partial checkpoint, or a run of another backend, is an
+/// [`ArtifactError::Mismatch`] that names the circuit.
+pub fn compact_campaign(runs: &[(Circuit, RunArtifact)]) -> Result<CampaignSet, ArtifactError> {
+    let mut campaign = CampaignSet {
+        patterns_before: 0,
+        patterns_after: 0,
+        sets: Vec::new(),
+    };
+    for (circuit, artifact) in runs {
+        let name = &artifact.circuit.name;
+        if artifact.partial {
+            return Err(ArtifactError::Mismatch(format!(
+                "cannot compact `{name}`: artifact is a partial checkpoint"
+            )));
+        }
+        let config = artifact.config();
+        if config.backend != Backend::NonScan {
+            return Err(ArtifactError::Mismatch(format!(
+                "cannot compact `{name}`: compaction needs a non-scan run, got `{}`",
+                config.backend
+            )));
+        }
+        let run = artifact.to_run(circuit)?;
+        let atpg = DelayAtpg::with_config(circuit, config.delay_config());
+        let kept = compact_sequences(&atpg, &run).kept;
+        let mut set = PatternSet::from_run(
+            circuit,
+            &run,
+            &config.backend.to_string(),
+            config.seed,
+            Some(artifact.circuit.clone()),
+        );
+        campaign.patterns_before += set.total_vectors() as u32;
+        set.patterns = kept.iter().map(|&i| set.patterns[i].clone()).collect();
+        campaign.patterns_after += set.total_vectors() as u32;
+        campaign.sets.push(set);
+    }
+    Ok(campaign)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,5 +284,29 @@ mod tests {
         assert!(compact.kept.windows(2).all(|w| w[0] < w[1]));
         assert!(compact.kept.len() <= run.sequences.len());
         assert!(compact.reduction() >= 0.0);
+    }
+
+    #[test]
+    fn partial_and_foreign_artifacts_are_named_errors() {
+        use crate::engine::{Atpg, RunConfig};
+        let c = suite::s27();
+        let config = RunConfig::new(Backend::NonScan);
+        let run = Atpg::builder(&c).build().run();
+        let mut artifact = RunArtifact::from_run(&c, &run, config, None);
+        artifact.partial = true;
+        let err = compact_campaign(&[(c.clone(), artifact)]).unwrap_err();
+        assert!(
+            matches!(&err, ArtifactError::Mismatch(m) if m.contains("partial")),
+            "{err}"
+        );
+
+        let stuck_config = RunConfig::new(Backend::StuckAt);
+        let run = Atpg::builder(&c).backend(Backend::StuckAt).build().run();
+        let stuck = RunArtifact::from_run(&c, &run, stuck_config, None);
+        let err = compact_campaign(&[(c.clone(), stuck)]).unwrap_err();
+        assert!(
+            matches!(&err, ArtifactError::Mismatch(m) if m.contains("stuck-at")),
+            "{err}"
+        );
     }
 }

@@ -7,8 +7,8 @@
 //! that distinct artifacts practically never collide. No external crypto
 //! crates exist in this workspace, so the digest is built from two
 //! independently keyed **SipHash-2-4** passes (128 bits total), with
-//! **FNV-1a** kept alongside as the cheap single-word mixer the bloom
-//! filter and the tests use.
+//! **FNV-1a** kept alongside as the cheap single-word mixer behind
+//! trace span ids and the tests.
 //!
 //! SipHash-2-4 here is the reference construction (SipRound with 2
 //! compression and 4 finalization rounds); the two fixed keys are

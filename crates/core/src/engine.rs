@@ -305,20 +305,16 @@ impl RunConfig {
         }
     }
 
-    /// Applies a user-supplied `--model`-style name: the fault-model
-    /// names set [`RunConfig::model`]; the pre-PR-5 sensitization
-    /// spellings (`robust`/`non-robust`), which used to live under the
-    /// same flag, set [`RunConfig::sensitization`] instead. The one
-    /// compat shim shared by the CLI and the serve submissions.
-    pub fn apply_model_name(&mut self, name: &str) -> Result<(), String> {
-        match name.parse::<ModelKind>() {
-            Ok(model) => self.model = model,
-            Err(model_err) => match name.parse::<Sensitization>() {
-                Ok(s) => self.sensitization = s,
-                Err(_) => return Err(model_err),
-            },
-        }
-        Ok(())
+    /// The non-scan driver's configuration for this run: what the
+    /// engine builds its [`DelayAtpg`] with, and what compaction
+    /// re-simulates a saved run under.
+    pub(crate) fn delay_config(&self) -> DelayAtpgConfig {
+        DelayAtpgConfig::new()
+            .with_model(self.model)
+            .with_sensitization(self.sensitization)
+            .with_universe(self.universe)
+            .with_xfill_seed(self.seed)
+            .with_limits(self.limits)
     }
 
     /// Rejects backend/model pairings the backend cannot drive — the
@@ -811,15 +807,9 @@ impl<'c> AtpgBuilder<'c> {
             );
         }
         let worker: Box<dyn Worker + 'c> = match self.backend {
-            Backend::NonScan => Box::new(DelayAtpg::with_config(
-                self.circuit,
-                DelayAtpgConfig::new()
-                    .with_model(config.model)
-                    .with_sensitization(config.sensitization)
-                    .with_universe(config.universe)
-                    .with_xfill_seed(config.seed)
-                    .with_limits(config.limits),
-            )),
+            Backend::NonScan => {
+                Box::new(DelayAtpg::with_config(self.circuit, config.delay_config()))
+            }
             Backend::EnhancedScan => Box::new(ScanWorker {
                 scan: ScanDelayAtpg::with_config(
                     self.circuit,

@@ -45,7 +45,7 @@ pub mod session;
 pub mod shard;
 
 pub use artifact::{ArtifactError, CircuitSource, PatternEntry, PatternSet, RunArtifact};
-pub use compact::{compact_sequences, CompactionResult};
+pub use compact::{compact_campaign, compact_sequences, CampaignSet, CompactionResult};
 pub use digest::{config_digest, Digest};
 pub use driver::{
     AtpgRun, DelayAtpg, DelayAtpgConfig, FaultClassification, FaultRecord, FsimScratch,

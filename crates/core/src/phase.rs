@@ -4,17 +4,16 @@
 //! Hot paths in the orchestrator and the fault-simulation driver mark
 //! their stages (`generate`, `credit`, `fill`, `fsim`, `checkpoint`, …)
 //! by opening a [`PhaseSpan`]. With no sink in effect — the default —
-//! [`start`] is one atomic load plus one thread-local read and the span
-//! is inert: no clock read, no allocation, nothing. An observability
-//! layer receives `(phase, start, duration)` triples through a
-//! [`PhaseSink`], which it folds into histograms and per-job traces.
+//! [`start`] is one thread-local read and the span is inert: no clock
+//! read, no allocation, nothing. An observability layer receives
+//! `(phase, start, duration)` triples through a [`PhaseSink`], which it
+//! folds into histograms and per-job traces.
 //!
-//! A sink is in effect on a thread in one of two ways. [`scoped`]
-//! routes one thread's spans to a sink until its guard drops; this is
-//! how `gdf-serve` gives every in-process server its own timings, and
+//! [`scoped`] routes one thread's spans to a sink until its guard
+//! drops; there is no process-global sink. This is how `gdf-serve`
+//! gives every in-process server, and every job, its own timings, and
 //! the orchestrator hands the spawning thread's [`current`] sink to the
-//! generation threads it spawns. [`set_phase_sink`] installs a
-//! process-global fallback for threads with no scoped sink.
+//! generation threads it spawns.
 //!
 //! Nothing recorded here can reach a canonical artifact: the facade
 //! only *observes* wall time, and every consumer keeps its output in
@@ -24,8 +23,7 @@
 
 use std::cell::RefCell;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Receiver of phase timings. Implementations must be cheap and
@@ -35,44 +33,21 @@ pub trait PhaseSink: Send + Sync {
     fn record(&self, phase: &'static str, started: Instant, duration: Duration);
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static SINK: RwLock<Option<Arc<dyn PhaseSink>>> = RwLock::new(None);
-
 thread_local! {
-    /// This thread's sink from [`scoped`]; it takes precedence over the
-    /// process-global one.
+    /// This thread's sink from [`scoped`].
     static SCOPED: RefCell<Option<Arc<dyn PhaseSink>>> = const { RefCell::new(None) };
-}
-
-/// Installs the process-global phase sink: the fallback for threads
-/// with no [`scoped`] sink.
-pub fn set_phase_sink(sink: Arc<dyn PhaseSink>) {
-    *SINK.write().unwrap_or_else(|e| e.into_inner()) = Some(sink);
-    ENABLED.store(true, Ordering::Release);
-}
-
-/// Removes the sink; [`start`] returns to its one-atomic-load fast
-/// path.
-pub fn reset_phase_sink() {
-    ENABLED.store(false, Ordering::Release);
-    *SINK.write().unwrap_or_else(|e| e.into_inner()) = None;
 }
 
 /// Whether a sink is in effect on this thread.
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Acquire) || SCOPED.with(|s| s.borrow().is_some())
+    SCOPED.with(|s| s.borrow().is_some())
 }
 
-/// The sink this thread's spans record to: its [`scoped`] sink, else
-/// the process-global one. A thread that spawns workers hands this to
-/// [`scoped`] in each of them, so their spans land where its own do.
+/// The sink this thread's spans record to: its [`scoped`] sink. A
+/// thread that spawns workers hands this to [`scoped`] in each of them,
+/// so their spans land where its own do.
 pub fn current() -> Option<Arc<dyn PhaseSink>> {
-    SCOPED.with(|s| s.borrow().clone()).or_else(|| {
-        ENABLED
-            .load(Ordering::Acquire)
-            .then(|| SINK.read().unwrap_or_else(|e| e.into_inner()).clone())
-            .flatten()
-    })
+    SCOPED.with(|s| s.borrow().clone())
 }
 
 /// Routes this thread's spans to `sink` until the returned guard drops,
@@ -148,17 +123,15 @@ mod tests {
 
     #[test]
     fn spans_are_inert_without_a_sink_and_record_with_one() {
-        reset_phase_sink();
         {
             let span = start("idle");
             assert!(span.started.is_none(), "no clock read when disabled");
         }
         let sink = Arc::new(Collect(Mutex::new(Vec::new())));
-        set_phase_sink(sink.clone());
         {
+            let _scope = scoped(sink.clone());
             let _span = start("fill");
         }
-        reset_phase_sink();
         {
             let _span = start("after");
         }

@@ -12,9 +12,9 @@
 //! - [`trace`]: digest-derived [`TraceId`] / [`SpanId`] identity (never
 //!   wall-clock random), NDJSON trace documents, the `X-Gdf-Trace`
 //!   propagation header, and chrome://tracing export.
-//! - [`profile`]: the [`Profiler`] run observer and the
-//!   [`RegistrySink`] bridging `gdf_core::phase` timings into
-//!   histograms and per-job traces.
+//! - [`profile`]: the [`Profiler`] run observer, the [`RegistrySink`]
+//!   bridging `gdf_core::phase` timings into histograms, and the
+//!   [`PhaseRecord`]s behind per-job profiles and traces.
 //!
 //! Everything is a side channel: no canonical artifact byte depends on
 //! anything this crate records, which is what keeps the determinism
@@ -27,8 +27,8 @@ pub mod trace;
 
 pub use metrics::{Counter, Gauge, Histogram, Kind, Registry};
 pub use profile::{
-    capture_begin, capture_take, install_phase_sink, PhaseRecord, PhaseStat, ProfileData,
-    ProfileHandle, Profiler, RegistrySink, PHASE_HELP, PHASE_METRIC,
+    PhaseRecord, PhaseStat, ProfileData, ProfileHandle, Profiler, RegistrySink, PHASE_HELP,
+    PHASE_METRIC,
 };
 pub use trace::{
     chrome_trace, OpenSpan, SpanId, TraceCtx, TraceEvent, TraceId, Tracer, TRACE_HEADER,

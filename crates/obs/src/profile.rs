@@ -1,7 +1,7 @@
 //! Engine profiling: the [`Profiler`] observer, the registry-backed
-//! [`RegistrySink`] for `gdf_core::phase` timings, and the per-thread
-//! phase capture that turns those timings into per-job trace spans and
-//! profile summaries.
+//! [`RegistrySink`] for `gdf_core::phase` timings, and the
+//! [`PhaseRecord`]s that per-job sinks keep and fold into profile
+//! summaries.
 //!
 //! Everything here is a side channel. The profiler only *reads* the
 //! observer stream; phase records only *time* stages. Neither can
@@ -12,11 +12,10 @@ use gdf_core::json::Json;
 use gdf_core::phase::PhaseSink;
 use gdf_core::report::CircuitReport;
 use gdf_core::{FaultRecord, Observer};
-use std::cell::RefCell;
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-/// One phase timing captured on the current thread.
+/// One phase timing, as a per-job sink keeps it.
 #[derive(Clone, Copy, Debug)]
 pub struct PhaseRecord {
     /// Stage name (`generate`, `fill`, `fsim`, …).
@@ -27,29 +26,8 @@ pub struct PhaseRecord {
     pub duration: Duration,
 }
 
-thread_local! {
-    static CAPTURE: RefCell<Option<Vec<PhaseRecord>>> = const { RefCell::new(None) };
-}
-
-/// Starts capturing phase records on the current thread (in addition
-/// to the registry histograms). The engine runs its merge loop on the
-/// calling thread, so a server worker wrapping a job in
-/// `capture_begin`/`capture_take` sees that job's phases and no
-/// other's.
-pub fn capture_begin() {
-    CAPTURE.with(|c| *c.borrow_mut() = Some(Vec::new()));
-}
-
-/// Stops capturing and returns everything recorded since
-/// [`capture_begin`].
-pub fn capture_take() -> Vec<PhaseRecord> {
-    CAPTURE.with(|c| c.borrow_mut().take()).unwrap_or_default()
-}
-
 /// The `gdf_core::phase::PhaseSink` that folds phase timings into a
-/// [`Registry`] (as `gdf_engine_phase_seconds{phase=...}` summaries)
-/// and mirrors them into the current thread's capture buffer when one
-/// is active.
+/// [`Registry`] (as `gdf_engine_phase_seconds{phase=...}` summaries).
 pub struct RegistrySink {
     registry: Registry,
     /// Small read-mostly cache: the phase set is a handful of static
@@ -96,24 +74,9 @@ impl RegistrySink {
 }
 
 impl PhaseSink for RegistrySink {
-    fn record(&self, phase: &'static str, started: Instant, duration: Duration) {
+    fn record(&self, phase: &'static str, _started: Instant, duration: Duration) {
         self.histogram(phase).observe(duration);
-        CAPTURE.with(|c| {
-            if let Some(buf) = c.borrow_mut().as_mut() {
-                buf.push(PhaseRecord {
-                    phase,
-                    started,
-                    duration,
-                });
-            }
-        });
     }
-}
-
-/// Installs a [`RegistrySink`] over `registry` as the process-global
-/// phase sink.
-pub fn install_phase_sink(registry: Registry) {
-    gdf_core::phase::set_phase_sink(Arc::new(RegistrySink::new(registry)));
 }
 
 /// Aggregated per-phase wall time.
@@ -148,7 +111,7 @@ pub struct ProfileData {
 }
 
 impl ProfileData {
-    /// Folds captured phase records into the per-phase stats.
+    /// Folds phase records into the per-phase stats.
     pub fn add_phases(&mut self, records: &[PhaseRecord]) {
         for r in records {
             let stat = match self.phases.iter_mut().find(|(p, _)| *p == r.phase) {
@@ -211,7 +174,7 @@ impl ProfileHandle {
         self.0.lock().unwrap_or_else(|e| e.into_inner()).clone()
     }
 
-    /// Folds captured phase records in.
+    /// Folds phase records in.
     pub fn add_phases(&self, records: &[PhaseRecord]) {
         self.0
             .lock()
@@ -291,16 +254,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn capture_is_per_thread_and_drains() {
-        capture_begin();
+    fn registry_sink_folds_spans_into_phase_histograms() {
         let registry = Registry::new();
         let sink = RegistrySink::new(registry.clone());
         sink.record("fill", Instant::now(), Duration::from_micros(10));
         sink.record("fsim", Instant::now(), Duration::from_micros(20));
-        let records = capture_take();
-        assert_eq!(records.len(), 2);
-        assert!(capture_take().is_empty(), "capture drained");
-        // The registry got the histograms regardless of capture state.
         let text = registry.render();
         assert!(text.contains("gdf_engine_phase_seconds{phase=\"fill\",quantile=\"0.5\"}"));
         assert!(text.contains("gdf_engine_phase_seconds_count{phase=\"fsim\"} 1"));

@@ -65,13 +65,13 @@ use crate::ServeError;
 use gdf_core::artifact::{encode_config, CircuitSource, PatternSet, RunArtifact};
 use gdf_core::engine::{Atpg, AtpgBuilder, AtpgError, Backend, Limits, Observer, RunConfig};
 use gdf_core::json::{Json, ParseLimits};
-use gdf_core::phase::PhaseSink;
+use gdf_core::phase::{PhaseSink, ScopedSink};
 use gdf_core::session::{Checkpointer, EventObserver, ProgressEvent};
-use gdf_core::ShardArtifact;
+use gdf_core::{Sensitization, ShardArtifact};
 use gdf_netlist::{Circuit, FaultUniverse};
 use gdf_obs::{
-    capture_begin, capture_take, Counter, Gauge, Histogram, ProfileData, ProfileHandle, Profiler,
-    Registry, RegistrySink, TraceCtx, Tracer, PHASE_HELP, PHASE_METRIC, TRACE_HEADER,
+    Counter, Gauge, Histogram, PhaseRecord, ProfileData, ProfileHandle, Profiler, Registry,
+    RegistrySink, TraceCtx, Tracer, PHASE_HELP, PHASE_METRIC, TRACE_HEADER,
 };
 use gdf_store::{CacheKey, Store};
 use gdf_tenant::{TenantRegistry, TokenBucket};
@@ -806,29 +806,58 @@ impl Observer for DrainWatch {
     }
 }
 
+/// One job's phase sink: it forwards every span to the server's sink
+/// (the `/metrics` histograms) and keeps a copy for the job's profile
+/// and trace.
+struct JobSink {
+    server: Arc<dyn PhaseSink>,
+    records: Mutex<Vec<PhaseRecord>>,
+}
+
+impl PhaseSink for JobSink {
+    fn record(&self, phase: &'static str, started: Instant, duration: Duration) {
+        self.server.record(phase, started, duration);
+        self.records
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .push(PhaseRecord {
+                phase,
+                started,
+                duration,
+            });
+    }
+}
+
+/// The parts of [`JobObs`] that exist only with observability on.
+struct JobCapture {
+    tracer: Tracer,
+    sink: Arc<JobSink>,
+    _scope: ScopedSink,
+}
+
 /// Per-job observability bundle: a tracer rooted at the job's trace
 /// context (from the submission's `X-Gdf-Trace` header, or digest
-/// -derived — never wall-clock random) and, for full jobs, a profiler
-/// handle. Inert when [`ServeConfig::obs`] is off. Strictly a side
-/// channel: nothing here touches the canonical artifact bytes.
+/// -derived — never wall-clock random), the job's phase sink and, for
+/// full jobs, a profiler handle. Inert when [`ServeConfig::obs`] is off.
+/// Strictly a side channel: nothing here touches the canonical artifact
+/// bytes.
 struct JobObs {
-    tracer: Option<Tracer>,
+    capture: Option<JobCapture>,
     profile: Option<ProfileHandle>,
 }
 
 impl JobObs {
-    /// Starts observing a job on the current worker thread (phase spans
-    /// recorded by the engine on this thread are captured thread-local
-    /// for per-job attribution; spans from spawned generation threads
-    /// reach only the registry histograms).
+    /// Starts observing a job on the current worker thread: the job's
+    /// sink is scoped here until [`JobObs::finish`], and the engine hands
+    /// it to the generation threads it spawns, so every span of the job
+    /// is attributed to it.
     fn begin(state: &ServerState, job: &Job) -> JobObs {
-        if !state.obs {
+        let Some(server) = state.phase_sink.clone() else {
             return JobObs {
-                tracer: None,
+                capture: None,
                 profile: None,
             };
-        }
-        capture_begin();
+        };
         let ctx = job.status().trace.unwrap_or_else(|| {
             TraceCtx::root(&format!(
                 "gdf-job:{}:{}",
@@ -836,20 +865,35 @@ impl JobObs {
                 gdf_core::digest::config_digest(&job.spec.config).hex()
             ))
         });
+        let sink = Arc::new(JobSink {
+            server,
+            records: Mutex::new(Vec::new()),
+        });
         JobObs {
-            tracer: Some(Tracer::new(ctx)),
+            capture: Some(JobCapture {
+                tracer: Tracer::new(ctx),
+                _scope: gdf_core::phase::scoped(sink.clone()),
+                sink,
+            }),
             profile: None,
         }
     }
 
-    /// Finishes observing: folds this thread's captured phase records
-    /// into the job's `profile` block (persisted by the caller's
-    /// subsequent `finalize`) and writes the trace document in one
-    /// atomic pass through the I/O facade — a torn write loses the
-    /// trace, never corrupts the job.
+    /// Finishes observing: folds the job's phase records into its
+    /// `profile` block (persisted by the caller's subsequent `finalize`)
+    /// and writes the trace document in one atomic pass through the I/O
+    /// facade — a torn write loses the trace, never corrupts the job.
     fn finish(self, state: &ServerState, job: &Job, started: Instant) {
-        let Some(tracer) = self.tracer else { return };
-        let records = capture_take();
+        let Some(JobCapture {
+            tracer,
+            sink,
+            _scope: scope,
+        }) = self.capture
+        else {
+            return;
+        };
+        drop(scope);
+        let records = std::mem::take(&mut *sink.records.lock().unwrap_or_else(|e| e.into_inner()));
         let mut data = match &self.profile {
             Some(handle) => {
                 handle.add_phases(&records);
@@ -1998,10 +2042,14 @@ fn decode_submission_config(j: Option<&Json>) -> Result<RunConfig, String> {
     let mut config = RunConfig::new(backend);
     let Some(j) = j else { return Ok(config) };
     if let Some(name) = j.get("model").and_then(Json::as_str) {
-        // `RunConfig::apply_model_name` carries the compat shim: PR 4
-        // clients sent the sensitization under `model`
-        // (robust/non-robust), and those submissions keep working.
-        config.apply_model_name(name)?;
+        config.model = name
+            .parse()
+            .map_err(|e| match name.parse::<Sensitization>() {
+                Ok(_) => format!(
+                    "\"model\": \"{name}\" is a sensitization; send \"sensitization\": \"{name}\""
+                ),
+                Err(_) => e,
+            })?;
     }
     if let Some(name) = j.get("sensitization").and_then(Json::as_str) {
         config.sensitization = name.parse()?;
@@ -2149,9 +2197,16 @@ mod tests {
             r#"{"circuit": "suite:s27", "config": {"backend": "quantum"}}"#,
             r#"{"circuit": "suite:s27", "config": {"universe": "everything"}}"#,
             r#"{"circuit": "suite:s27", "config": {"seed": "0xZZ"}}"#,
+            r#"{"circuit": "suite:s27", "config": {"model": "robust"}}"#,
         ] {
             let parsed = Json::parse(bad).unwrap();
             assert!(decode_submission(&parsed, 16).is_err(), "accepted {bad}");
         }
+        // A sensitization sent as the model names the field it belongs in.
+        let body = r#"{"circuit": "suite:s27", "config": {"model": "non-robust"}}"#;
+        let err = decode_submission(&Json::parse(body).unwrap(), 16)
+            .err()
+            .unwrap_or_default();
+        assert!(err.contains("\"sensitization\""), "{err}");
     }
 }

@@ -1,12 +1,9 @@
-//! Content-addressed artifact store with exact result caching and
-//! bloom-gated campaign compaction.
+//! Content-addressed artifact store with exact result caching.
 //!
-//! The ROADMAP's service story ends with many users submitting the same
-//! few benchmark circuits under the same few configurations — and the
-//! determinism invariant (same circuit + config ⇒ byte-identical
+//! The determinism invariant (same circuit + config ⇒ byte-identical
 //! canonical artifact, proven across serial/parallel/resumed/served/
-//! fleet runs) turns that duplication into free work. This crate is the
-//! piece that captures it:
+//! fleet runs) turns duplicate submissions into free work. This crate
+//! is the piece that captures it:
 //!
 //! * [`Store`] — objects keyed by the 128-bit [`Digest`] of their
 //!   canonical text under `objects/`, named handles under `refs/`,
@@ -18,22 +15,10 @@
 //! * [`CacheKey`] — the exact result cache key,
 //!   `(circuit digest, RunConfig digest)`. A hit is not a heuristic: the
 //!   stored bytes are the bytes a fresh run would produce.
-//! * [`Bloom`] + [`compact_campaign`] — a seeded double-hashing bloom
-//!   filter over detected-fault signatures gates cross-circuit
-//!   reverse-order compaction of a whole campaign. The bloom's one-sided
-//!   error is aimed so the fast path is sound: "definitely not seen"
-//!   keeps a sequence immediately; "possibly seen" falls back to the
-//!   exact per-circuit covered set. Decisions are therefore identical to
-//!   per-circuit [`gdf_core::compact_sequences`], and the emitted global
-//!   [`gdf_core::PatternSet`]s re-grade to the same coverage.
 
-pub mod bloom;
 pub mod cache;
-pub mod compact;
 pub mod store;
 
-pub use bloom::Bloom;
 pub use cache::CacheKey;
-pub use compact::{compact_campaign, CampaignCompaction, CampaignSet};
 pub use gdf_core::digest::Digest;
 pub use store::{GcReport, Store, StoreError, StoreStats};

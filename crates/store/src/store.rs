@@ -51,9 +51,6 @@ pub enum StoreError {
     Corrupt { what: String, path: PathBuf },
     /// An underlying I/O failure.
     Io(String),
-    /// The operation does not apply to the given input (e.g. compacting
-    /// a partial or non-delay artifact).
-    Unsupported(String),
 }
 
 impl fmt::Display for StoreError {
@@ -69,7 +66,6 @@ impl fmt::Display for StoreError {
                 write!(f, "corrupt {what} at {}", path.display())
             }
             StoreError::Io(msg) => write!(f, "store i/o: {msg}"),
-            StoreError::Unsupported(msg) => write!(f, "unsupported: {msg}"),
         }
     }
 }

@@ -40,15 +40,15 @@
 
 use gdf::core::json::Json;
 use gdf::core::{
-    grade_patterns, Atpg, AtpgBuilder, AtpgRun, Backend, Campaign, Checkpointer, CircuitReport,
-    CircuitSource, FaultRecord, ModelKind, Observer, PatternSet, ProgressEvent, RunArtifact,
-    RunConfig,
+    compact_campaign, grade_patterns, Atpg, AtpgBuilder, AtpgRun, Backend, Campaign, Checkpointer,
+    CircuitReport, CircuitSource, FaultRecord, ModelKind, Observer, PatternSet, ProgressEvent,
+    RunArtifact, RunConfig, Sensitization,
 };
 use gdf::fleet::{Coordinator, FleetPlan};
 use gdf::netlist::{parse_bench, suite, Circuit, FaultUniverse};
 use gdf::serve::server::{submission_for_bench, submission_for_suite, submission_with_runtime};
 use gdf::serve::{Client, JobServer, ServeConfig};
-use gdf::store::{compact_campaign, CacheKey, Store};
+use gdf::store::{CacheKey, Store};
 use gdf::tenant::TenantRegistry;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -65,7 +65,7 @@ USAGE:
     gdf campaign [CIRCUIT...] [options] run many circuits, aggregate report
     gdf fleet status [--dir DIR]        fleet plan progress and node health
     gdf report <RUN.json>... [--diff]   render or compare saved runs
-    gdf compact [--dir DIR] [options]   bloom-gated campaign compaction
+    gdf compact [--dir DIR] [-o OUT]    compact a campaign's test sets
     gdf store <stats|gc> [--dir DIR]    artifact-store stats / garbage collect
     gdf suite [--universe <full|stems>] list embedded suite circuits
     gdf serve [options]                 host the engine as an HTTP job server
@@ -370,9 +370,8 @@ fn print_run(run: &AtpgRun) {
 /// artifact are driven from this one value, so the recorded provenance
 /// can never diverge from the run that actually executed. Backend,
 /// model, sensitization and universe names go through the shared parsers
-/// and the `RunConfig::apply_model_name`/`validate` helpers that the
-/// serve submissions use too (including the pre-PR-5 `--model
-/// robust|non-robust` compat mapping).
+/// and the `RunConfig::validate` check that the serve submissions use
+/// too.
 fn config_from_opts(opts: &Opts) -> Result<RunConfig, String> {
     let mut config = RunConfig::new(
         opts.value("backend")
@@ -381,7 +380,7 @@ fn config_from_opts(opts: &Opts) -> Result<RunConfig, String> {
             .unwrap_or(Backend::NonScan),
     );
     if let Some(m) = opts.value("model") {
-        config.apply_model_name(m)?;
+        config.model = parse_model(m)?;
     }
     if let Some(s) = opts.value("sensitization") {
         config.sensitization = s.parse()?;
@@ -394,6 +393,18 @@ fn config_from_opts(opts: &Opts) -> Result<RunConfig, String> {
         config.seed = seed;
     }
     Ok(config)
+}
+
+/// Parses `--model`. A sensitization name there is an error that points
+/// at `--sensitization`, where it belongs.
+fn parse_model(name: &str) -> Result<ModelKind, String> {
+    name.parse()
+        .map_err(|e| match name.parse::<Sensitization>() {
+            Ok(_) => {
+                format!("--model {name}: `{name}` is a sensitization; use --sensitization {name}")
+            }
+            Err(_) => e,
+        })
 }
 
 /// Applies a [`RunConfig`] plus the runtime-only options (workers, time
@@ -590,18 +601,11 @@ fn cmd_grade(args: &[String]) -> Result<ExitCode, String> {
         .map(FaultUniverse::parse_name)
         .transpose()?
         .unwrap_or_default();
-    // `--model` picks the graded fault model through the shared compat
-    // shim: the pre-PR-5 sensitization spellings (robust/non-robust)
-    // land in the probe's sensitization and leave the model at its
-    // delay default — exactly what grading always did with them.
-    let model = match opts.value("model") {
-        None => ModelKind::Delay,
-        Some(name) => {
-            let mut probe = RunConfig::new(Backend::NonScan);
-            probe.apply_model_name(name)?;
-            probe.model
-        }
-    };
+    let model = opts
+        .value("model")
+        .map(parse_model)
+        .transpose()?
+        .unwrap_or(ModelKind::Delay);
     let seed = opts.number("seed")?.unwrap_or(set.seed);
     let grade =
         grade_patterns(&circuit, &set, model, &universe, seed).map_err(|e| e.to_string())?;
@@ -622,32 +626,17 @@ fn cmd_campaign(args: &[String]) -> Result<ExitCode, String> {
         let (circuit, source) = load_circuit(spec)?;
         builder = builder.circuit_with_source(circuit, source);
     }
-    // Resolve backend/model/sensitization through the same probe `gdf
-    // run` uses, so an unsupported pairing is a friendly error here too
-    // — never a panic inside Campaign::run.
-    let mut probe = RunConfig::new(
-        opts.value("backend")
-            .map(str::parse)
-            .transpose()?
-            .unwrap_or(Backend::NonScan),
-    );
-    if let Some(m) = opts.value("model") {
-        probe.apply_model_name(m)?;
-    }
-    if let Some(s) = opts.value("sensitization") {
-        probe.sensitization = s.parse()?;
-    }
-    probe.validate().map_err(|e| e.to_string())?;
+    // The same flag→config mapping `gdf run` uses, so an unsupported
+    // pairing is a friendly error here too — never a panic inside
+    // Campaign::run.
+    let config = config_from_opts(&opts)?;
     builder = builder
-        .backend(probe.backend)
-        .model(probe.model)
-        .sensitization(probe.sensitization);
-    if let Some(u) = opts.value("universe") {
-        builder = builder.universe(FaultUniverse::parse_name(u)?);
-    }
-    if let Some(seed) = opts.number("seed")? {
-        builder = builder.seed(seed);
-    }
+        .backend(config.backend)
+        .model(config.model)
+        .sensitization(config.sensitization)
+        .universe(config.universe)
+        .limits(config.limits)
+        .seed(config.seed);
     if let Some(n) = opts.number("parallelism")? {
         builder = builder.parallelism(n as usize);
     }
@@ -673,13 +662,12 @@ fn cmd_campaign(args: &[String]) -> Result<ExitCode, String> {
                 .ok_or("--cache needs --dir (the store lives at <dir>/store)")?,
         );
         let store = Store::open(dir.join("store")).map_err(|e| e.to_string())?;
-        let config = config_from_opts(&opts)?;
         let sources = fleet_sources(&opts)?;
-        Some((dir, store, config, sources))
+        Some((dir, store, sources))
     } else {
         None
     };
-    if let Some((dir, store, config, sources)) = &cache_ctx {
+    if let Some((dir, store, sources)) = &cache_ctx {
         let mut seeded = 0usize;
         for source in sources {
             let Ok(circuit) = source.resolve() else {
@@ -689,14 +677,14 @@ fn cmd_campaign(args: &[String]) -> Result<ExitCode, String> {
             if path.exists() {
                 continue;
             }
-            let key = CacheKey::new(source, config).run_name();
+            let key = CacheKey::new(source, &config).run_name();
             let Ok(Some(text)) = store.get_named(&key) else {
                 continue;
             };
             let Ok(artifact) = RunArtifact::decode(&text) else {
                 continue;
             };
-            if artifact.partial || artifact.config() != *config || artifact.circuit != *source {
+            if artifact.partial || artifact.config() != config || artifact.circuit != *source {
                 continue;
             }
             if gdf::core::io::write_atomic(&path, &text).is_ok() {
@@ -713,7 +701,7 @@ fn cmd_campaign(args: &[String]) -> Result<ExitCode, String> {
     }
     let report = builder.run();
     print!("{}", report.render());
-    if let Some((dir, store, config, sources)) = &cache_ctx {
+    if let Some((dir, store, sources)) = &cache_ctx {
         for source in sources {
             let Ok(circuit) = source.resolve() else {
                 continue;
@@ -722,10 +710,10 @@ fn cmd_campaign(args: &[String]) -> Result<ExitCode, String> {
             let Ok(artifact) = RunArtifact::load(&path) else {
                 continue;
             };
-            if artifact.partial || artifact.config() != *config {
+            if artifact.partial || artifact.config() != config {
                 continue;
             }
-            let key = CacheKey::new(source, config).run_name();
+            let key = CacheKey::new(source, &config).run_name();
             if let Err(e) = store.publish(&key, &artifact.canonical_encode()) {
                 eprintln!("cache: publish {} failed: {e}", circuit.name());
             }
@@ -905,14 +893,17 @@ fn cmd_report(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// `gdf compact --dir DIR [-o OUT.json] [--seed N]`: loads every
-/// `<name>.run.json` in the campaign directory, runs the bloom-gated
-/// cross-circuit compaction and writes one global compacted pattern
-/// document. Each per-circuit compacted set is then re-graded against
-/// the full (uncompacted) export of the same run — compaction must not
-/// lose a single graded detection, or the command fails.
+/// `gdf compact --dir DIR [-o OUT.json]`: loads every `<name>.run.json`
+/// in the campaign directory, compacts each run with the reverse-order
+/// greedy of `gdf_core::compact_sequences` and writes one compacted
+/// pattern document. Each per-circuit compacted set is then re-graded
+/// against the full (uncompacted) export of the same run — compaction
+/// must not lose a single graded detection, or the command fails.
 fn cmd_compact(args: &[String]) -> Result<ExitCode, String> {
-    let opts = Opts::parse(args, RUN_VALUES, RUN_SWITCHES)?;
+    let opts = Opts::parse(args, &["dir", "out"], &[])?;
+    if let Some(extra) = opts.positional.first() {
+        return Err(format!("unexpected argument `{extra}`"));
+    }
     let dir = PathBuf::from(opts.value("dir").unwrap_or("gdf-campaign"));
     let mut paths: Vec<PathBuf> = std::fs::read_dir(&dir)
         .map_err(|e| format!("{}: {e}", dir.display()))?
@@ -936,11 +927,10 @@ fn cmd_compact(args: &[String]) -> Result<ExitCode, String> {
             .map_err(|e| format!("{}: {e}", path.display()))?;
         inputs.push((circuit, artifact));
     }
-    let seed = opts.number("seed")?.unwrap_or(0x1995);
-    let compaction = compact_campaign(&inputs, seed).map_err(|e| e.to_string())?;
+    let set = compact_campaign(&inputs).map_err(|e| e.to_string())?;
     // Re-grade: the compacted set must detect everything the full
     // export of the same run detects, circuit by circuit.
-    for ((circuit, artifact), compacted) in inputs.iter().zip(&compaction.set.sets) {
+    for ((circuit, artifact), compacted) in inputs.iter().zip(&set.sets) {
         let config = artifact.config();
         let run = artifact.to_run(circuit).map_err(|e| e.to_string())?;
         let full = PatternSet::from_run(
@@ -973,16 +963,12 @@ fn cmd_compact(args: &[String]) -> Result<ExitCode, String> {
             after.total_faults
         );
     }
-    let set = &compaction.set;
     println!(
-        "compact: {} -> {} sequences over {} circuit(s) ({:.1}% kept); bloom fast-kept {}, {} exact check(s) over {} signature(s)",
+        "compact: {} -> {} vectors over {} circuit(s) ({:.1}% kept)",
         set.patterns_before,
         set.patterns_after,
         set.sets.len(),
         100.0 * (1.0 - set.reduction()),
-        compaction.bloom_fast_keeps,
-        compaction.exact_checks,
-        compaction.signatures,
     );
     let out = opts
         .value("out")

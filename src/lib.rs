@@ -18,10 +18,13 @@
 //!   deterministic fault-parallel orchestration — plus the **session
 //!   layer** (`core::session`, `core::artifact`): persistent run
 //!   artifacts, checkpoint/resume that is byte-identical to an
-//!   uninterrupted run, resumable multi-circuit campaigns, and
-//!   standalone re-grading of saved pattern sets. The `gdf` binary
-//!   (`gdf run` / `resume` / `grade` / `campaign` / `report`) drives all
-//!   of it from the command line over `.bench` files and JSON artifacts;
+//!   uninterrupted run, resumable multi-circuit campaigns, standalone
+//!   re-grading of saved pattern sets, and reverse-order greedy
+//!   compaction of one run or a whole campaign (`gdf compact` writes one
+//!   compacted document, verified by re-grading). The `gdf`
+//!   binary (`gdf run` / `resume` / `grade` / `campaign` / `report`)
+//!   drives all of it from the command line over `.bench` files and
+//!   JSON artifacts;
 //! * [`serve`] — the **job server**: a hand-rolled HTTP/1.1 service on
 //!   `std::net` with a bounded job queue, a fixed worker pool,
 //!   streaming progress events and checkpoint-backed crash recovery
@@ -39,9 +42,7 @@
 //!   handles, mark-and-sweep `gc()`, and the **exact result cache**
 //!   keyed by `(circuit digest, RunConfig digest)` that lets `gdf serve`
 //!   answer duplicate submissions instantly and the fleet coordinator
-//!   skip already-computed shards — plus **bloom-gated campaign
-//!   compaction** (`gdf compact`) emitting one global compacted pattern
-//!   document verified by re-grading;
+//!   skip already-computed shards;
 //! * [`chaos`] — **deterministic fault injection** for the persistence
 //!   and socket layers: a seeded schedule drives torn writes, stale
 //!   temp files, `ENOSPC`, partial reads (via the `core::io` artifact
@@ -91,12 +92,13 @@
 //! assert!(run.report.row.tested > 0);
 //! ```
 //!
-//! The builder also takes `.model(…)` (robust / non-robust),
-//! `.universe(…)`, `.limits(…)` (all search budgets, paper defaults),
-//! `.observer(…)` (streaming per-fault records, progress, cooperative
-//! cancellation), `.time_budget(…)`, and `.parallelism(n)` — fault-level
-//! parallel generation whose results are **identical to a serial run**
-//! for the same seed:
+//! The builder also takes `.model(…)` (delay / transition / stuck),
+//! `.sensitization(…)` (robust / non-robust), `.universe(…)`,
+//! `.limits(…)` (all search budgets, paper defaults), `.observer(…)`
+//! (streaming per-fault records, progress, cooperative cancellation),
+//! `.time_budget(…)`, and `.parallelism(n)` — fault-level parallel
+//! generation whose results are **identical to a serial run** for the
+//! same seed:
 //!
 //! ```
 //! use gdf::core::{Atpg, Backend};
@@ -109,10 +111,15 @@
 //! assert_eq!(serial.sequences, parallel.sequences);
 //! ```
 //!
-//! The pre-engine entry points remain available:
-//! `core::DelayAtpg::new(&circuit).run()` is the serial non-scan run
-//! with default limits (see the `MIGRATION` section in `CHANGES.md` for
-//! the full old-to-new mapping).
+//! Compatibility follows one policy (the "Compatibility policy" section
+//! of `CHANGES.md`). Readers of persisted documents accept every version
+//! ever written. A library entry point stays while code outside the
+//! tests calls it, or while a test compares against it:
+//! `core::DelayAtpg::new(&circuit).run()` is the serial non-scan run,
+//! and with `DelayAtpgConfig::with_reference_fsim(true)` it is the one
+//! whole run on the scalar reference simulator. Old spellings that were
+//! only ever accepted on fresh input are retired: `--model robust` and
+//! `"model": "robust"` are errors that point at the sensitization.
 
 pub use gdf_algebra as algebra;
 pub use gdf_chaos as chaos;

@@ -11,13 +11,13 @@
 //!   artifact as a local run.
 
 use gdf::core::{
-    compact_sequences, grade_patterns, Atpg, AtpgError, Backend, Campaign, CircuitSource, Coverage,
-    DelayAtpg, DelayAtpgConfig, FaultClassification, ModelKind, PatternSet, RunArtifact, RunConfig,
+    compact_campaign, compact_sequences, grade_patterns, Atpg, AtpgError, Backend, Campaign,
+    CircuitSource, Coverage, DelayAtpg, DelayAtpgConfig, Digest, FaultClassification, ModelKind,
+    PatternSet, RunArtifact, RunConfig,
 };
 use gdf::netlist::{suite, Fault, FaultUniverse};
 use gdf::serve::server::submission_for_suite;
 use gdf::serve::{Client, JobServer, ServeConfig};
-use gdf::store::compact_campaign;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -184,10 +184,57 @@ fn transition_runs_compact_without_losing_coverage() {
     );
 
     let artifact = RunArtifact::from_run(&c, &run, config, Some(CircuitSource::suite(&c, "s27")));
-    let campaign = compact_campaign(&[(c.clone(), artifact)], 0x1995).expect("compacts");
-    let set = &campaign.set.sets[0];
+    let campaign = compact_campaign(&[(c.clone(), artifact)]).expect("compacts");
+    let set = &campaign.sets[0];
     assert_eq!(set.patterns.len(), solo.kept.len(), "same greedy answer");
     assert!(detected(set) >= before, "compact_campaign lost a detection");
+    // Pinned before campaign compaction moved beside `compact_sequences`.
+    assert_eq!(
+        (campaign.patterns_before, campaign.patterns_after),
+        (43, 29)
+    );
+    assert_eq!(
+        Digest::of_text(&set.encode()).to_string(),
+        "1b2fe911176c7df6e86a02d4c77909b4"
+    );
+}
+
+/// The compacted sets and vector totals of a robust `s27` + `s42`
+/// campaign, pinned before campaign compaction moved beside
+/// `compact_sequences`: the move changed no keep decision and no byte.
+#[test]
+fn campaign_compaction_keeps_its_pinned_answer() {
+    let config = RunConfig::new(Backend::NonScan);
+    let runs: Vec<_> = ["s27", "s42"]
+        .into_iter()
+        .map(|name| {
+            let c = suite::by_name(name).expect("suite circuit");
+            let run = Atpg::builder(&c).seed(config.seed).build().run();
+            let artifact =
+                RunArtifact::from_run(&c, &run, config, Some(CircuitSource::suite(&c, name)));
+            (c, artifact)
+        })
+        .collect();
+    let campaign = compact_campaign(&runs).expect("compacts");
+    assert_eq!(
+        (campaign.patterns_before, campaign.patterns_after),
+        (94, 73)
+    );
+    let doc = gdf::core::json::Json::parse(&campaign.encode()).expect("the document is JSON");
+    assert_eq!(doc.get("version").and_then(|v| v.as_u64()), Some(2));
+    assert!(doc.get("seed").is_none(), "the document has no seed");
+    let digests: Vec<String> = campaign
+        .sets
+        .iter()
+        .map(|set| Digest::of_text(&set.encode()).to_string())
+        .collect();
+    assert_eq!(
+        digests,
+        [
+            "195170d2df08e9e326f3700a95ab7464",
+            "4c0ed1b7c5aa90d17f9aaef80c731499"
+        ]
+    );
 }
 
 #[test]

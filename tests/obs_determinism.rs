@@ -5,10 +5,11 @@
 use gdf::core::{Atpg, Backend, CircuitSource, RunArtifact, RunConfig};
 use gdf::fleet::{Coordinator, FleetPlan};
 use gdf::netlist::suite;
-use gdf::obs::{Profiler, Registry};
+use gdf::obs::{Profiler, Registry, RegistrySink};
 use gdf::serve::server::submission_for_suite;
 use gdf::serve::{Client, JobServer, ServeConfig};
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Duration;
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -42,7 +43,7 @@ fn profiler_and_phase_sink_leave_canonical_bytes_untouched() {
     // Same run with the full instrumentation stack attached: the phase
     // sink feeding a live registry, plus the profiler observer.
     let registry = Registry::new();
-    gdf::obs::install_phase_sink(registry.clone());
+    let _scope = gdf::core::phase::scoped(Arc::new(RegistrySink::new(registry.clone())));
     let (profiler, handle) = Profiler::new();
     let circuit = suite::s27();
     let run = Atpg::builder(&circuit)

@@ -9,12 +9,16 @@
 //!    the traces directory, trace documents may be lost or truncated,
 //!    but every job still completes to artifact bytes identical to a
 //!    clean local run. Tracing is strictly a side channel.
+//! 4. **Parallel jobs keep their spans** — the generation threads of a
+//!    `parallelism` > 1 job time into the job's own sink, so its profile
+//!    counts every `generate` span that `/metrics` counts.
 
 use gdf::chaos::{ChaosDisk, ChaosGuard, ChaosSchedule};
+use gdf::core::json::Json;
 use gdf::core::{Atpg, Backend, CircuitSource, RunArtifact, RunConfig};
 use gdf::netlist::suite;
 use gdf::obs::{chrome_trace, TraceCtx, TraceEvent};
-use gdf::serve::server::submission_for_suite;
+use gdf::serve::server::{submission_for_suite, submission_with_runtime};
 use gdf::serve::{Client, JobServer, ServeConfig};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -193,6 +197,47 @@ fn torn_trace_writes_never_corrupt_a_job_or_its_artifact() {
     let doc = std::fs::read_to_string(traces.join(format!("job-{id}.ndjson")))
         .expect("trace written once chaos lifts");
     assert!(chrome_trace(&doc).is_ok());
+
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_parallel_jobs_profile_counts_every_generate_span() {
+    let dir = temp_dir("par");
+    let (server, client) = start_server(&dir, 1);
+    let config = RunConfig::new(Backend::NonScan);
+    let id = client
+        .submit(&submission_with_runtime(
+            submission_for_suite("suite:s27", &config),
+            4,
+            None,
+        ))
+        .expect("submit");
+    client
+        .wait(
+            id,
+            Duration::from_millis(25),
+            Some(Duration::from_secs(120)),
+        )
+        .expect("job finishes");
+
+    let status = client.status(id).expect("status");
+    let profiled = status
+        .get("profile")
+        .and_then(|p| p.get("phases"))
+        .and_then(|p| p.get("generate"))
+        .and_then(|g| g.get("count"))
+        .and_then(Json::as_u64)
+        .unwrap_or_else(|| panic!("no generate count in the profile: {status}"));
+    let metrics = client.metrics().expect("metrics");
+    let exported: u64 = metrics
+        .lines()
+        .find_map(|l| l.strip_prefix("gdf_engine_phase_seconds_count{phase=\"generate\"} "))
+        .and_then(|n| n.trim().parse().ok())
+        .unwrap_or_else(|| panic!("no generate count in /metrics:\n{metrics}"));
+    assert!(exported > 0, "the job generated nothing");
+    assert_eq!(profiled, exported, "the job's profile lost generate spans");
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);

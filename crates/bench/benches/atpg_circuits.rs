@@ -1,9 +1,10 @@
 //! Criterion benchmarks for the test generators: TDgen per-fault search
 //! (robust and non-robust), the SEMILET per-frame engine and multi-frame
-//! propagation, and the synchronizer.
+//! propagation, the synchronizer, and the whole non-scan driver loop.
 
 use gdf_algebra::static5::{StaticSet, StaticValue};
 use gdf_bench::criterion::{black_box, criterion_group, criterion_main, Criterion};
+use gdf_core::DelayAtpg;
 use gdf_netlist::{suite, DelayFault, DelayFaultKind, FaultSite, FaultUniverse};
 use gdf_semilet::frame::{FrameEngine, FrameGoal, PpiConstraint};
 use gdf_semilet::justify::{synchronize, SyncLimits};
@@ -103,5 +104,14 @@ fn bench_semilet(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_tdgen, bench_semilet);
+fn bench_driver(c: &mut Criterion) {
+    // The Figure 4 loop on a row where most propagation inputs repeat
+    // an earlier fault's: each run starts with an empty memo.
+    let s208 = suite::table3_circuit("s208").expect("suite circuit");
+    c.bench_function("DelayAtpg::run s208_syn", |b| {
+        b.iter(|| black_box(DelayAtpg::new(&s208).run()))
+    });
+}
+
+criterion_group!(benches, bench_tdgen, bench_semilet, bench_driver);
 criterion_main!(benches);

@@ -42,6 +42,9 @@ use gdf_tdgen::{
 };
 use rand::rngs::StdRng;
 use rand::Rng;
+use std::collections::HashMap;
+use std::hash::Hash;
+use std::sync::{Mutex, MutexGuard};
 
 /// Configuration of the combined system.
 ///
@@ -259,6 +262,18 @@ pub struct AtpgRun {
 
 /// The combined TDgen + SEMILET delay-fault ATPG.
 ///
+/// A driver solves each sequential subproblem once. Propagation
+/// ([`propagate_to_po`]) and initialization ([`synchronize`]) run in
+/// fault-free slow-clock frames under the limits of the driver's fixed
+/// configuration, so their answers depend only on the start state and on
+/// the target bits. The driver keeps one table of answers per phase,
+/// keyed by the whole input, and a later fault that hands SEMILET the
+/// same input gets the stored answer instead of a new search: every
+/// search decision, and so every outcome, is the one the search would
+/// have made. The tables live as long as the driver, which the engine
+/// builds once per run and shares across its generation threads; no
+/// lock is held while a search runs.
+///
 /// # Example
 ///
 /// ```
@@ -278,6 +293,10 @@ pub struct AtpgRun {
 pub struct DelayAtpg<'c> {
     circuit: &'c Circuit,
     config: DelayAtpgConfig,
+    /// Propagation outcomes by start state (one set per flip-flop).
+    propagations: Memo<Vec<StaticSet>, PropagateOutcome>,
+    /// Initialization outcomes by target list (`(dff index, value)`).
+    initializations: Memo<Vec<(usize, bool)>, SyncOutcome>,
 }
 
 impl<'c> DelayAtpg<'c> {
@@ -288,7 +307,12 @@ impl<'c> DelayAtpg<'c> {
 
     /// Creates a driver with an explicit configuration.
     pub fn with_config(circuit: &'c Circuit, config: DelayAtpgConfig) -> Self {
-        DelayAtpg { circuit, config }
+        DelayAtpg {
+            circuit,
+            config,
+            propagations: Memo::default(),
+            initializations: Memo::default(),
+        }
     }
 
     /// The configuration in force.
@@ -313,6 +337,10 @@ impl<'c> DelayAtpg<'c> {
 
     /// Figure 4 for a single fault: the per-fault entry point of the
     /// unified engine API ([`crate::engine::AtpgEngine::target`]).
+    ///
+    /// A propagation or initialization input this driver has solved
+    /// before is answered from its tables (see [`DelayAtpg`]); the
+    /// outcome is the same as with a fresh driver.
     pub fn target_delay(&self, fault: DelayFault) -> FaultOutcome {
         let gen = TdGen::with_config(
             self.circuit,
@@ -377,12 +405,7 @@ impl<'c> DelayAtpg<'c> {
                         }
                     }
                     LocalObservation::AtPpo { dff, .. } => {
-                        let start = self.start_state(&t);
-                        let limits = PropagateLimits {
-                            backtrack_limit: self.config.sequential_backtrack_limit,
-                            max_frames: self.config.max_propagation_frames,
-                        };
-                        match propagate_to_po(self.circuit, &start, limits) {
+                        match self.propagate(&t) {
                             PropagateOutcome::Propagated(p) => match self.initialize(&t) {
                                 Ok(init) => {
                                     let relied =
@@ -437,14 +460,23 @@ impl<'c> DelayAtpg<'c> {
         self.circuit.ppo_of_dff(self.circuit.dffs()[i])
     }
 
-    /// The 5-valued state handed to the propagation phase: the latched
-    /// fault effect, the steady specifiable bits, and `Xf` elsewhere.
-    fn start_state(&self, t: &LocalTest) -> Vec<StaticSet> {
-        t.ppo_values.iter().map(|v| v.static_set()).collect()
+    /// Propagation phase: drives the latched fault effect of `t` from
+    /// its start state (the latched effect, the steady specifiable bits,
+    /// and `Xf` elsewhere) to a PO, searching once per distinct state.
+    fn propagate(&self, t: &LocalTest) -> PropagateOutcome {
+        let start: Vec<StaticSet> = t.ppo_values.iter().map(|v| v.static_set()).collect();
+        self.propagations.get_or_solve(start, |start| {
+            let _span = phase::start("propagate");
+            let limits = PropagateLimits {
+                backtrack_limit: self.config.sequential_backtrack_limit,
+                max_frames: self.config.max_propagation_frames,
+            };
+            propagate_to_po(self.circuit, start, limits)
+        })
     }
 
-    /// Initialization phase. `Err(true)` = aborted, `Err(false)` =
-    /// unsynchronizable.
+    /// Initialization phase, searching once per distinct target list.
+    /// `Err(true)` = aborted, `Err(false)` = unsynchronizable.
     fn initialize(&self, t: &LocalTest) -> Result<Vec<Vec<Logic3>>, bool> {
         let targets: Vec<(usize, bool)> = t
             .required_state
@@ -452,11 +484,15 @@ impl<'c> DelayAtpg<'c> {
             .enumerate()
             .filter_map(|(i, v)| v.to_bool().map(|b| (i, b)))
             .collect();
-        let limits = SyncLimits {
-            backtrack_limit: self.config.sequential_backtrack_limit,
-            max_frames: self.config.max_sync_frames,
-        };
-        match synchronize(self.circuit, &targets, limits) {
+        let outcome = self.initializations.get_or_solve(targets, |targets| {
+            let _span = phase::start("initialize");
+            let limits = SyncLimits {
+                backtrack_limit: self.config.sequential_backtrack_limit,
+                max_frames: self.config.max_sync_frames,
+            };
+            synchronize(self.circuit, targets, limits)
+        });
+        match outcome {
             SyncOutcome::Synchronized(seq) => Ok(seq),
             SyncOutcome::Aborted => Err(true),
             SyncOutcome::Unsynchronizable => Err(false),
@@ -613,6 +649,38 @@ impl<'c> DelayAtpg<'c> {
         // critical path tracing, with the invalidation check.
         let hits = detected_delay_faults(circuit, &waveform, faults, &observable_ppos, relied_ppos);
         Ok(hits.into_iter().map(|(k, _)| k).collect())
+    }
+}
+
+/// The answers of one pure search, keyed by its whole input, for as long
+/// as the driver that owns it lives.
+///
+/// The lock covers the lookup and the insert, never the search. Threads
+/// that miss on one key at the same time each solve it; the search is a
+/// pure function of the key, so they find the same answer, and the first
+/// insert stands. A poisoned lock is recovered: each insert leaves the
+/// table whole.
+#[derive(Debug)]
+struct Memo<K, V>(Mutex<HashMap<K, V>>);
+
+impl<K: Eq + Hash, V: Clone> Memo<K, V> {
+    /// The stored answer for `key`, or `solve(&key)`, stored.
+    fn get_or_solve(&self, key: K, solve: impl FnOnce(&K) -> V) -> V {
+        if let Some(answer) = self.table().get(&key) {
+            return answer.clone();
+        }
+        let answer = solve(&key);
+        self.table().entry(key).or_insert(answer).clone()
+    }
+
+    fn table(&self) -> MutexGuard<'_, HashMap<K, V>> {
+        self.0.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
+impl<K, V> Default for Memo<K, V> {
+    fn default() -> Self {
+        Memo(Mutex::new(HashMap::new()))
     }
 }
 

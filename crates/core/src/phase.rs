@@ -2,7 +2,8 @@
 //! modeled on the [`crate::io`] artifact-I/O facade.
 //!
 //! Hot paths in the orchestrator and the fault-simulation driver mark
-//! their stages (`generate`, `credit`, `fill`, `fsim`, `checkpoint`, …)
+//! their stages (`generate`, `propagate`, `initialize`, `credit`,
+//! `fill`, `fsim`, `checkpoint`, …)
 //! by opening a [`PhaseSpan`]. With no sink in effect — the default —
 //! [`start`] is one thread-local read and the span is inert: no clock
 //! read, no allocation, nothing. An observability layer receives

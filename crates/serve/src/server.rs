@@ -106,9 +106,11 @@ const HTTP_HELP: &str = "HTTP requests served, by method, route pattern, and sta
 /// Engine/job phases pre-registered at startup so the
 /// `gdf_engine_phase_seconds` family renders (with zero counts) before
 /// the first job runs — scrapers never see the family flicker in.
-const PHASES: [&str; 9] = [
+const PHASES: [&str; 11] = [
     "parse",
     "generate",
+    "propagate",
+    "initialize",
     "fill",
     "fsim",
     "credit",

@@ -3,7 +3,7 @@
 //! ```text
 //! gdf run <CIRCUIT> [-o run.json] [--patterns p.json] [options]
 //! gdf resume <RUN.json> [-o done.json] [--patterns p.json]
-//! gdf grade <PATTERNS.json> [--circuit CIRCUIT] [--seed N]
+//! gdf grade <PATTERNS.json> [--circuit CIRCUIT] [--universe U] [--model M] [--seed N]
 //! gdf campaign [CIRCUIT...] [--suite] [--dir DIR] [--resume] [options]
 //! gdf campaign ... --fleet H1:P1,H2:P2 [--units N] [--dir DIR]
 //! gdf fleet status [--dir DIR]
@@ -586,8 +586,10 @@ fn cmd_resume(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
+/// `gdf grade <PATTERNS.json>`: re-grades a saved pattern set. It takes
+/// only the options it reads; any other is an error.
 fn cmd_grade(args: &[String]) -> Result<ExitCode, String> {
-    let opts = Opts::parse(args, RUN_VALUES, RUN_SWITCHES)?;
+    let opts = Opts::parse(args, &["circuit", "universe", "model", "seed"], &[])?;
     let [input] = opts.positional.as_slice() else {
         return Err("expected exactly one PATTERNS.json argument".into());
     };
@@ -865,8 +867,10 @@ fn refresh_frame(frame: &str) {
     std::io::stdout().flush().ok();
 }
 
+/// `gdf report <RUN.json>... [--diff]`: renders saved runs as Table 3
+/// rows, or compares two. `--diff` is its only option.
 fn cmd_report(args: &[String]) -> Result<ExitCode, String> {
-    let opts = Opts::parse(args, RUN_VALUES, RUN_SWITCHES)?;
+    let opts = Opts::parse(args, &[], &["diff"])?;
     if opts.positional.is_empty() {
         return Err("expected at least one RUN.json argument".into());
     }

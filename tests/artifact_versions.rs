@@ -50,9 +50,12 @@ fn future_versions_are_rejected_with_a_friendly_error() {
 #[test]
 fn truncated_artifacts_error_instead_of_panicking() {
     let text = sample_artifact();
-    // Every prefix must fail cleanly: valid JSON prefixes (there are
-    // none for an object, but be thorough) decode to schema errors,
-    // invalid ones to JSON errors.
+    // Every cut inside the JSON value must fail cleanly: valid JSON
+    // prefixes (there are none for an object, but be thorough) decode to
+    // schema errors, invalid ones to JSON errors. The cuts stop short of
+    // trailing whitespace, whose loss leaves a complete document.
+    let text = text.trim_end();
+    RunArtifact::decode(text).expect("the whole document decodes");
     let step = (text.len() / 97).max(1);
     for end in (0..text.len()).step_by(step) {
         let truncated = &text[..end];
@@ -128,6 +131,10 @@ fn foreign_and_garbage_documents_error_cleanly() {
 #[test]
 fn truncated_pattern_sets_error_instead_of_panicking() {
     let text = sample_patterns();
+    // Cut only inside the JSON value: dropping trailing whitespace
+    // leaves a complete document.
+    let text = text.trim_end();
+    PatternSet::decode(text).expect("the whole document decodes");
     let step = (text.len() / 53).max(1);
     for end in (0..text.len()).step_by(step) {
         assert!(

@@ -52,6 +52,10 @@ fn sample_shard() -> String {
 #[test]
 fn truncated_plans_error_instead_of_panicking() {
     let text = sample_plan();
+    // Cut only inside the JSON value: dropping trailing whitespace
+    // leaves a complete document.
+    let text = text.trim_end();
+    FleetPlan::decode(text).expect("the whole document decodes");
     let step = (text.len() / 97).max(1);
     for end in (0..text.len()).step_by(step) {
         match FleetPlan::decode(&text[..end]) {
@@ -135,6 +139,10 @@ fn garbage_plans_and_shards_error_cleanly() {
 fn truncated_shards_error_instead_of_panicking() {
     let circuit = suite::s27();
     let text = sample_shard();
+    // Cut only inside the JSON value: dropping trailing whitespace
+    // leaves a complete document.
+    let text = text.trim_end();
+    ShardArtifact::decode(text, &circuit).expect("the whole document decodes");
     let step = (text.len() / 97).max(1);
     for end in (0..text.len()).step_by(step) {
         match ShardArtifact::decode(&text[..end], &circuit) {

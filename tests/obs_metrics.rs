@@ -170,19 +170,29 @@ fn live_exposition_is_valid_and_keeps_every_seed_series() {
     // writes a trace document.
     assert_eq!(sample("gdf_traces_written_total"), 1.0);
     // The engine phases actually recorded spans during the real run.
-    for phase in ["parse", "generate", "fill", "fsim", "publish"] {
-        let series = format!("gdf_engine_phase_seconds_count{{phase=\"{phase}\"}}");
-        let count = text
-            .lines()
-            .find_map(|l| l.strip_prefix(series.as_str()))
-            .and_then(|rest| rest.trim().parse::<f64>().ok())
-            .unwrap_or_else(|| panic!("no {series} sample"));
-        assert!(count > 0.0, "phase {phase} never recorded");
+    for phase in JOB_PHASES {
+        assert!(
+            phase_count(&text, phase) > 0.0,
+            "phase {phase} never recorded"
+        );
     }
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Engine phases every fresh `s27` non-scan job records: its SEMILET
+/// searches (`propagate`, `initialize`) as well as parse, generation,
+/// grading and publish.
+const JOB_PHASES: [&str; 7] = [
+    "parse",
+    "generate",
+    "propagate",
+    "initialize",
+    "fill",
+    "fsim",
+    "publish",
+];
 
 /// The `gdf_engine_phase_seconds_count` sample of `phase`.
 fn phase_count(text: &str, phase: &str) -> f64 {
@@ -212,7 +222,7 @@ fn each_server_times_only_its_own_jobs() {
 
     let text_a = client_a.metrics().expect("scrape a");
     let text_b = client_b.metrics().expect("scrape b");
-    for phase in ["parse", "generate", "fill", "fsim", "publish"] {
+    for phase in JOB_PHASES {
         assert!(
             phase_count(&text_a, phase) > 0.0,
             "a lost its {phase} spans"

@@ -4,9 +4,13 @@
 //! Table 3 counts `(tested, untestable, aborted, patterns)` and the digest
 //! of the canonical artifact. The robust non-scan cases cover every row
 //! the `table3_atpg` benchmark workload times (`s27`, `s208`, `s298`,
-//! `s344`). Every decision the search takes (objective, backtrace,
-//! alternative order, backtrack point) shows up in these bytes, so a
-//! change that only makes the search cheaper must leave them alone.
+//! `s344`). `s119` stuck-at (the frame engine with a stuck fault and
+//! assignable PPIs), `s298` enhanced scan (TDgen alone) and `s119`
+//! non-robust (non-robust TDgen with SEMILET) pin the other instances of
+//! the shared search core. Every decision the search takes (objective,
+//! backtrace, alternative order, backtrack point) shows up in these
+//! bytes, so a change that only makes the search cheaper must leave them
+//! alone.
 //!
 //! A change that alters search decisions on purpose (branch-and-bound
 //! pruning, SCOAP decision ordering — ROADMAP item 4) updates these
@@ -126,6 +130,39 @@ fn s27_stuck_at() {
         sensitization: Sensitization::Robust,
         counts: (41, 0, 11, 134),
         digest: "c21159e5b0f0825d6890bb041d93832b",
+    });
+}
+
+#[test]
+fn s119_stuck_at() {
+    check(&Golden {
+        circuit: "s119",
+        backend: Backend::StuckAt,
+        sensitization: Sensitization::Robust,
+        counts: (79, 0, 87, 286),
+        digest: "cecee67e95de5f818785d71062cf5bb6",
+    });
+}
+
+#[test]
+fn s298_enhanced_scan() {
+    check(&Golden {
+        circuit: "s298",
+        backend: Backend::EnhancedScan,
+        sensitization: Sensitization::Robust,
+        counts: (323, 265, 54, 646),
+        digest: "b9605b42653b4eec776e8e256c232d2d",
+    });
+}
+
+#[test]
+fn s119_non_robust() {
+    check(&Golden {
+        circuit: "s119",
+        backend: Backend::NonScan,
+        sensitization: Sensitization::NonRobust,
+        counts: (108, 44, 14, 133),
+        digest: "558a4c0e91cfa4dd4c597870706a66f5",
     });
 }
 

@@ -26,6 +26,10 @@
 //! [`logic3`] holds the plain 3-valued Kleene logic used by the good-machine
 //! simulator and the synchronizing-sequence search.
 //!
+//! [`search`] is the machinery both test generators run on, generic over
+//! the set algebra: the per-net implication network and the
+//! backtrack-limited branch-and-bound with its backtrace.
+//!
 //! [`packed`] is the bit-parallel face of the delay algebra: 64 values per
 //! [`packed::PackedWave`] as four u64 bit-planes, with word-level gate
 //! evaluation lane-identical to the scalar tables — the substrate of the
@@ -46,6 +50,7 @@
 pub mod delay;
 pub mod logic3;
 pub mod packed;
+pub mod search;
 pub mod static5;
 pub mod tables;
 

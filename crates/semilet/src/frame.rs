@@ -5,26 +5,28 @@
 //! carry constraints from the neighbouring frames, primary inputs are
 //! decision variables, and the goal is either to drive a fault effect to an
 //! observation point or to justify required pseudo-primary-output values.
-//! Implications run on arc-consistent [`StaticSet`]s (the same machinery as
-//! TDgen, §3's refs 8 and 20, specialized to the static algebra); success is
-//! declared only on a *forward functional image* from the decided leaves,
-//! so a solution with don't-care `X` positions holds for every completion.
+//! Implications run on arc-consistent [`StaticSet`]s in the implication
+//! network and branch-and-bound TDgen uses too
+//! ([`gdf_algebra::search`], §3's refs 8 and 20), instantiated with the
+//! static D-algebra of [`StaticAlgebra`]; success is declared only on a
+//! *forward functional image* from the decided leaves, so a solution with
+//! don't-care `X` positions holds for every completion.
 //!
-//! As in TDgen, a search step costs what changed. A gate whose pins read
-//! distinct nets is not woken again by its own narrowings, because one
-//! pass is its own fixpoint; a gate that reads one net on several pins
-//! is. The forward image is a pure function of the source sets and the
-//! fault, so the engine keeps it from one step, one solve and one
-//! simulated frame to the next, and re-evaluates only the gates with a
-//! changed fanin, in level order.
+//! A search step costs what changed. The forward image is a pure function
+//! of the source sets and the fault, so the engine keeps it from one
+//! step, one solve and one simulated frame to the next, and re-evaluates
+//! only the gates with a changed fanin, in level order.
 
 use gdf_algebra::logic3::Logic3;
+use gdf_algebra::search::{
+    branch_and_bound, leaf_set, preferred_last, Choice, Decision, GateBuffers, Outcome, SetAlgebra,
+    SetNet, Step,
+};
 use gdf_algebra::static5::{eval_gate_sets, narrow_inputs, StaticSet, StaticValue};
-use gdf_netlist::scoap::Testability;
-use gdf_netlist::{Circuit, GateKind, NodeId, StuckFault};
+use gdf_netlist::{Circuit, FaultSite, GateKind, NodeId, StuckFault};
 use gdf_sim::packed::LevelQueue;
 use std::cell::RefCell;
-use std::collections::VecDeque;
+use std::ops::ControlFlow;
 
 /// Constraint on one pseudo primary input for this frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,6 +101,41 @@ impl FrameResult {
     }
 }
 
+/// The static D-algebra of one frame, with the stuck-at fault it injects
+/// (none in a fault-free, slow-clock frame). A stuck edge shows the stuck
+/// value in the faulty machine.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct StaticAlgebra {
+    fault: Option<StuckFault>,
+}
+
+impl SetAlgebra for StaticAlgebra {
+    type Set = StaticSet;
+    const COUPLED: bool = false;
+
+    fn eval(&self, kind: GateKind, ins: &[StaticSet]) -> StaticSet {
+        eval_gate_sets(kind, ins)
+    }
+
+    fn narrow(&self, kind: GateKind, out: &mut StaticSet, ins: &mut [StaticSet]) -> bool {
+        narrow_inputs(kind, out, ins)
+    }
+
+    fn site(&self) -> Option<FaultSite> {
+        self.fault.map(|f| f.site)
+    }
+
+    fn convert(&self, s: StaticSet) -> StaticSet {
+        match self.fault {
+            Some(f) => s
+                .iter()
+                .map(|v| StaticValue::from_pair(v.good(), f.kind.value()))
+                .collect(),
+            None => s,
+        }
+    }
+}
+
 /// The per-frame engine.
 ///
 /// The engine keeps the buffers of its last search, forward image
@@ -129,20 +166,7 @@ impl FrameResult {
 pub struct FrameEngine<'c> {
     circuit: &'c Circuit,
     backtrack_limit: u32,
-    testability: &'c Testability,
     scratch: RefCell<Scratch>,
-}
-
-#[derive(Debug)]
-struct Net {
-    sets: Vec<StaticSet>,
-    trail: Vec<(NodeId, StaticSet)>,
-    queue: VecDeque<NodeId>,
-    /// Set iff the gate is in `queue`.
-    queued: Vec<bool>,
-    /// Input sets of the gate being implied, reused across gates.
-    ins: Vec<StaticSet>,
-    conflict: bool,
 }
 
 /// Buffers the search loop reuses, kept by the engine from one
@@ -154,9 +178,7 @@ struct Scratch {
     /// The forward functional image, kept from one search step (and one
     /// frame) to the next.
     image: FrameImage,
-    /// Backtrace: a gate's edge sets before and after narrowing.
-    orig: Vec<StaticSet>,
-    narrowed: Vec<StaticSet>,
+    gate: GateBuffers<StaticSet>,
 }
 
 /// The forward functional image of one frame: one set per node, from the
@@ -170,8 +192,8 @@ struct Scratch {
 struct FrameImage {
     /// One set per node; a stuck stem holds its observed (stuck) value.
     f: Vec<StaticSet>,
-    /// The fault `f` was computed under.
-    fault: Option<StuckFault>,
+    /// The algebra (fault) `f` was computed under.
+    algebra: StaticAlgebra,
     /// Input sets of the gate being evaluated.
     ins: Vec<StaticSet>,
     queue: LevelQueue,
@@ -179,22 +201,22 @@ struct FrameImage {
 
 impl FrameImage {
     /// Brings the image up to date with new `sources` sets (every PI and
-    /// flip-flop), injecting `fault`.
+    /// flip-flop) under `algebra`.
     fn update(
         &mut self,
         circuit: &Circuit,
-        fault: Option<StuckFault>,
+        algebra: StaticAlgebra,
         sources: impl IntoIterator<Item = (NodeId, StaticSet)>,
     ) {
         let FrameImage {
             f,
-            fault: image_fault,
+            algebra: image_algebra,
             ins,
             queue,
         } = self;
         queue.prepare(circuit);
-        if f.len() != circuit.num_nodes() || *image_fault != fault {
-            *image_fault = fault;
+        if f.len() != circuit.num_nodes() || *image_algebra != algebra {
+            *image_algebra = algebra;
             f.clear();
             f.resize(circuit.num_nodes(), StaticSet::EMPTY);
             for &g in circuit.topo_order() {
@@ -203,14 +225,8 @@ impl FrameImage {
         }
         // A stuck stem overrides its own observed value too. Conversion is
         // idempotent, so its fanout edges may read the stored value.
-        let observed = |node: NodeId, s: StaticSet| match fault {
-            Some(flt) if flt.site.branch.is_none() && flt.site.stem == node => {
-                FrameEngine::convert(flt, s)
-            }
-            _ => s,
-        };
         for (src, set) in sources {
-            let v = observed(src, set);
+            let v = algebra.stem_view(src, set);
             if v != f[src.index()] {
                 queue.inject(circuit, f, src, v);
             }
@@ -218,26 +234,24 @@ impl FrameImage {
         queue.run(circuit, f, |g, f| {
             let node = circuit.node(g);
             ins.clear();
-            ins.extend(node.fanin().iter().enumerate().map(|(pin, &src)| {
-                let s = f[src.index()];
-                if FrameEngine::edge_converted(fault, src, g, pin as u8) {
-                    FrameEngine::convert(fault.expect("converted"), s)
-                } else {
-                    s
-                }
-            }));
-            observed(g, eval_gate_sets(node.kind(), ins))
+            ins.extend(
+                node.fanin()
+                    .iter()
+                    .enumerate()
+                    .map(|(pin, &src)| algebra.edge_view(src, g, pin as u8, f[src.index()])),
+            );
+            algebra.stem_view(g, eval_gate_sets(node.kind(), ins))
         });
         queue.forget_touched();
     }
-}
 
-#[derive(Debug)]
-struct Decision {
-    node: NodeId,
-    applied: StaticSet,
-    alts: Vec<StaticSet>,
-    trail_mark: usize,
+    /// The set latched by flip-flop `i` (post-conversion on a stuck D
+    /// branch; a stuck D stem already stores its converted value).
+    fn ppo(&self, circuit: &Circuit, i: usize) -> StaticSet {
+        let dff = circuit.dffs()[i];
+        let d = circuit.ppo_of_dff(dff);
+        self.algebra.edge_view(d, dff, 0, self.f[d.index()])
+    }
 }
 
 impl<'c> FrameEngine<'c> {
@@ -246,7 +260,6 @@ impl<'c> FrameEngine<'c> {
         FrameEngine {
             circuit,
             backtrack_limit,
-            testability: circuit.testability(),
             scratch: RefCell::default(),
         }
     }
@@ -261,63 +274,51 @@ impl<'c> FrameEngine<'c> {
         fault: Option<StuckFault>,
     ) -> FrameResult {
         assert_eq!(ppis.len(), self.circuit.num_dffs(), "PPI constraint count");
-        let mut net = self.init_net(ppis, fault);
-        let mut stack: Vec<Decision> = Vec::new();
-        let mut backtracks: u32 = 0;
-        let mut scratch = self.scratch.borrow_mut();
-
+        let mut net = self.network(ppis, fault);
         // Seed goal constraints into the arc network where possible.
         if let FrameGoal::JustifyPpos(targets) = goal {
             for &(i, b) in targets {
                 let d = self.circuit.ppo_of_dff(self.circuit.dffs()[i]);
-                let want = StaticSet::singleton(if b { StaticValue::S1 } else { StaticValue::S0 });
-                if !self.assign(&mut net, d, want) {
+                if !net.assign(d, StaticSet::singleton(steady(b))) {
                     return FrameResult::Exhausted;
                 }
             }
         }
-
-        loop {
-            let consistent = self.propagate(&mut net, fault);
-            if consistent {
-                self.forward_image(ppis, &stack, fault, &mut scratch);
-                if let Some(sol) =
-                    self.forward_success(goal, ppis, &stack, &scratch.image.f, backtracks, fault)
-                {
-                    return FrameResult::Solved(sol);
-                }
-                if self.still_possible(&net, goal, fault)
-                    && self.pick_decision(&mut net, goal, ppis, &mut stack, fault, &mut scratch)
-                {
-                    continue;
-                }
+        let scratch = &mut *self.scratch.borrow_mut();
+        let outcome = branch_and_bound(&mut net, self.backtrack_limit, |net, stack, backtracks| {
+            self.forward_image(ppis, stack, net.algebra(), scratch);
+            if let Some(sol) = self.forward_success(goal, ppis, stack, &scratch.image, backtracks) {
+                return Step::Found(sol);
             }
-            backtracks += 1;
-            if backtracks > self.backtrack_limit {
-                return FrameResult::Aborted;
+            if !self.still_possible(net, goal) {
+                return Step::Branch(None);
             }
-            let mut retried = false;
-            while let Some(mut d) = stack.pop() {
-                self.rollback(&mut net, d.trail_mark);
-                if let Some(alt) = d.alts.pop() {
-                    let _ = self.assign(&mut net, d.node, alt);
-                    d.applied = alt;
-                    stack.push(d);
-                    retried = true;
-                    break;
-                }
-            }
-            if !retried {
-                return FrameResult::Exhausted;
-            }
+            let decision = self
+                .pick_objective(net, goal, &scratch.image.f)
+                .and_then(|(node, desired)| {
+                    net.backtrace(node, desired, &mut scratch.gate, |node, desired| {
+                        ControlFlow::Break(self.leaf_step(net, ppis, node, desired, stack))
+                    })
+                })
+                .or_else(|| self.fallback_variable(net, ppis, stack));
+            Step::Branch(decision)
+        });
+        match outcome {
+            Outcome::Found(sol) => FrameResult::Solved(sol),
+            Outcome::Exhausted => FrameResult::Exhausted,
+            Outcome::Aborted => FrameResult::Aborted,
         }
     }
 
-    // ------------------------------------------------------------------
-    // Arc network
-    // ------------------------------------------------------------------
-
-    fn init_net(&self, ppis: &[PpiConstraint], fault: Option<StuckFault>) -> Net {
+    /// The implication network of one frame: PIs and assignable PPIs take
+    /// the good-machine values, fixed PPIs their given sets, and every
+    /// other net all four values. Outside the cone of the fault site and
+    /// of the PPIs that may carry a fault effect, every net is good.
+    pub fn network(
+        &self,
+        ppis: &[PpiConstraint],
+        fault: Option<StuckFault>,
+    ) -> SetNet<'c, StaticAlgebra> {
         let n = self.circuit.num_nodes();
         let mut sets = vec![StaticSet::ALL; n];
         for &pi in self.circuit.inputs() {
@@ -359,186 +360,20 @@ impl<'c> FrameEngine<'c> {
                 sets[idx] = sets[idx].intersect(StaticSet::GOOD);
             }
         }
-        let mut net = Net {
-            sets,
-            trail: Vec::new(),
-            queue: VecDeque::new(),
-            queued: vec![false; n],
-            ins: Vec::new(),
-            conflict: false,
-        };
-        for &g in self.circuit.topo_order() {
-            net.queued[g.index()] = true;
-            net.queue.push_back(g);
-        }
-        net
-    }
-
-    fn stuck_value(fault: StuckFault) -> bool {
-        fault.kind.value()
-    }
-
-    fn convert(fault: StuckFault, s: StaticSet) -> StaticSet {
-        let stuck = Self::stuck_value(fault);
-        s.iter()
-            .map(|v| StaticValue::from_pair(v.good(), stuck))
-            .collect()
-    }
-
-    fn unconvert_within(fault: StuckFault, post: StaticSet, pre: StaticSet) -> StaticSet {
-        let stuck = Self::stuck_value(fault);
-        pre.iter()
-            .filter(|v| post.contains(StaticValue::from_pair(v.good(), stuck)))
-            .collect()
-    }
-
-    fn edge_converted(fault: Option<StuckFault>, stem: NodeId, sink: NodeId, pin: u8) -> bool {
-        let Some(f) = fault else { return false };
-        if f.site.stem != stem {
-            return false;
-        }
-        match f.site.branch {
-            None => true,
-            Some((fsink, fpin)) => fsink == sink && fpin == pin,
-        }
-    }
-
-    fn edge_set(
-        &self,
-        net: &Net,
-        fault: Option<StuckFault>,
-        sink: NodeId,
-        pin: usize,
-    ) -> StaticSet {
-        let stem = self.circuit.node(sink).fanin()[pin];
-        let s = net.sets[stem.index()];
-        if Self::edge_converted(fault, stem, sink, pin as u8) {
-            Self::convert(fault.expect("converted edge"), s)
-        } else {
-            s
-        }
-    }
-
-    fn assign(&self, net: &mut Net, id: NodeId, new: StaticSet) -> bool {
-        let old = net.sets[id.index()];
-        let meet = old.intersect(new);
-        if meet == old {
-            return !meet.is_empty();
-        }
-        net.trail.push((id, old));
-        net.sets[id.index()] = meet;
-        if meet.is_empty() {
-            net.conflict = true;
-            return false;
-        }
-        // Wake adjacent gates.
-        let node = self.circuit.node(id);
-        if node.kind().is_combinational() && !net.queued[id.index()] {
-            net.queued[id.index()] = true;
-            net.queue.push_back(id);
-        }
-        for &(s, _) in node.fanout() {
-            if self.circuit.node(s).kind().is_combinational() && !net.queued[s.index()] {
-                net.queued[s.index()] = true;
-                net.queue.push_back(s);
-            }
-        }
-        true
-    }
-
-    fn rollback(&self, net: &mut Net, mark: usize) {
-        while net.trail.len() > mark {
-            let (id, old) = net.trail.pop().expect("trail entry");
-            net.sets[id.index()] = old;
-        }
-        net.conflict = false;
-        // Only queued gates carry a flag, so draining clears them all.
-        while let Some(g) = net.queue.pop_front() {
-            net.queued[g.index()] = false;
-        }
-    }
-
-    /// Runs implications to a fixpoint. A gate whose pins read distinct
-    /// nets keeps its queued flag while it runs: its narrowing is exact
-    /// per pin, so one pass is its own fixpoint and its own narrowings
-    /// need not wake it again. A gate that reads one net on several pins
-    /// is woken as before. The fixpoint is unique, so every set and every
-    /// conflict stays the same.
-    fn propagate(&self, net: &mut Net, fault: Option<StuckFault>) -> bool {
-        while let Some(g) = net.queue.pop_front() {
-            net.queued[g.index()] = false;
-            if net.conflict {
-                break;
-            }
-            let settles = self.circuit.node(g).has_distinct_fanins();
-            net.queued[g.index()] = settles;
-            let ok = self.imply_gate(net, fault, g);
-            if settles {
-                net.queued[g.index()] = false;
-            }
-            if !ok {
-                break;
-            }
-        }
-        !net.conflict
-    }
-
-    /// One pass of gate `g`'s constraint: forward image, then backward
-    /// narrowing of its pins. Returns `false` on a conflict.
-    fn imply_gate(&self, net: &mut Net, fault: Option<StuckFault>, g: NodeId) -> bool {
-        let node = self.circuit.node(g);
-        let kind = node.kind();
-        let fanin = node.fanin();
-        let mut ins = std::mem::take(&mut net.ins);
-        ins.clear();
-        ins.extend((0..fanin.len()).map(|p| self.edge_set(net, fault, g, p)));
-        let mut out = net.sets[g.index()];
-        let image = eval_gate_sets(kind, &ins);
-        out = out.intersect(image);
-        narrow_inputs(kind, &mut out, &mut ins);
-        let mut ok = self.assign(net, g, out);
-        if ok {
-            for (p, &stem) in fanin.iter().enumerate() {
-                let pre = if Self::edge_converted(fault, stem, g, p as u8) {
-                    Self::unconvert_within(
-                        fault.expect("converted"),
-                        ins[p],
-                        net.sets[stem.index()],
-                    )
-                } else {
-                    ins[p]
-                };
-                if !self.assign(net, stem, pre) {
-                    ok = false;
-                    break;
-                }
-            }
-        }
-        net.ins = ins;
-        ok
+        SetNet::new(self.circuit, StaticAlgebra { fault }, sets)
     }
 
     // ------------------------------------------------------------------
     // Forward functional image & success
     // ------------------------------------------------------------------
 
-    fn leaf_set(&self, node: NodeId, base: StaticSet, stack: &[Decision]) -> StaticSet {
-        let mut s = base;
-        for d in stack {
-            if d.node == node {
-                s = s.intersect(d.applied);
-            }
-        }
-        s
-    }
-
     /// Brings the forward functional image in `scratch.image` up to date
     /// with the decided leaves.
     fn forward_image(
         &self,
         ppis: &[PpiConstraint],
-        stack: &[Decision],
-        fault: Option<StuckFault>,
+        stack: &[Decision<StaticSet>],
+        algebra: &StaticAlgebra,
         scratch: &mut Scratch,
     ) {
         let circuit = self.circuit;
@@ -554,40 +389,20 @@ impl<'c> FrameEngine<'c> {
             leaf[d.node.index()] = leaf[d.node.index()].intersect(d.applied);
         }
         let sources = circuit.inputs().iter().chain(circuit.dffs());
-        image.update(circuit, fault, sources.map(|&src| (src, leaf[src.index()])));
-    }
-
-    fn forward_ppo(&self, image: &[StaticSet], i: usize) -> StaticSet {
-        let d = self.circuit.ppo_of_dff(self.circuit.dffs()[i]);
-        image[d.index()]
-    }
-
-    fn forward_ppo_with_fault(
-        &self,
-        image: &[StaticSet],
-        i: usize,
-        fault: Option<StuckFault>,
-    ) -> StaticSet {
-        let dff = self.circuit.dffs()[i];
-        let d = self.circuit.ppo_of_dff(dff);
-        let s = image[d.index()];
-        if Self::edge_converted(fault, d, dff, 0)
-            && fault.map(|f| f.site.branch.is_some()).unwrap_or(false)
-        {
-            Self::convert(fault.expect("converted"), s)
-        } else {
-            s
-        }
+        image.update(
+            circuit,
+            *algebra,
+            sources.map(|&src| (src, leaf[src.index()])),
+        );
     }
 
     fn forward_success(
         &self,
         goal: &FrameGoal,
         ppis: &[PpiConstraint],
-        stack: &[Decision],
-        image: &[StaticSet],
+        stack: &[Decision<StaticSet>],
+        image: &FrameImage,
         backtracks: u32,
-        fault: Option<StuckFault>,
     ) -> Option<FrameSolution> {
         // An observation (or latched effect) needs a *singleton* D or D̄:
         // a {D, D̄} set means the good-machine value is unknown, so a
@@ -598,47 +413,43 @@ impl<'c> FrameEngine<'c> {
                 Some(StaticValue::D) | Some(StaticValue::Db)
             )
         };
+        let circuit = self.circuit;
+        let f = &image.f;
         let achieved = match goal {
-            FrameGoal::ObserveAtPo => self
-                .circuit
-                .outputs()
-                .iter()
-                .any(|&po| definite(image[po.index()])),
-            FrameGoal::LatchDiff => (0..self.circuit.num_dffs())
-                .any(|i| definite(self.forward_ppo_with_fault(image, i, fault))),
+            FrameGoal::ObserveAtPo => circuit.outputs().iter().any(|&po| definite(f[po.index()])),
+            FrameGoal::LatchDiff => {
+                (0..circuit.num_dffs()).any(|i| definite(image.ppo(circuit, i)))
+            }
             FrameGoal::JustifyPpos(targets) => targets.iter().all(|&(i, b)| {
-                let want = if b { StaticValue::S1 } else { StaticValue::S0 };
-                self.forward_ppo(image, i).as_singleton() == Some(want)
+                let d = circuit.ppo_of_dff(circuit.dffs()[i]);
+                f[d.index()].as_singleton() == Some(steady(b))
             }),
         };
         if !achieved {
             return None;
         }
-        let po_hit = self
-            .circuit
+        let po_hit = circuit
             .outputs()
             .iter()
             .copied()
-            .find(|&po| definite(image[po.index()]));
-        let pi = self
-            .circuit
+            .find(|&po| definite(f[po.index()]));
+        let pi = circuit
             .inputs()
             .iter()
-            .map(|&p| to_logic3(self.leaf_set(p, StaticSet::GOOD, stack)))
+            .map(|&p| to_logic3(leaf_set(p, StaticSet::GOOD, stack)))
             .collect();
-        let ppi_assigned = self
-            .circuit
+        let ppi_assigned = circuit
             .dffs()
             .iter()
             .enumerate()
             .filter(|&(i, _)| matches!(ppis[i], PpiConstraint::Assignable))
             .filter_map(|(i, &ff)| {
-                let leaf = self.leaf_set(ff, StaticSet::GOOD, stack);
+                let leaf = leaf_set(ff, StaticSet::GOOD, stack);
                 leaf.as_singleton().map(|v| (i, v.good()))
             })
             .collect();
-        let next_state = (0..self.circuit.num_dffs())
-            .map(|i| self.forward_ppo_with_fault(image, i, fault))
+        let next_state = (0..circuit.num_dffs())
+            .map(|i| image.ppo(circuit, i))
             .collect();
         Some(FrameSolution {
             pi,
@@ -650,28 +461,21 @@ impl<'c> FrameEngine<'c> {
     }
 
     /// Arc-level pruning: is the goal still conceivably achievable?
-    fn still_possible(&self, net: &Net, goal: &FrameGoal, fault: Option<StuckFault>) -> bool {
+    fn still_possible(&self, net: &SetNet<'_, StaticAlgebra>, goal: &FrameGoal) -> bool {
+        let circuit = self.circuit;
         match goal {
-            FrameGoal::ObserveAtPo => self.circuit.outputs().iter().any(|&po| {
-                let mut s = net.sets[po.index()];
-                if fault
-                    .map(|f| f.site.branch.is_none() && f.site.stem == po)
-                    .unwrap_or(false)
-                {
-                    s = Self::convert(fault.expect("fault"), s);
-                }
-                s.may_be_fault_effect()
+            FrameGoal::ObserveAtPo => circuit.outputs().iter().any(|&po| {
+                net.algebra()
+                    .stem_view(po, net.set(po))
+                    .may_be_fault_effect()
             }),
-            FrameGoal::LatchDiff => (0..self.circuit.num_dffs()).any(|i| {
-                let dff = self.circuit.dffs()[i];
-                let d = self.circuit.ppo_of_dff(dff);
-                self.edge_set(net, fault, dff, 0).may_be_fault_effect()
-                    || net.sets[d.index()].may_be_fault_effect()
+            FrameGoal::LatchDiff => circuit.dffs().iter().any(|&dff| {
+                let d = circuit.ppo_of_dff(dff);
+                net.edge_set(dff, 0).may_be_fault_effect() || net.set(d).may_be_fault_effect()
             }),
             FrameGoal::JustifyPpos(targets) => targets.iter().all(|&(i, b)| {
-                let d = self.circuit.ppo_of_dff(self.circuit.dffs()[i]);
-                let want = if b { StaticValue::S1 } else { StaticValue::S0 };
-                net.sets[d.index()].contains(want)
+                let d = circuit.ppo_of_dff(circuit.dffs()[i]);
+                net.set(d).contains(steady(b))
             }),
         }
     }
@@ -680,254 +484,70 @@ impl<'c> FrameEngine<'c> {
     // Decisions
     // ------------------------------------------------------------------
 
-    fn pick_decision(
-        &self,
-        net: &mut Net,
-        goal: &FrameGoal,
-        ppis: &[PpiConstraint],
-        stack: &mut Vec<Decision>,
-        fault: Option<StuckFault>,
-        scratch: &mut Scratch,
-    ) -> bool {
-        let objective = self.pick_objective(net, goal, fault, &scratch.image.f);
-        let decision = objective
-            .and_then(|objective| self.backtrace(net, ppis, stack, objective, fault, scratch))
-            .or_else(|| self.fallback_variable(net, ppis, stack));
-        let Some((node, mut alts)) = decision else {
-            return false;
-        };
-        debug_assert!(!alts.is_empty());
-        let trail_mark = net.trail.len();
-        let first = alts.pop().expect("non-empty");
-        let _ = self.assign(net, node, first);
-        stack.push(Decision {
-            node,
-            applied: first,
-            alts,
-            trail_mark,
-        });
-        true
-    }
-
     fn pick_objective(
         &self,
-        net: &Net,
+        net: &SetNet<'_, StaticAlgebra>,
         goal: &FrameGoal,
-        fault: Option<StuckFault>,
         image: &[StaticSet],
     ) -> Option<(NodeId, StaticSet)> {
-        match goal {
-            FrameGoal::JustifyPpos(targets) => {
-                // Judge satisfaction on the *forward image* — the arc
-                // network already contains the target as a constraint, so
-                // it cannot tell us which targets still need decisions.
-                for &(i, b) in targets {
-                    let d = self.circuit.ppo_of_dff(self.circuit.dffs()[i]);
-                    let want_v = if b { StaticValue::S1 } else { StaticValue::S0 };
-                    if image[d.index()].as_singleton() != Some(want_v) {
-                        return Some((d, StaticSet::singleton(want_v)));
-                    }
+        if let FrameGoal::JustifyPpos(targets) = goal {
+            // Judge satisfaction on the *forward image* — the arc network
+            // already contains the target as a constraint, so it cannot
+            // tell us which targets still need decisions.
+            return targets.iter().find_map(|&(i, b)| {
+                let d = self.circuit.ppo_of_dff(self.circuit.dffs()[i]);
+                (image[d.index()].as_singleton() != Some(steady(b)))
+                    .then(|| (d, StaticSet::singleton(steady(b))))
+            });
+        }
+        // Excitation first (standalone stuck-at mode): if nothing carries
+        // the effect yet, provoke the site.
+        if let Some(f) = net.algebra().fault {
+            let stem = net.set(f.site.stem);
+            let any_effect = net.sets().iter().any(|s| s.must_be_fault_effect())
+                || net.algebra().convert(stem).must_be_fault_effect();
+            if !any_effect {
+                let desired = stem.with_good(!f.kind.value());
+                if !desired.is_empty() && desired != stem {
+                    return Some((f.site.stem, desired));
                 }
-                None
-            }
-            _ => {
-                // Excitation first (standalone stuck-at mode): if nothing
-                // carries the effect yet, provoke the site.
-                if let Some(f) = fault {
-                    let any_effect = net.sets.iter().any(|s| s.must_be_fault_effect())
-                        || self.any_converted_edge_effect(net, f);
-                    if !any_effect {
-                        let want_good = !Self::stuck_value(f);
-                        let desired = net.sets[f.site.stem.index()].with_good(want_good);
-                        if !desired.is_empty() && desired != net.sets[f.site.stem.index()] {
-                            return Some((f.site.stem, desired));
-                        }
-                    }
-                }
-                // D-frontier: unresolved gate with a definite effect on an
-                // input, closest to an output.
-                let mut best: Option<(u32, NodeId, StaticSet)> = None;
-                for &g in self.circuit.topo_order() {
-                    let out = net.sets[g.index()];
-                    if out.must_be_fault_effect() || !out.may_be_fault_effect() {
-                        continue;
-                    }
-                    let arity = self.circuit.node(g).fanin().len();
-                    let has_effect_input =
-                        (0..arity).any(|p| self.edge_set(net, fault, g, p).must_be_fault_effect());
-                    if !has_effect_input {
-                        continue;
-                    }
-                    let desired = out.intersect(StaticSet::FAULT_EFFECT);
-                    if desired.is_empty() {
-                        continue;
-                    }
-                    let cost = self.testability.co[g.index()];
-                    if best.as_ref().is_none_or(|&(c, _, _)| cost < c) {
-                        best = Some((cost, g, desired));
-                    }
-                }
-                best.map(|(_, g, d)| (g, d))
             }
         }
+        net.d_frontier()
     }
 
-    fn any_converted_edge_effect(&self, net: &Net, f: StuckFault) -> bool {
-        let stem = f.site.stem;
-        let s = Self::convert(f, net.sets[stem.index()]);
-        s.must_be_fault_effect()
-    }
-
-    fn backtrace(
+    /// Backtrace at a PI or an assignable PPI: a decision with the desired
+    /// values tried first. A fixed PPI cannot be influenced.
+    fn leaf_step(
         &self,
-        net: &Net,
+        net: &SetNet<'_, StaticAlgebra>,
         ppis: &[PpiConstraint],
-        stack: &[Decision],
-        objective: (NodeId, StaticSet),
-        fault: Option<StuckFault>,
-        scratch: &mut Scratch,
-    ) -> Option<(NodeId, Vec<StaticSet>)> {
-        let (mut node, mut desired) = objective;
-        let Scratch {
-            orig,
-            narrowed: ins,
-            ..
-        } = scratch;
-        let limit = 4 * self.circuit.num_nodes() + 16;
-        for _ in 0..limit {
-            desired = desired.intersect(net.sets[node.index()]);
-            if desired.is_empty() {
-                return None;
-            }
-            let kind = self.circuit.node(node).kind();
-            match kind {
-                GateKind::Input => {
-                    return self.leaf_decision(node, StaticSet::GOOD, desired, stack)
-                }
-                GateKind::Dff => {
-                    let i = self
-                        .circuit
-                        .dffs()
-                        .iter()
-                        .position(|&f| f == node)
-                        .expect("dff index");
-                    return match ppis[i] {
-                        PpiConstraint::Assignable => {
-                            self.leaf_decision(node, StaticSet::GOOD, desired, stack)
-                        }
-                        PpiConstraint::Fixed(_) => None, // cannot influence
-                    };
-                }
-                _ => {
-                    let arity = self.circuit.node(node).fanin().len();
-                    orig.clear();
-                    orig.extend((0..arity).map(|p| self.edge_set(net, fault, node, p)));
-                    ins.clear();
-                    ins.extend_from_slice(orig);
-                    let mut out = desired;
-                    narrow_inputs(kind, &mut out, ins);
-                    let required = (0..arity)
-                        .filter(|&p| ins[p] != orig[p] && !ins[p].is_empty())
-                        .max_by_key(|&p| self.edge_cost(node, p));
-                    let mut advanced = false;
-                    if let Some(p) = required {
-                        let stem = self.circuit.node(node).fanin()[p];
-                        let pre = self.pre_of(net, fault, node, p, ins[p]);
-                        if !pre.is_empty() && pre != net.sets[stem.index()] {
-                            node = stem;
-                            desired = pre;
-                            advanced = true;
-                        }
-                    }
-                    if advanced {
-                        continue;
-                    }
-                    let p = (0..arity)
-                        .filter(|&p| orig[p].len() > 1)
-                        .min_by_key(|&p| self.edge_cost(node, p))?;
-                    // `ins` is free again: it becomes the pinned copy.
-                    let chosen = choose_helping_value(kind, orig, ins, p, desired)?;
-                    let stem = self.circuit.node(node).fanin()[p];
-                    let pre = self.pre_of(net, fault, node, p, StaticSet::singleton(chosen));
-                    if pre.is_empty() {
-                        return None;
-                    }
-                    node = stem;
-                    desired = pre;
-                }
-            }
-        }
-        None
-    }
-
-    fn pre_of(
-        &self,
-        net: &Net,
-        fault: Option<StuckFault>,
-        sink: NodeId,
-        pin: usize,
-        edge_desired: StaticSet,
-    ) -> StaticSet {
-        let stem = self.circuit.node(sink).fanin()[pin];
-        if Self::edge_converted(fault, stem, sink, pin as u8) {
-            Self::unconvert_within(
-                fault.expect("converted"),
-                edge_desired,
-                net.sets[stem.index()],
-            )
-        } else {
-            edge_desired.intersect(net.sets[stem.index()])
-        }
-    }
-
-    fn edge_cost(&self, sink: NodeId, pin: usize) -> u32 {
-        let stem = self.circuit.node(sink).fanin()[pin];
-        self.testability.cc0[stem.index()].min(self.testability.cc1[stem.index()])
-    }
-
-    fn leaf_decision(
-        &self,
         node: NodeId,
-        base: StaticSet,
         desired: StaticSet,
-        stack: &[Decision],
-    ) -> Option<(NodeId, Vec<StaticSet>)> {
-        let leaf = self.leaf_set(node, base, stack);
-        if leaf.len() <= 1 {
+        stack: &[Decision<StaticSet>],
+    ) -> Option<Choice<StaticSet>> {
+        if self.circuit.node(node).kind() == GateKind::Dff
+            && matches!(ppis[net.dff_index(node)], PpiConstraint::Fixed(_))
+        {
             return None;
         }
-        // Alternatives tried back-to-front: desired values last.
-        let mut ordered: Vec<StaticSet> = Vec::new();
-        for v in leaf.iter() {
-            if !desired.contains(v) {
-                ordered.push(StaticSet::singleton(v));
-            }
-        }
-        for v in leaf.iter() {
-            if desired.contains(v) {
-                ordered.push(StaticSet::singleton(v));
-            }
-        }
-        Some((node, ordered))
+        let leaf = leaf_set(node, StaticSet::GOOD, stack);
+        (leaf.len() > 1).then(|| (node, preferred_last(leaf, desired)))
     }
 
     fn fallback_variable(
         &self,
-        net: &Net,
+        net: &SetNet<'_, StaticAlgebra>,
         ppis: &[PpiConstraint],
-        stack: &[Decision],
-    ) -> Option<(NodeId, Vec<StaticSet>)> {
+        stack: &[Decision<StaticSet>],
+    ) -> Option<Choice<StaticSet>> {
         // Constrained PIs first, then free PIs, then assignable PPIs (each
         // PPI assignment creates a justification burden — last resort).
         let mut pick: Option<(u8, NodeId)> = None;
         for &pi in self.circuit.inputs() {
-            let leaf = self.leaf_set(pi, StaticSet::GOOD, stack);
+            let leaf = leaf_set(pi, StaticSet::GOOD, stack);
             if leaf.len() > 1 {
-                let rank = if net.sets[pi.index()].len() < leaf.len() {
-                    0
-                } else {
-                    1
-                };
+                let rank = if net.set(pi).len() < leaf.len() { 0 } else { 1 };
                 if pick.is_none_or(|(r, _)| rank < r) {
                     pick = Some((rank, pi));
                 }
@@ -935,30 +555,26 @@ impl<'c> FrameEngine<'c> {
         }
         if pick.is_none() {
             for (i, &ff) in self.circuit.dffs().iter().enumerate() {
-                if matches!(ppis[i], PpiConstraint::Assignable) {
-                    let leaf = self.leaf_set(ff, StaticSet::GOOD, stack);
-                    if leaf.len() > 1 {
-                        pick = Some((2, ff));
-                        break;
-                    }
+                if matches!(ppis[i], PpiConstraint::Assignable)
+                    && leaf_set(ff, StaticSet::GOOD, stack).len() > 1
+                {
+                    pick = Some((2, ff));
+                    break;
                 }
             }
         }
         let (_, node) = pick?;
-        let leaf = self.leaf_set(node, StaticSet::GOOD, stack);
-        let arc = net.sets[node.index()];
-        let mut ordered: Vec<StaticSet> = Vec::new();
-        for v in leaf.iter() {
-            if !arc.contains(v) {
-                ordered.push(StaticSet::singleton(v));
-            }
-        }
-        for v in leaf.iter() {
-            if arc.contains(v) {
-                ordered.push(StaticSet::singleton(v));
-            }
-        }
-        Some((node, ordered))
+        let leaf = leaf_set(node, StaticSet::GOOD, stack);
+        Some((node, preferred_last(leaf, net.set(node))))
+    }
+}
+
+/// The steady good-machine value `b`.
+fn steady(b: bool) -> StaticValue {
+    if b {
+        StaticValue::S1
+    } else {
+        StaticValue::S0
     }
 }
 
@@ -968,43 +584,6 @@ fn to_logic3(s: StaticSet) -> Logic3 {
         Some(StaticValue::S1) => Logic3::One,
         _ => Logic3::X,
     }
-}
-
-/// Picks a value for input `p` that keeps `desired` producible. `pinned`
-/// is scratch space for `orig` with input `p` pinned.
-fn choose_helping_value(
-    kind: GateKind,
-    orig: &[StaticSet],
-    pinned: &mut Vec<StaticSet>,
-    p: usize,
-    desired: StaticSet,
-) -> Option<StaticValue> {
-    const PREFERENCE: [StaticValue; 4] = [
-        StaticValue::S1,
-        StaticValue::S0,
-        StaticValue::D,
-        StaticValue::Db,
-    ];
-    pinned.clear();
-    pinned.extend_from_slice(orig);
-    let mut fallback = None;
-    for v in PREFERENCE {
-        if !orig[p].contains(v) {
-            continue;
-        }
-        pinned[p] = StaticSet::singleton(v);
-        let image = eval_gate_sets(kind, pinned);
-        if image.intersect(desired).is_empty() {
-            continue;
-        }
-        if image.intersect(desired) == image {
-            return Some(v);
-        }
-        if fallback.is_none() {
-            fallback = Some(v);
-        }
-    }
-    fallback
 }
 
 impl<'c> FrameEngine<'c> {
@@ -1024,28 +603,21 @@ impl<'c> FrameEngine<'c> {
         let circuit = self.circuit;
         let pis = circuit.inputs().iter().zip(pi).map(|(&p, l)| {
             let set = match l.to_bool() {
-                Some(true) => StaticSet::singleton(StaticValue::S1),
-                Some(false) => StaticSet::singleton(StaticValue::S0),
+                Some(b) => StaticSet::singleton(steady(b)),
                 None => StaticSet::GOOD,
             };
             (p, set)
         });
         let ffs = circuit.dffs().iter().copied().zip(state.iter().copied());
         let image = &mut self.scratch.borrow_mut().image;
-        image.update(circuit, fault, pis.chain(ffs));
-        let f = &image.f;
-        let pos = circuit.outputs().iter().map(|&po| f[po.index()]).collect();
+        image.update(circuit, StaticAlgebra { fault }, pis.chain(ffs));
+        let pos = circuit
+            .outputs()
+            .iter()
+            .map(|&po| image.f[po.index()])
+            .collect();
         let next = (0..circuit.num_dffs())
-            .map(|i| {
-                let dff = circuit.dffs()[i];
-                let d = circuit.ppo_of_dff(dff);
-                let s = f[d.index()];
-                if Self::edge_converted(fault, d, dff, 0) {
-                    Self::convert(fault.expect("converted"), s)
-                } else {
-                    s
-                }
-            })
+            .map(|i| image.ppo(circuit, i))
             .collect();
         (pos, next)
     }
@@ -1195,70 +767,6 @@ mod tests {
             .cloned()
             .expect("excitable");
         assert_eq!(sol.pi[0], Logic3::One);
-    }
-
-    /// The reference fixpoint: every gate implied round-robin, in
-    /// topological order, until a whole round narrows nothing.
-    fn round_robin(engine: &FrameEngine<'_>, net: &mut Net, fault: Option<StuckFault>) -> bool {
-        loop {
-            let before = net.trail.len();
-            for &g in engine.circuit.topo_order() {
-                if !engine.imply_gate(net, fault, g) {
-                    return false;
-                }
-            }
-            if net.trail.len() == before {
-                return true;
-            }
-        }
-    }
-
-    #[test]
-    fn propagate_reaches_the_round_robin_fixpoint() {
-        use gdf_netlist::generator;
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(1995);
-        for seed in 0..300 {
-            let c = generator::random_tangle(seed);
-            let engine = FrameEngine::new(&c, 100);
-            let site = generator::random_site(&c, &mut rng);
-            let stuck = StuckFault {
-                site,
-                kind: StuckAtKind::ALL[rng.gen_range(0..2usize)],
-            };
-            let ppis: Vec<PpiConstraint> = (0..c.num_dffs())
-                .map(|_| match rng.gen_range(0..3u32) {
-                    0 => PpiConstraint::Assignable,
-                    _ => PpiConstraint::Fixed(StaticSet::from_bits(rng.gen_range(1..16u8))),
-                })
-                .collect();
-            for fault in [None, Some(stuck)] {
-                let mut queued = engine.init_net(&ppis, fault);
-                let mut reference = engine.init_net(&ppis, fault);
-                // A search-like walk: narrow a random net, compare the
-                // fixpoints, and undo the step on a conflict.
-                for step in 0..9 {
-                    let marks = (queued.trail.len(), reference.trail.len());
-                    if step > 0 {
-                        let node = NodeId(rng.gen_range(0..c.num_nodes() as u32));
-                        let narrowed = StaticSet::from_bits(rng.gen_range(0..16u8))
-                            .intersect(queued.sets[node.index()]);
-                        let ok = engine.assign(&mut queued, node, narrowed);
-                        assert_eq!(engine.assign(&mut reference, node, narrowed), ok);
-                    }
-                    let got = engine.propagate(&mut queued, fault);
-                    let want = round_robin(&engine, &mut reference, fault) && !reference.conflict;
-                    assert_eq!(got, want, "{} {fault:?}: conflict status", c.name());
-                    if got {
-                        assert_eq!(queued.sets, reference.sets, "{} {fault:?}", c.name());
-                    } else {
-                        engine.rollback(&mut queued, marks.0);
-                        engine.rollback(&mut reference, marks.1);
-                    }
-                }
-            }
-        }
     }
 
     #[test]

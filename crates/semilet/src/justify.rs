@@ -202,7 +202,6 @@ fn minimize_requirements(
     targets: &[(usize, bool)],
     sol: &crate::frame::FrameSolution,
 ) -> Vec<(usize, bool)> {
-    use gdf_algebra::static5::{StaticSet, StaticValue};
     let mut kept: Vec<(usize, bool)> = sol.ppi_assigned.clone();
     let state_of = |assigned: &[(usize, bool)]| -> Vec<StaticSet> {
         let mut state = vec![StaticSet::GOOD; circuit.num_dffs()];

@@ -186,7 +186,7 @@ fn reliance_analysis(
         }
         let mut blanked = start.to_vec();
         blanked[i] = StaticSet::GOOD; // fixed but unknown
-        if !observes(circuit, engine, &blanked, vectors, po_pos, fault) {
+        if !observes(engine, &blanked, vectors, po_pos, fault) {
             relied.push(i);
         }
     }
@@ -196,14 +196,12 @@ fn reliance_analysis(
 /// Pure simulation: do `vectors` still yield a definite difference at the
 /// PO (by position) in the final frame?
 fn observes(
-    circuit: &Circuit,
     engine: &FrameEngine<'_>,
     start: &[StaticSet],
     vectors: &[Vec<Logic3>],
     po_pos: usize,
     fault: Option<gdf_netlist::StuckFault>,
 ) -> bool {
-    let _ = circuit;
     let mut state = start.to_vec();
     for (k, v) in vectors.iter().enumerate() {
         let (pos, next) = engine.simulate_frame(&state, v, fault);

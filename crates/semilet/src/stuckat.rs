@@ -145,7 +145,6 @@ impl<'c> StuckAtAtpg<'c> {
         let mut state = vec![StaticSet::ALL; self.circuit.num_dffs()];
         let mut vectors: Vec<Vec<Logic3>> = Vec::new();
         let mut seen: HashSet<Vec<u8>> = HashSet::new();
-        let mut aborted = false;
 
         while vectors.len() < self.config.max_frames {
             let sig: Vec<u8> = state.iter().map(|s| s.bits()).collect();
@@ -161,10 +160,7 @@ impl<'c> StuckAtAtpg<'c> {
                         po: sol.po_hit.expect("PO goal solved"),
                     };
                 }
-                FrameResult::Aborted => {
-                    aborted = true;
-                    break;
-                }
+                FrameResult::Aborted => break,
                 FrameResult::Exhausted => {}
             }
             // Keep or create a definite effect in the state.
@@ -174,10 +170,7 @@ impl<'c> StuckAtAtpg<'c> {
                     state = sol.next_state;
                     continue;
                 }
-                FrameResult::Aborted => {
-                    aborted = true;
-                    break;
-                }
+                FrameResult::Aborted => break,
                 FrameResult::Exhausted => {}
             }
             // Conditioning frame: no effect possible yet — drive the state
@@ -190,7 +183,6 @@ impl<'c> StuckAtAtpg<'c> {
         }
         // Forward search over a sequential machine cannot prove
         // untestability; everything unresolved is an abort.
-        let _ = aborted;
         StuckAtOutcome::Aborted
     }
 

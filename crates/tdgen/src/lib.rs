@@ -45,6 +45,6 @@ pub mod network;
 pub mod podem;
 pub mod result;
 
-pub use network::{ImplicationNet, Sensitization};
+pub use network::{DelayAlgebra, Sensitization};
 pub use podem::{TdGen, TdGenConfig, TdGenOutcome};
 pub use result::{LocalObservation, LocalTest, PpoValue};

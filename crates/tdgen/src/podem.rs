@@ -6,42 +6,45 @@
 //! D-frontier) are backtraced through the implication tables to a decision,
 //! guided by SCOAP testability measures.
 //!
-//! Two value networks cooperate:
+//! The implication network, the search loop and the gate step of
+//! backtrace are [`gdf_algebra::search`], shared with SEMILET and
+//! instantiated here with the delay algebra of [`DelayAlgebra`]. On top of
+//! that network, which holds arc-consistent sets under all constraints
+//! (including the excitation requirement at the fault site) and provides
+//! conflict detection, pruning and objective guidance, TDgen keeps a
+//! **forward functional check**: value sets recomputed purely forward
+//! from the *decided* inputs (undecided inputs keep their full domains).
+//! Only this check declares success: if the forward image of an
+//! observation point is entirely fault-carrying, then *every* completion
+//! of the remaining don't-cares detects the fault — which is what the
+//! emitted test with `X` positions promises.
 //!
-//! * the **implication network** ([`ImplicationNet`]) holds arc-consistent
-//!   sets under all constraints (including the excitation requirement at
-//!   the fault site) — it provides conflict detection, pruning and
-//!   objective guidance;
-//! * a **forward functional check** recomputes value sets purely forward
-//!   from the *decided* inputs (undecided inputs keep their full domains).
-//!   Only this check declares success: if the forward image of an
-//!   observation point is entirely fault-carrying, then *every* completion
-//!   of the remaining don't-cares detects the fault — which is what the
-//!   emitted test with `X` positions promises.
-//!
-//! One search step costs what changed, not the whole circuit. The
-//! implication network skips a constraint's wake-up by its own narrowings
-//! only when one pass is that constraint's own fixpoint (a gate whose pins
-//! read distinct nets, a flip-flop coupling whose D net is not its own
-//! Q); the fixpoint is unique, so no set or conflict changes. The forward
-//! image is a pure function of the decided leaves, so it is kept from one
-//! step to the next and updated by events: only the gates with a changed
-//! fanin are re-evaluated, in level order, with the PPO-initial →
-//! PPI-final coupling as one more edge. The first image of a search is
-//! the same update with every gate scheduled. Every search decision is
-//! the one a full recomputation would take.
+//! The forward image is a pure function of the decided leaves, so it is
+//! kept from one step to the next and updated by events: only the gates
+//! with a changed fanin are re-evaluated, in level order, with the
+//! PPO-initial → PPI-final coupling as one more edge. The first image of a
+//! search is the same update with every gate scheduled. Every search
+//! decision is the one a full recomputation would take.
 //!
 //! Completeness comes from the decision tree covering the full PI/PPI
 //! space; objectives are heuristics only. The paper's backtrack-limit
 //! abort (default 100) sits on top.
 
-use crate::network::{ImplicationNet, Implied, Sensitization};
+use crate::network::{DelayAlgebra, Sensitization};
 use crate::result::{LocalObservation, LocalTest, PpoValue};
 use gdf_algebra::delay::{DelaySet, DelayValue};
 use gdf_algebra::logic3::{eval_gate3, Logic3};
-use gdf_netlist::scoap::Testability;
+use gdf_algebra::search::{
+    branch_and_bound, leaf_set, preferred_last, Choice, Decision, GateBuffers, Outcome, SetAlgebra,
+    SetNet, Step,
+};
 use gdf_netlist::{Circuit, DelayFault, GateKind, NodeId};
 use gdf_sim::packed::LevelQueue;
+use std::ops::ControlFlow;
+
+/// The implication network under the robust (`R`) or non-robust delay
+/// algebra.
+type Net<'c, const R: bool> = SetNet<'c, DelayAlgebra<R>>;
 
 /// Configuration of the local test generator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,17 +93,6 @@ impl TdGenOutcome {
 pub struct TdGen<'c> {
     circuit: &'c Circuit,
     config: TdGenConfig,
-    testability: &'c Testability,
-}
-
-#[derive(Debug)]
-struct Decision {
-    node: NodeId,
-    /// The restriction currently applied.
-    applied: DelaySet,
-    /// Remaining alternative restrictions, tried back-to-front.
-    alts: Vec<DelaySet>,
-    trail_mark: usize,
 }
 
 /// Forward functional image: one set per node, kept from one search step
@@ -127,9 +119,7 @@ struct Scratch {
     /// The decided restrictions `(node, set)`, in decision-stack order.
     restr: Vec<(NodeId, DelaySet)>,
     image: ForwardImage,
-    /// Backtrace: a gate's edge sets before and after narrowing.
-    orig: Vec<DelaySet>,
-    narrowed: Vec<DelaySet>,
+    gate: GateBuffers<DelaySet>,
 }
 
 impl<'c> TdGen<'c> {
@@ -140,11 +130,7 @@ impl<'c> TdGen<'c> {
 
     /// Creates a generator with an explicit configuration.
     pub fn with_config(circuit: &'c Circuit, config: TdGenConfig) -> Self {
-        TdGen {
-            circuit,
-            config,
-            testability: circuit.testability(),
-        }
+        TdGen { circuit, config }
     }
 
     /// The configuration in force.
@@ -179,7 +165,24 @@ impl<'c> TdGen<'c> {
         fault: DelayFault,
         constraints: &[(NodeId, DelaySet)],
     ) -> TdGenOutcome {
-        let mut net = ImplicationNet::new(self.circuit, fault, self.config.sensitization);
+        let circuit = self.circuit;
+        match self.config.sensitization {
+            Sensitization::Robust => self.search(
+                DelayAlgebra::<true>::new(fault).network(circuit),
+                constraints,
+            ),
+            Sensitization::NonRobust => self.search(
+                DelayAlgebra::<false>::new(fault).network(circuit),
+                constraints,
+            ),
+        }
+    }
+
+    fn search<const R: bool>(
+        &self,
+        mut net: Net<'c, R>,
+        constraints: &[(NodeId, DelaySet)],
+    ) -> TdGenOutcome {
         for &(node, set) in constraints {
             if !net.assign(node, set) {
                 return TdGenOutcome::Untestable;
@@ -188,71 +191,49 @@ impl<'c> TdGen<'c> {
         // Any test must provoke the fault: pin the site to the provoking
         // transition up front (completeness is unaffected — every test has
         // this value at the site).
-        let t = net.provoking_value();
-        if !net.assign(fault.site.stem, DelaySet::singleton(t)) {
+        let site = net.algebra().fault().site.stem;
+        let t = net.algebra().provoking_value();
+        if !net.assign(site, DelaySet::singleton(t)) {
             return TdGenOutcome::Untestable;
         }
-        let mut stack: Vec<Decision> = Vec::new();
-        let mut backtracks: u32 = 0;
         let mut scratch = Scratch::default();
-
-        loop {
-            let consistent = net.propagate() == Implied::Consistent;
-            if consistent {
-                let Scratch { restr, image, .. } = &mut scratch;
+        let outcome = branch_and_bound(
+            &mut net,
+            self.config.backtrack_limit,
+            |net, stack, backtracks| {
+                let Scratch { restr, image, gate } = &mut scratch;
                 restr.clear();
                 restr.extend(stack.iter().map(|d| (d.node, d.applied)));
-                self.forward_image(&net, restr, image);
-                if self.forward_success(&net, image).is_some() {
+                self.forward_image(net, restr, image);
+                if self.forward_success(net, image).is_some() {
                     // Drop every state-bit decision the observation does
                     // not actually need: each kept one becomes a burden on
                     // the initialization phase.
-                    self.minimize_state_decisions(&net, restr, image);
+                    self.minimize_state_decisions(net, restr, image);
                     let obs = self
-                        .forward_success(&net, image)
+                        .forward_success(net, image)
                         .expect("minimization preserves success");
-                    return TdGenOutcome::Test(self.extract(&net, image, obs, backtracks));
+                    return Step::Found(self.extract(net, image, obs, backtracks));
                 }
-                if self.may_reach_observable(&net)
-                    && self
-                        .pick_decision(&mut net, &mut stack, &mut scratch)
-                        .is_some()
-                {
-                    continue;
+                if !self.may_reach_observable(net) {
+                    return Step::Branch(None);
                 }
-            }
-            // Backtrack.
-            backtracks += 1;
-            if backtracks > self.config.backtrack_limit {
-                return TdGenOutcome::Aborted;
-            }
-            let mut retried = false;
-            while let Some(mut d) = stack.pop() {
-                net.rollback(d.trail_mark);
-                if let Some(alt) = d.alts.pop() {
-                    let _ = net.assign(d.node, alt);
-                    d.applied = alt;
-                    stack.push(d);
-                    retried = true;
-                    break;
-                }
-            }
-            if !retried {
-                return TdGenOutcome::Untestable;
-            }
+                let decision = self
+                    .pick_objective(net)
+                    .and_then(|(node, desired)| {
+                        net.backtrace(node, desired, gate, |node, desired| {
+                            self.leaf_step(net, node, desired, stack)
+                        })
+                    })
+                    .or_else(|| self.fallback_variable(net, stack));
+                Step::Branch(decision)
+            },
+        );
+        match outcome {
+            Outcome::Found(test) => TdGenOutcome::Test(test),
+            Outcome::Exhausted => TdGenOutcome::Untestable,
+            Outcome::Aborted => TdGenOutcome::Aborted,
         }
-    }
-
-    /// The leaf domain of a decision variable: its natural domain
-    /// intersected with every restriction the decision stack applies.
-    fn leaf_set(&self, node: NodeId, stack: &[Decision]) -> DelaySet {
-        let mut s = DelaySet::HAZARD_FREE;
-        for d in stack {
-            if d.node == node {
-                s = s.intersect(d.applied);
-            }
-        }
-        s
     }
 
     /// Computes the forward functional image from the decided leaves:
@@ -269,9 +250,9 @@ impl<'c> TdGen<'c> {
     /// PPO-initial → PPI-final coupling is one more edge from pass 1 to
     /// pass 2. The first image of a search is the same update with every
     /// gate scheduled.
-    fn forward_image(
+    fn forward_image<const R: bool>(
         &self,
-        net: &ImplicationNet<'_>,
+        net: &Net<'_, R>,
         restr: &[(NodeId, DelaySet)],
         image: &mut ForwardImage,
     ) {
@@ -341,79 +322,49 @@ impl<'c> TdGen<'c> {
                 queue.inject(circuit, f, ff, v);
             }
         }
-        let fault = net.fault();
+        let algebra = net.algebra();
         queue.run(circuit, f, |g, f| {
             let node = circuit.node(g);
             ins.clear();
-            ins.extend(node.fanin().iter().enumerate().map(|(pin, &src)| {
-                let s = f[src.index()];
-                let converted = match fault.site.branch {
-                    None => src == fault.site.stem,
-                    Some((sink, fpin)) => src == fault.site.stem && sink == g && fpin == pin as u8,
-                };
-                if converted {
-                    net.convert(s)
-                } else {
-                    s
-                }
-            }));
-            net.eval_scratch(node.kind(), ins)
+            ins.extend(
+                node.fanin()
+                    .iter()
+                    .enumerate()
+                    .map(|(pin, &src)| algebra.edge_view(src, g, pin as u8, f[src.index()])),
+            );
+            algebra.eval(node.kind(), ins)
         });
         queue.forget_touched();
     }
 
-    /// Observed set at a PO in the forward image.
-    fn forward_po_set(
+    /// The set observed at PPO `dff_index` when the nets hold `sets` (the
+    /// network's, or the forward image's): post-conversion if the D net or
+    /// the D branch is the fault site.
+    fn ppo_set<const R: bool>(
         &self,
-        net: &ImplicationNet<'_>,
-        image: &ForwardImage,
-        po: NodeId,
-    ) -> DelaySet {
-        let fault = net.fault();
-        let s = image.f[po.index()];
-        if fault.site.stem == po && fault.site.branch.is_none() {
-            net.convert(s)
-        } else {
-            s
-        }
-    }
-
-    /// Observed set at a PPO (flip-flop D input) in the forward image.
-    fn forward_ppo_set(
-        &self,
-        net: &ImplicationNet<'_>,
-        image: &ForwardImage,
+        net: &Net<'_, R>,
+        sets: &[DelaySet],
         dff_index: usize,
     ) -> DelaySet {
-        let fault = net.fault();
         let dff = self.circuit.dffs()[dff_index];
         let d = self.circuit.ppo_of_dff(dff);
-        let s = image.f[d.index()];
-        let converted = match fault.site.branch {
-            None => d == fault.site.stem,
-            Some((sink, pin)) => d == fault.site.stem && sink == dff && pin == 0,
-        };
-        if converted {
-            net.convert(s)
-        } else {
-            s
-        }
+        net.algebra().edge_view(d, dff, 0, sets[d.index()])
     }
 
     /// Declares success only from the forward image (PO first, then PPO).
-    fn forward_success(
+    fn forward_success<const R: bool>(
         &self,
-        net: &ImplicationNet<'_>,
+        net: &Net<'_, R>,
         image: &ForwardImage,
     ) -> Option<LocalObservation> {
         for &po in self.circuit.outputs() {
-            let s = self.forward_po_set(net, image, po);
+            let s = net.algebra().stem_view(po, image.f[po.index()]);
             if !s.is_empty() && s.must_carry_fault() {
                 return Some(LocalObservation::AtPo(po));
             }
         }
         for i in 0..self.circuit.num_dffs() {
-            match self.forward_ppo_set(net, image, i).as_singleton() {
+            match self.ppo_set(net, &image.f, i).as_singleton() {
                 Some(DelayValue::Rc) => {
                     return Some(LocalObservation::AtPpo {
                         dff: i,
@@ -436,9 +387,9 @@ impl<'c> TdGen<'c> {
     /// does not break the (forward-checked) observation. Leaves the
     /// surviving restrictions in `restr` and their forward image in
     /// `image`.
-    fn minimize_state_decisions(
+    fn minimize_state_decisions<const R: bool>(
         &self,
-        net: &ImplicationNet<'_>,
+        net: &Net<'_, R>,
         restr: &mut Vec<(NodeId, DelaySet)>,
         image: &mut ForwardImage,
     ) {
@@ -461,85 +412,41 @@ impl<'c> TdGen<'c> {
     /// The X-path check on the arc-consistent network: every genuine test
     /// in this subtree satisfies all constraints, so if no observation
     /// point may carry, the subtree is dead.
-    fn may_reach_observable(&self, net: &ImplicationNet<'_>) -> bool {
+    fn may_reach_observable<const R: bool>(&self, net: &Net<'_, R>) -> bool {
         self.circuit
             .outputs()
             .iter()
-            .any(|&po| net.po_observed_set(po).may_carry_fault())
-            || (0..self.circuit.num_dffs()).any(|i| net.ppo_observed_set(i).may_carry_fault())
+            .any(|&po| net.algebra().stem_view(po, net.set(po)).may_carry_fault())
+            || (0..self.circuit.num_dffs())
+                .any(|i| self.ppo_set(net, net.sets(), i).may_carry_fault())
     }
 
-    /// Picks an objective, backtraces it to a decision variable, applies
-    /// the first alternative and pushes the decision. Returns `None` when
-    /// no decision variable remains.
-    fn pick_decision(
-        &self,
-        net: &mut ImplicationNet<'c>,
-        stack: &mut Vec<Decision>,
-        scratch: &mut Scratch,
-    ) -> Option<()> {
-        let objective = self.pick_objective(net);
-        let decision = objective
-            .and_then(|(node, desired)| self.backtrace(net, node, desired, stack, scratch))
-            .or_else(|| self.fallback_variable(net, stack));
-        let (node, mut alts) = decision?;
-        debug_assert!(!alts.is_empty());
-        let trail_mark = net.checkpoint();
-        let first = alts.pop().expect("non-empty alternatives");
-        let _ = net.assign(node, first);
-        stack.push(Decision {
-            node,
-            applied: first,
-            alts,
-            trail_mark,
-        });
-        Some(())
-    }
-
-    /// The D-frontier objective: the unresolved fault-effect gate closest
-    /// to an output, or a not-yet-singleton observation point.
-    fn pick_objective(&self, net: &ImplicationNet<'_>) -> Option<(NodeId, DelaySet)> {
-        let mut best: Option<(u32, NodeId, DelaySet)> = None;
-        for &g in self.circuit.topo_order() {
-            let out = net.set(g);
-            if out.must_carry_fault() || !out.may_carry_fault() {
-                continue;
-            }
-            let arity = self.circuit.node(g).fanin().len();
-            let has_carrying_input = (0..arity).any(|p| net.edge_set(g, p).must_carry_fault());
-            if !has_carrying_input {
-                continue;
-            }
-            let cost = self.testability.co[g.index()];
-            let desired = out.intersect(DelaySet::CARRYING);
-            if desired.is_empty() {
-                continue;
-            }
-            if best.as_ref().is_none_or(|&(c, _, _)| cost < c) {
-                best = Some((cost, g, desired));
-            }
-        }
-        if let Some((_, g, desired)) = best {
-            return Some((g, desired));
+    /// The D-frontier objective, or else a not-yet-singleton observation
+    /// point.
+    fn pick_objective<const R: bool>(&self, net: &Net<'_, R>) -> Option<(NodeId, DelaySet)> {
+        if let Some(objective) = net.d_frontier() {
+            return Some(objective);
         }
         // No frontier gate: try to force a still-ambiguous observation
         // point toward a carrying value.
+        let algebra = net.algebra();
         for &po in self.circuit.outputs() {
-            let s = net.po_observed_set(po);
+            let s = algebra.stem_view(po, net.set(po));
             if s.may_carry_fault() && !s.must_carry_fault() {
-                let desired = net.unconvert_within(s.intersect(DelaySet::CARRYING), net.set(po));
+                let desired =
+                    algebra.unconvert_within(s.intersect(DelaySet::CARRYING), net.set(po));
                 if !desired.is_empty() {
                     return Some((po, desired));
                 }
             }
         }
         for i in 0..self.circuit.num_dffs() {
-            let s = net.ppo_observed_set(i);
+            let s = self.ppo_set(net, net.sets(), i);
             if s.may_carry_fault() && s.as_singleton().is_none() {
                 let d = self.circuit.ppo_of_dff(self.circuit.dffs()[i]);
                 let carrying = s.intersect(DelaySet::CARRYING);
                 let pick = carrying.iter().next().expect("may_carry");
-                let desired = net.unconvert_within(DelaySet::singleton(pick), net.set(d));
+                let desired = algebra.unconvert_within(DelaySet::singleton(pick), net.set(d));
                 if !desired.is_empty() {
                     return Some((d, desired));
                 }
@@ -548,181 +455,51 @@ impl<'c> TdGen<'c> {
         None
     }
 
-    /// Maps an objective `(node, desired ⊆ set(node))` to a decision on a
-    /// PI or a PPI initial bit.
-    fn backtrace(
+    /// Backtrace at a decision variable: a PI decision, a PPI initial-bit
+    /// decision, or a final-value requirement redirected through the
+    /// register to the PPO's initial value.
+    fn leaf_step<const R: bool>(
         &self,
-        net: &ImplicationNet<'_>,
-        mut node: NodeId,
-        mut desired: DelaySet,
-        stack: &[Decision],
-        scratch: &mut Scratch,
-    ) -> Option<(NodeId, Vec<DelaySet>)> {
-        let Scratch {
-            orig,
-            narrowed: ins,
-            ..
-        } = scratch;
-        let limit = 4 * self.circuit.num_nodes() + 16;
-        for _ in 0..limit {
-            desired = desired.intersect(net.set(node));
-            if desired.is_empty() {
-                return None;
-            }
-            let kind = self.circuit.node(node).kind();
-            match kind {
-                GateKind::Input => return self.pi_decision(net, node, desired, stack),
-                GateKind::Dff => {
-                    let leaf = self.leaf_set(node, stack);
-                    let want_one = !desired.with_initial(true).is_empty();
-                    let want_zero = !desired.with_initial(false).is_empty();
-                    if want_one != want_zero && has_both_inits(leaf) {
-                        return self.ppi_decision(node, want_one, leaf);
-                    }
-                    // Redirect the final-value requirement through the
-                    // register to the PPO's initial value.
-                    let d = self.circuit.ppo_of_dff(node);
-                    let d_set = net.set(d);
-                    let mut redirected = DelaySet::EMPTY;
-                    for b in [false, true] {
-                        if !desired.with_final(b).is_empty() {
-                            redirected = redirected.union(d_set.with_initial(b));
-                        }
-                    }
-                    if redirected.is_empty() || redirected == d_set {
-                        return None;
-                    }
-                    node = d;
-                    desired = redirected;
-                }
-                _ => {
-                    let arity = self.circuit.node(node).fanin().len();
-                    orig.clear();
-                    orig.extend((0..arity).map(|p| net.edge_set(node, p)));
-                    ins.clear();
-                    ins.extend_from_slice(orig);
-                    let mut out = desired;
-                    net.narrow_scratch(kind, &mut out, ins);
-                    // Required inputs: those the desired output actually
-                    // constrains. Pursue the hardest one (classic FAN
-                    // heuristic).
-                    let required = (0..arity)
-                        .filter(|&p| ins[p] != orig[p] && !ins[p].is_empty())
-                        .max_by_key(|&p| self.edge_cost(node, p));
-                    let mut advanced = false;
-                    if let Some(p) = required {
-                        let stem = self.circuit.node(node).fanin()[p];
-                        let pre = self.to_pre_conversion(net, node, p, ins[p]);
-                        if !pre.is_empty() && pre != net.set(stem) {
-                            node = stem;
-                            desired = pre;
-                            advanced = true;
-                        }
-                    }
-                    if advanced {
-                        continue;
-                    }
-                    // Disjunctive case: no single input is forced. Pick the
-                    // easiest-to-control undetermined input and choose a
-                    // value for it that keeps the desired output possible.
-                    let p = (0..arity)
-                        .filter(|&p| orig[p].len() > 1)
-                        .min_by_key(|&p| self.edge_cost(node, p))?;
-                    // `ins` is free again: it becomes the pinned copy.
-                    let chosen = self.choose_helping_value(net, kind, orig, ins, p, desired)?;
-                    let stem = self.circuit.node(node).fanin()[p];
-                    let pre = self.to_pre_conversion(net, node, p, DelaySet::singleton(chosen));
-                    if pre.is_empty() {
-                        return None;
-                    }
-                    node = stem;
-                    desired = pre;
-                }
-            }
-        }
-        None
-    }
-
-    /// Maps an edge-view (post-conversion) requirement back to the stem's
-    /// pre-conversion domain.
-    fn to_pre_conversion(
-        &self,
-        net: &ImplicationNet<'_>,
-        sink: NodeId,
-        pin: usize,
-        edge_desired: DelaySet,
-    ) -> DelaySet {
-        let stem = self.circuit.node(sink).fanin()[pin];
-        let stem_set = net.set(stem);
-        if net.edge_set(sink, pin) == stem_set {
-            // Unconverted edge.
-            edge_desired.intersect(stem_set)
-        } else {
-            net.unconvert_within(edge_desired, stem_set)
-        }
-    }
-
-    /// SCOAP-ish priority of an input edge (used to order backtracing).
-    fn edge_cost(&self, sink: NodeId, pin: usize) -> u32 {
-        let stem = self.circuit.node(sink).fanin()[pin];
-        self.testability.cc0[stem.index()].min(self.testability.cc1[stem.index()])
-    }
-
-    /// Picks a value for input `p` that keeps `desired` producible —
-    /// preferring steady clean values (cheap to justify, robust-friendly).
-    /// `pinned` is scratch space for `orig` with input `p` pinned.
-    fn choose_helping_value(
-        &self,
-        net: &ImplicationNet<'_>,
-        kind: GateKind,
-        orig: &[DelaySet],
-        pinned: &mut Vec<DelaySet>,
-        p: usize,
+        net: &Net<'_, R>,
+        node: NodeId,
         desired: DelaySet,
-    ) -> Option<DelayValue> {
-        const PREFERENCE: [DelayValue; 8] = [
-            DelayValue::S1,
-            DelayValue::S0,
-            DelayValue::R,
-            DelayValue::F,
-            DelayValue::H1,
-            DelayValue::H0,
-            DelayValue::Rc,
-            DelayValue::Fc,
-        ];
-        pinned.clear();
-        pinned.extend_from_slice(orig);
-        let mut fallback = None;
-        for v in PREFERENCE {
-            if !orig[p].contains(v) {
-                continue;
-            }
-            pinned[p] = DelaySet::singleton(v);
-            let image = net.eval_scratch(kind, pinned);
-            if image.intersect(desired).is_empty() {
-                continue;
-            }
-            if image.intersect(desired) == image {
-                return Some(v); // forces the objective
-            }
-            if fallback.is_none() {
-                fallback = Some(v);
+        stack: &[Decision<DelaySet>],
+    ) -> ControlFlow<Option<Choice<DelaySet>>, (NodeId, DelaySet)> {
+        if self.circuit.node(node).kind() == GateKind::Input {
+            return ControlFlow::Break(self.pi_decision(net, node, desired, stack));
+        }
+        let leaf = leaf_set(node, DelaySet::HAZARD_FREE, stack);
+        let want_one = !desired.with_initial(true).is_empty();
+        let want_zero = !desired.with_initial(false).is_empty();
+        if want_one != want_zero && has_both_inits(leaf) {
+            return ControlFlow::Break(self.ppi_decision(node, want_one, leaf));
+        }
+        let d = self.circuit.ppo_of_dff(node);
+        let d_set = net.set(d);
+        let mut redirected = DelaySet::EMPTY;
+        for b in [false, true] {
+            if !desired.with_final(b).is_empty() {
+                redirected = redirected.union(d_set.with_initial(b));
             }
         }
-        fallback
+        if redirected.is_empty() || redirected == d_set {
+            ControlFlow::Break(None)
+        } else {
+            ControlFlow::Continue((d, redirected))
+        }
     }
 
     /// Decision alternatives for a PI: the desired values first, then the
     /// rest of the *leaf* domain (full coverage keeps the search
     /// complete). Alternatives are tried back-to-front.
-    fn pi_decision(
+    fn pi_decision<const R: bool>(
         &self,
-        net: &ImplicationNet<'_>,
+        net: &Net<'_, R>,
         node: NodeId,
         desired: DelaySet,
-        stack: &[Decision],
-    ) -> Option<(NodeId, Vec<DelaySet>)> {
-        let leaf = self.leaf_set(node, stack);
+        stack: &[Decision<DelaySet>],
+    ) -> Option<Choice<DelaySet>> {
+        let leaf = leaf_set(node, DelaySet::HAZARD_FREE, stack);
         if leaf.len() <= 1 {
             return None;
         }
@@ -750,12 +527,7 @@ impl<'c> TdGen<'c> {
     }
 
     /// Decision alternatives for a PPI initial bit.
-    fn ppi_decision(
-        &self,
-        node: NodeId,
-        want: bool,
-        leaf: DelaySet,
-    ) -> Option<(NodeId, Vec<DelaySet>)> {
+    fn ppi_decision(&self, node: NodeId, want: bool, leaf: DelaySet) -> Option<Choice<DelaySet>> {
         let with = leaf.with_initial(want);
         let without = leaf.with_initial(!want);
         if with.is_empty() || without.is_empty() {
@@ -767,21 +539,23 @@ impl<'c> TdGen<'c> {
     /// Last-resort decision: prefer variables the implication network has
     /// already constrained (they matter for the pending objective), then
     /// any open variable.
-    fn fallback_variable(
+    fn fallback_variable<const R: bool>(
         &self,
-        net: &ImplicationNet<'_>,
-        stack: &[Decision],
-    ) -> Option<(NodeId, Vec<DelaySet>)> {
+        net: &Net<'_, R>,
+        stack: &[Decision<DelaySet>],
+    ) -> Option<Choice<DelaySet>> {
+        let leaf = |node| leaf_set(node, DelaySet::HAZARD_FREE, stack);
         // The first open variable the network has constrained, else the
         // first open one (PIs before PPIs).
         let pis = self.circuit.inputs().iter().map(|&pi| {
-            let leaf = self.leaf_set(pi, stack);
+            let leaf = leaf(pi);
             (pi, leaf.len() > 1, net.set(pi).len() < leaf.len())
         });
-        let ppis = self.circuit.dffs().iter().map(|&ff| {
-            let open = has_both_inits(self.leaf_set(ff, stack));
-            (ff, open, !has_both_inits(net.set(ff)))
-        });
+        let ppis = self
+            .circuit
+            .dffs()
+            .iter()
+            .map(|&ff| (ff, has_both_inits(leaf(ff)), !has_both_inits(net.set(ff))));
         let mut pick = None;
         for (node, _, constrained) in pis.chain(ppis).filter(|&(_, open, _)| open) {
             if constrained {
@@ -791,34 +565,21 @@ impl<'c> TdGen<'c> {
             pick.get_or_insert(node);
         }
         let node = pick?;
-        let leaf = self.leaf_set(node, stack);
         if self.circuit.node(node).kind() == GateKind::Input {
-            let arc = net.set(node);
-            let mut ordered: Vec<DelaySet> = Vec::new();
-            for v in leaf.iter() {
-                if !arc.contains(v) {
-                    ordered.push(DelaySet::singleton(v));
-                }
-            }
-            for v in leaf.iter() {
-                if arc.contains(v) {
-                    ordered.push(DelaySet::singleton(v));
-                }
-            }
-            Some((node, ordered))
+            Some((node, preferred_last(leaf(node), net.set(node))))
         } else {
             // The initial bit of the arc set's first value.
             let want = net.set(node).iter().next().is_some_and(|v| v.initial());
-            self.ppi_decision(node, want, leaf)
+            self.ppi_decision(node, want, leaf(node))
         }
     }
 
     /// Builds the [`LocalTest`] from the decided leaves and the forward
     /// image they give (both of which the emitted `X` semantics are sound
     /// for).
-    fn extract(
+    fn extract<const R: bool>(
         &self,
-        net: &ImplicationNet<'_>,
+        net: &Net<'_, R>,
         image: &ForwardImage,
         observation: LocalObservation,
         backtracks: u32,
@@ -843,15 +604,13 @@ impl<'c> TdGen<'c> {
             .map(|&ff| component3(leaf(ff), DelaySet::with_initial))
             .collect();
         let ppo_values = (0..self.circuit.num_dffs())
-            .map(
-                |i| match self.forward_ppo_set(net, image, i).as_singleton() {
-                    Some(DelayValue::S0) => PpoValue::Steady0,
-                    Some(DelayValue::S1) => PpoValue::Steady1,
-                    Some(DelayValue::Rc) => PpoValue::FaultEffect { good_one: true },
-                    Some(DelayValue::Fc) => PpoValue::FaultEffect { good_one: false },
-                    _ => PpoValue::UnjustifiableX,
-                },
-            )
+            .map(|i| match self.ppo_set(net, &image.f, i).as_singleton() {
+                Some(DelayValue::S0) => PpoValue::Steady0,
+                Some(DelayValue::S1) => PpoValue::Steady1,
+                Some(DelayValue::Rc) => PpoValue::FaultEffect { good_one: true },
+                Some(DelayValue::Fc) => PpoValue::FaultEffect { good_one: false },
+                _ => PpoValue::UnjustifiableX,
+            })
             .collect();
         LocalTest {
             v1,

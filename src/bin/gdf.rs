@@ -247,34 +247,6 @@ impl Opts {
     }
 }
 
-const RUN_VALUES: &[&str] = &[
-    "backend",
-    "model",
-    "sensitization",
-    "universe",
-    "seed",
-    "parallelism",
-    "time-budget",
-    "out",
-    "patterns",
-    "checkpoint-every",
-    "abort-after",
-    "circuit",
-    "dir",
-    "addr",
-    "workers",
-    "queue-capacity",
-    "fleet",
-    "units",
-    "steal-after",
-    "interval",
-    "tenants",
-    "token",
-];
-const RUN_SWITCHES: &[&str] = &[
-    "quiet", "suite", "resume", "diff", "wait", "follow", "cache", "once", "chrome", "no-obs",
-];
-
 /// Resolves a circuit argument: `suite:<name>` or a `.bench` file path.
 /// Returns the circuit plus the provenance artifacts should record.
 fn load_circuit(spec: &str) -> Result<(Circuit, CircuitSource), String> {
@@ -454,7 +426,23 @@ fn export_patterns(
 }
 
 fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
-    let opts = Opts::parse(args, RUN_VALUES, RUN_SWITCHES)?;
+    let opts = Opts::parse(
+        args,
+        &[
+            "backend",
+            "model",
+            "sensitization",
+            "universe",
+            "seed",
+            "parallelism",
+            "time-budget",
+            "out",
+            "patterns",
+            "checkpoint-every",
+            "abort-after",
+        ],
+        &["quiet"],
+    )?;
     let [spec] = opts.positional.as_slice() else {
         return Err("expected exactly one CIRCUIT argument".into());
     };
@@ -515,7 +503,18 @@ fn interrupted_outcome(out: &str, checkpoints_written: usize) -> Result<ExitCode
 }
 
 fn cmd_resume(args: &[String]) -> Result<ExitCode, String> {
-    let opts = Opts::parse(args, RUN_VALUES, RUN_SWITCHES)?;
+    let opts = Opts::parse(
+        args,
+        &[
+            "out",
+            "patterns",
+            "checkpoint-every",
+            "parallelism",
+            "time-budget",
+            "abort-after",
+        ],
+        &["quiet"],
+    )?;
     let [input] = opts.positional.as_slice() else {
         return Err("expected exactly one RUN.json argument".into());
     };
@@ -616,7 +615,25 @@ fn cmd_grade(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_campaign(args: &[String]) -> Result<ExitCode, String> {
-    let opts = Opts::parse(args, RUN_VALUES, RUN_SWITCHES)?;
+    let opts = Opts::parse(
+        args,
+        &[
+            "backend",
+            "model",
+            "sensitization",
+            "universe",
+            "seed",
+            "parallelism",
+            "time-budget",
+            "dir",
+            "checkpoint-every",
+            "fleet",
+            "units",
+            "steal-after",
+            "token",
+        ],
+        &["suite", "resume", "cache", "quiet"],
+    )?;
     if let Some(nodes) = opts.value("fleet") {
         return cmd_campaign_fleet(&opts, nodes);
     }
@@ -824,7 +841,7 @@ fn cmd_campaign_fleet(opts: &Opts, nodes_arg: &str) -> Result<ExitCode, String> 
 /// live probe of every node. `gdf fleet top` is the same view,
 /// refreshing in place until interrupted.
 fn cmd_fleet(args: &[String]) -> Result<ExitCode, String> {
-    let opts = Opts::parse(args, RUN_VALUES, RUN_SWITCHES)?;
+    let opts = Opts::parse(args, &["dir", "interval"], &["once"])?;
     match opts.positional.as_slice() {
         [sub] if sub == "status" => {
             let dir = PathBuf::from(opts.value("dir").unwrap_or("gdf-fleet"));
@@ -987,7 +1004,7 @@ fn cmd_compact(args: &[String]) -> Result<ExitCode, String> {
 /// content-addressed store under `<dir>/store` — the layout shared by
 /// `gdf serve`, `gdf campaign --cache` and the fleet coordinator.
 fn cmd_store(args: &[String]) -> Result<ExitCode, String> {
-    let opts = Opts::parse(args, RUN_VALUES, RUN_SWITCHES)?;
+    let opts = Opts::parse(args, &["dir"], &[])?;
     let dir = PathBuf::from(opts.value("dir").unwrap_or("."));
     match opts.positional.as_slice() {
         [sub] if sub == "stats" => {
@@ -1138,7 +1155,18 @@ fn job_id_arg(opts: &Opts, what: &str) -> Result<u64, String> {
 }
 
 fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
-    let opts = Opts::parse(args, RUN_VALUES, RUN_SWITCHES)?;
+    let opts = Opts::parse(
+        args,
+        &[
+            "addr",
+            "dir",
+            "workers",
+            "queue-capacity",
+            "checkpoint-every",
+            "tenants",
+        ],
+        &["no-obs"],
+    )?;
     if !opts.positional.is_empty() {
         return Err("serve takes no positional arguments".into());
     }
@@ -1233,7 +1261,26 @@ mod sigterm {
 }
 
 fn cmd_submit(args: &[String]) -> Result<ExitCode, String> {
-    let opts = Opts::parse(args, RUN_VALUES, RUN_SWITCHES)?;
+    let opts = Opts::parse(
+        args,
+        &[
+            "addr",
+            "token",
+            "backend",
+            "model",
+            "sensitization",
+            "universe",
+            "seed",
+            "parallelism",
+            "checkpoint-every",
+            // Read only to be refused with a hint below.
+            "time-budget",
+            "abort-after",
+            "out",
+            "patterns",
+        ],
+        &["wait", "follow", "quiet"],
+    )?;
     let [spec] = opts.positional.as_slice() else {
         return Err("expected exactly one CIRCUIT argument".into());
     };
@@ -1369,7 +1416,7 @@ fn print_remote_status(status: &Json) {
 }
 
 fn cmd_status(args: &[String]) -> Result<ExitCode, String> {
-    let opts = Opts::parse(args, RUN_VALUES, RUN_SWITCHES)?;
+    let opts = Opts::parse(args, &["addr", "token"], &["follow", "quiet"])?;
     let client = client_from(&opts)?;
     match opts.positional.as_slice() {
         [] => {
@@ -1407,7 +1454,7 @@ fn cmd_status(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_fetch(args: &[String]) -> Result<ExitCode, String> {
-    let opts = Opts::parse(args, RUN_VALUES, RUN_SWITCHES)?;
+    let opts = Opts::parse(args, &["addr", "token", "out", "patterns"], &[])?;
     let id = job_id_arg(&opts, "JOB")?;
     let client = client_from(&opts)?;
     let artifact = client.artifact(id).map_err(|e| e.to_string())?;
@@ -1427,7 +1474,7 @@ fn cmd_fetch(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_cancel(args: &[String]) -> Result<ExitCode, String> {
-    let opts = Opts::parse(args, RUN_VALUES, RUN_SWITCHES)?;
+    let opts = Opts::parse(args, &["addr", "token"], &[])?;
     let id = job_id_arg(&opts, "JOB")?;
     let client = client_from(&opts)?;
     let outcome = client.delete(id).map_err(|e| e.to_string())?;
@@ -1616,7 +1663,7 @@ fn render_top(addr: &str, text: &str) -> String {
 /// dashboard over `GET /metrics` — same bytes Prometheus would scrape,
 /// rendered for a terminal and refreshed in place.
 fn cmd_top(args: &[String]) -> Result<ExitCode, String> {
-    let opts = Opts::parse(args, RUN_VALUES, RUN_SWITCHES)?;
+    let opts = Opts::parse(args, &["addr", "token", "interval"], &["once"])?;
     if !opts.positional.is_empty() {
         return Err("top takes no positional arguments".into());
     }
@@ -1639,7 +1686,7 @@ fn cmd_top(args: &[String]) -> Result<ExitCode, String> {
 /// server-written NDJSON job trace into the chrome://tracing (and
 /// Perfetto) JSON event format.
 fn cmd_trace(args: &[String]) -> Result<ExitCode, String> {
-    let opts = Opts::parse(args, RUN_VALUES, RUN_SWITCHES)?;
+    let opts = Opts::parse(args, &["out"], &["chrome"])?;
     match opts.positional.as_slice() {
         [sub, path] if sub == "export" => {
             if !opts.switch("chrome") {

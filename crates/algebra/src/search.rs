@@ -174,8 +174,9 @@ pub trait SetAlgebra {
     /// Forward image of a gate over its input sets.
     fn eval(&self, kind: GateKind, ins: &[Self::Set]) -> Self::Set;
 
-    /// Backward narrowing: keeps in `out` and in each of `ins` only the
-    /// values some completion of the other inputs supports.
+    /// Backward narrowing: cuts `out` to what the inputs produce (`out ∩
+    /// eval(ins)`), and each of `ins` to the values some completion of the
+    /// other inputs maps into `out`.
     fn narrow(&self, kind: GateKind, out: &mut Self::Set, ins: &mut [Self::Set]) -> bool;
 
     /// The fault site whose edges convert, if any.
@@ -425,9 +426,9 @@ impl<'c, A: SetAlgebra> SetNet<'c, A> {
         !self.conflict
     }
 
-    /// One pass of gate `g`'s constraint: its output meets the forward
-    /// image, then its pins are narrowed against the output. Returns
-    /// `false` on a conflict.
+    /// One pass of gate `g`'s constraint: one [`SetAlgebra::narrow`] cuts
+    /// its output to what its pins produce and each pin to what the output
+    /// allows. Returns `false` on a conflict.
     pub fn imply_gate(&mut self, g: NodeId) -> bool {
         let node = self.circuit.node(g);
         let kind = node.kind();
@@ -438,7 +439,7 @@ impl<'c, A: SetAlgebra> SetNet<'c, A> {
             self.algebra
                 .edge_view(stem, g, p as u8, self.sets[stem.index()])
         }));
-        let mut out = self.sets[g.index()].intersect(self.algebra.eval(kind, &ins));
+        let mut out = self.sets[g.index()];
         self.algebra.narrow(kind, &mut out, &mut ins);
         if self.assign(g, out) {
             for (p, &stem) in fanin.iter().enumerate() {
@@ -528,6 +529,13 @@ impl<'c, A: SetAlgebra> SetNet<'c, A> {
     /// desired output producible. At a primary input or flip-flop,
     /// `leaf(node, desired)` either ends the walk with its decision
     /// (`Break`) or redirects it to another objective (`Continue`).
+    ///
+    /// With `leaf` a function of its arguments, the walk is a function of
+    /// its `(node, desired)` state: once a state repeats, the walk cycles
+    /// until its iteration limit and returns `None`. Brent's cycle check
+    /// returns that `None` within about two cycle lengths: the state at
+    /// each power-of-two step is kept, and the walk stops at its first
+    /// repeat.
     pub fn backtrace(
         &self,
         mut node: NodeId,
@@ -537,7 +545,16 @@ impl<'c, A: SetAlgebra> SetNet<'c, A> {
     ) -> Option<Choice<A::Set>> {
         let GateBuffers { orig, narrowed } = buffers;
         let limit = 4 * self.circuit.num_nodes() + 16;
-        for _ in 0..limit {
+        let mut kept = (node, desired);
+        for step in 0..limit {
+            if step > 0 {
+                if (node, desired) == kept {
+                    return None;
+                }
+                if step.is_power_of_two() {
+                    kept = (node, desired);
+                }
+            }
             desired = desired.intersect(self.sets[node.index()]);
             if desired.is_empty() {
                 return None;
@@ -754,5 +771,64 @@ pub fn branch_and_bound<A: SetAlgebra, T>(
                 break;
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::static5::{eval_gate_sets, narrow_inputs};
+    use gdf_netlist::CircuitBuilder;
+
+    /// The fault-free static D-algebra.
+    #[derive(Debug)]
+    struct FaultFree;
+
+    impl SetAlgebra for FaultFree {
+        type Set = StaticSet;
+        const COUPLED: bool = false;
+
+        fn eval(&self, kind: GateKind, ins: &[StaticSet]) -> StaticSet {
+            eval_gate_sets(kind, ins)
+        }
+
+        fn narrow(&self, kind: GateKind, out: &mut StaticSet, ins: &mut [StaticSet]) -> bool {
+            narrow_inputs(kind, out, ins)
+        }
+
+        fn site(&self) -> Option<FaultSite> {
+            None
+        }
+
+        fn convert(&self, s: StaticSet) -> StaticSet {
+            s
+        }
+    }
+
+    #[test]
+    fn backtrace_stops_at_a_repeated_state() {
+        // y = AND(a, b), objective y = 1: the walk reaches an input, and the
+        // leaf callback sends it back to the objective, a cycle of two
+        // states. Walking it to the iteration limit (4·3 + 16) would call
+        // the callback 14 times.
+        let mut b = CircuitBuilder::new("and2");
+        b.add_input("a");
+        b.add_input("b");
+        b.add_gate("y", GateKind::And, &["a", "b"]);
+        b.mark_output("y");
+        let c = b.build().unwrap();
+        let y = c.node_by_name("y").unwrap();
+        let mut net = SetNet::new(&c, FaultFree, vec![StaticSet::GOOD; c.num_nodes()]);
+        assert!(net.propagate());
+        let one = StaticSet::singleton(StaticValue::S1);
+        let mut calls = 0;
+        let choice = net.backtrace(y, one, &mut GateBuffers::default(), |node, desired| {
+            calls += 1;
+            assert_ne!(node, y, "the walk reaches an input first");
+            assert_eq!(desired, one, "the input must be 1");
+            ControlFlow::Continue((y, one))
+        });
+        assert_eq!(choice, None);
+        assert!(calls <= 4, "the cycle ran {calls} times");
     }
 }

@@ -620,6 +620,10 @@ pub struct CampaignReport {
     /// `true` when the campaign stopped early (observer cancellation or
     /// a fatal artifact error, recorded in `warnings`).
     pub stopped: bool,
+    /// The circuits whose run stopped (time budget or cancellation)
+    /// before leaving any resumable state in the artifact directory. Each
+    /// also has a warning.
+    pub unsaved: Vec<String>,
     /// Non-fatal trouble (artifact I/O failures, ignored artifacts).
     pub warnings: Vec<String>,
     /// Campaign wall-clock.
@@ -724,6 +728,7 @@ impl Campaign {
             circuits: Vec::new(),
             resumed: 0,
             stopped: false,
+            unsaved: Vec::new(),
             warnings: Vec::new(),
             elapsed: Duration::ZERO,
         };
@@ -811,11 +816,12 @@ impl Campaign {
                 });
             }
             let effective_source = source.clone().unwrap_or_else(|| CircuitSource::of(circuit));
+            let mut checkpoints_written = None;
             if let Some(path) = &path {
-                builder = builder.observer(
-                    Checkpointer::new(path, self.checkpoint_every)
-                        .with_source(effective_source.clone()),
-                );
+                let checkpointer = Checkpointer::new(path, self.checkpoint_every)
+                    .with_source(effective_source.clone());
+                checkpoints_written = Some(checkpointer.written_handle());
+                builder = builder.observer(checkpointer);
             }
 
             let run = builder.build().run();
@@ -824,13 +830,39 @@ impl Campaign {
             }
 
             if let Some(path) = &path {
-                if run.stopped.is_none() {
-                    let artifact =
-                        RunArtifact::from_run(circuit, &run, config, Some(effective_source));
-                    if let Err(e) = artifact.save(path) {
-                        report
-                            .warnings
-                            .push(format!("{}: artifact save failed: {e}", circuit.name()));
+                match &run.stopped {
+                    None => {
+                        let artifact =
+                            RunArtifact::from_run(circuit, &run, config, Some(effective_source));
+                        if let Err(e) = artifact.save(path) {
+                            report
+                                .warnings
+                                .push(format!("{}: artifact save failed: {e}", circuit.name()));
+                        }
+                    }
+                    // A stopped run saves no complete artifact: the
+                    // cancel-fill marked its undecided tail aborted, which
+                    // a resume must not inherit. Its resumable state is
+                    // the last checkpoint, or the partial artifact it
+                    // resumed from.
+                    Some(reason) => {
+                        let written =
+                            checkpoints_written.is_some_and(|w| w.load(Ordering::Relaxed) > 0);
+                        if written || resumed_this {
+                            report.warnings.push(format!(
+                                "{}: {reason}; resumable checkpoint left at {}",
+                                circuit.name(),
+                                path.display()
+                            ));
+                        } else {
+                            report.warnings.push(format!(
+                                "{}: {reason} before the first checkpoint; no resumable \
+                                 artifact at {}",
+                                circuit.name(),
+                                path.display()
+                            ));
+                            report.unsaved.push(circuit.name().to_string());
+                        }
                     }
                 }
             }
@@ -1126,6 +1158,55 @@ mod tests {
         assert!(artifact.partial);
         assert!(artifact.decided() > 0);
         assert!(artifact.decided() <= run.records.len());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn campaign_says_what_a_stopped_circuit_left() {
+        let dir = temp_dir("campstop");
+        let path = dir.join("s27.run.json");
+        let budgeted = || {
+            Campaign::builder()
+                .backend(Backend::StuckAt)
+                .circuit(suite::s27())
+                .artifact_dir(&dir)
+                .time_budget(Duration::ZERO)
+        };
+        // Stopped before the first checkpoint: nothing to resume.
+        let report = budgeted().run();
+        assert_eq!(report.unsaved, ["s27"]);
+        assert!(
+            report.warnings[0].contains("no resumable artifact"),
+            "{:?}",
+            report.warnings
+        );
+        assert!(!path.exists());
+
+        // Resumed from an interrupted run's checkpoint and stopped again:
+        // the checkpoint still holds the resumable state.
+        struct StopAfter(usize);
+        impl Observer for StopAfter {
+            fn on_fault(&mut self, _: &crate::driver::FaultRecord) {
+                self.0 = self.0.saturating_sub(1);
+            }
+            fn cancelled(&mut self) -> bool {
+                self.0 == 0
+            }
+        }
+        Atpg::builder(&suite::s27())
+            .backend(Backend::StuckAt)
+            .checkpoint(&path, 4)
+            .observer(StopAfter(10))
+            .build()
+            .run();
+        let report = budgeted().resume(true).run();
+        assert!(report.unsaved.is_empty());
+        assert!(
+            report.warnings[0].contains("resumable checkpoint left at"),
+            "{:?}",
+            report.warnings
+        );
+        assert!(RunArtifact::load(&path).unwrap().partial);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -815,6 +815,7 @@ impl Coordinator {
             circuits,
             resumed: 0,
             stopped: false,
+            unsaved: Vec::new(),
             warnings: self.warnings.clone(),
             elapsed: self.started.elapsed(),
         };

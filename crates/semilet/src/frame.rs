@@ -14,8 +14,19 @@
 //!
 //! A search step costs what changed. The forward image is a pure function
 //! of the source sets and the fault, so the engine keeps it from one
-//! step, one solve and one simulated frame to the next, and re-evaluates
+//! update, one solve and one simulated frame to the next, and re-evaluates
 //! only the gates with a changed fanin, in level order.
+//!
+//! A step updates the image only where it can succeed. At a consistent
+//! fixpoint every net's set lies inside its forward image (the network's
+//! leaves are the image's leaves cut further, and a gate's arc-consistent
+//! set lies inside the image of its inputs' sets), so the image shows a
+//! definite effect at a PO or a PPO only where the network already shows
+//! one. Observation and latching steps test the network first and skip
+//! the image when it shows no such point; debug builds still update it
+//! there and assert that it shows no success. Justification always
+//! updates the image, because its network holds the targets as
+//! constraints.
 
 use gdf_algebra::logic3::Logic3;
 use gdf_algebra::search::{
@@ -286,13 +297,25 @@ impl<'c> FrameEngine<'c> {
         }
         let scratch = &mut *self.scratch.borrow_mut();
         let outcome = branch_and_bound(&mut net, self.backtrack_limit, |net, stack, backtracks| {
-            self.forward_image(ppis, stack, net.algebra(), scratch);
-            if let Some(sol) = self.forward_success(goal, ppis, stack, &scratch.image, backtracks) {
-                return Step::Found(sol);
+            // The image shows the goal only where the network may (module
+            // docs); debug builds check that on every skipped step.
+            let shown = self.network_may_succeed(net, goal);
+            if shown || cfg!(debug_assertions) {
+                self.forward_image(ppis, stack, net.algebra(), scratch);
+                let found = self.forward_success(goal, ppis, stack, &scratch.image, backtracks);
+                debug_assert!(
+                    shown || found.is_none(),
+                    "image shows the goal beyond the network"
+                );
+                if let Some(sol) = found {
+                    return Step::Found(sol);
+                }
             }
             if !self.still_possible(net, goal) {
                 return Step::Branch(None);
             }
+            // Only justification reads the image here, and its image is
+            // always up to date.
             let decision = self
                 .pick_objective(net, goal, &scratch.image.f)
                 .and_then(|(node, desired)| {
@@ -396,6 +419,27 @@ impl<'c> FrameEngine<'c> {
         );
     }
 
+    /// Whether the forward image can show the goal. At a consistent
+    /// fixpoint every net's set lies inside its image, so the image shows a
+    /// definite effect at a PO (through [`SetAlgebra::stem_view`]) or a
+    /// PPO (through [`SetNet::edge_set`]) only where the network does.
+    /// Justification always needs the image: its network already holds
+    /// the targets.
+    fn network_may_succeed(&self, net: &SetNet<'_, StaticAlgebra>, goal: &FrameGoal) -> bool {
+        let circuit = self.circuit;
+        match goal {
+            FrameGoal::ObserveAtPo => circuit
+                .outputs()
+                .iter()
+                .any(|&po| definite(net.algebra().stem_view(po, net.set(po)))),
+            FrameGoal::LatchDiff => circuit
+                .dffs()
+                .iter()
+                .any(|&dff| definite(net.edge_set(dff, 0))),
+            FrameGoal::JustifyPpos(_) => true,
+        }
+    }
+
     fn forward_success(
         &self,
         goal: &FrameGoal,
@@ -404,15 +448,6 @@ impl<'c> FrameEngine<'c> {
         image: &FrameImage,
         backtracks: u32,
     ) -> Option<FrameSolution> {
-        // An observation (or latched effect) needs a *singleton* D or D̄:
-        // a {D, D̄} set means the good-machine value is unknown, so a
-        // tester has no expected response to compare against.
-        let definite = |s: StaticSet| {
-            matches!(
-                s.as_singleton(),
-                Some(StaticValue::D) | Some(StaticValue::Db)
-            )
-        };
         let circuit = self.circuit;
         let f = &image.f;
         let achieved = match goal {
@@ -567,6 +602,16 @@ impl<'c> FrameEngine<'c> {
         let leaf = leaf_set(node, StaticSet::GOOD, stack);
         Some((node, preferred_last(leaf, net.set(node))))
     }
+}
+
+/// Whether an observation point shows a definite fault effect: a
+/// *singleton* D or D̄. A {D, D̄} set means the good-machine value is
+/// unknown, so a tester has no expected response to compare against.
+fn definite(s: StaticSet) -> bool {
+    matches!(
+        s.as_singleton(),
+        Some(StaticValue::D) | Some(StaticValue::Db)
+    )
 }
 
 /// The steady good-machine value `b`.

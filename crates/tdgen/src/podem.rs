@@ -19,12 +19,24 @@
 //! of the remaining don't-cares detects the fault — which is what the
 //! emitted test with `X` positions promises.
 //!
+//! A step computes the image only where it can succeed. At a consistent
+//! fixpoint every net's set lies inside its forward image: each network
+//! leaf lies inside the image's leaf (both are the leaf domain cut by the
+//! decisions, and the network cuts further), and a gate's arc-consistent
+//! set lies inside the forward image of its inputs' sets. So the image
+//! shows a definite effect at an observation point only where the network
+//! already shows one. A step runs the image's PO-then-PPO test on the
+//! network first and skips the image when it finds no point; debug builds
+//! still compute the image there and assert that it shows no success.
+//!
 //! The forward image is a pure function of the decided leaves, so it is
-//! kept from one step to the next and updated by events: only the gates
+//! kept from one update to the next and updated by events: only the gates
 //! with a changed fanin are re-evaluated, in level order, with the
-//! PPO-initial → PPI-final coupling as one more edge. The first image of a
-//! search is the same update with every gate scheduled. Every search
-//! decision is the one a full recomputation would take.
+//! PPO-initial → PPI-final coupling as one more edge, and an update
+//! catches up with every step skipped before it. The first image of a
+//! search is the same update with every gate scheduled; a search whose
+//! network never shows an observation builds none. Every search decision
+//! is the one a full recomputation on every step would take.
 //!
 //! Completeness comes from the decision tree covering the full PI/PPI
 //! space; objectives are heuristics only. The paper's backtrack-limit
@@ -202,18 +214,25 @@ impl<'c> TdGen<'c> {
             self.config.backtrack_limit,
             |net, stack, backtracks| {
                 let Scratch { restr, image, gate } = &mut scratch;
-                restr.clear();
-                restr.extend(stack.iter().map(|d| (d.node, d.applied)));
-                self.forward_image(net, restr, image);
-                if self.forward_success(net, image).is_some() {
-                    // Drop every state-bit decision the observation does
-                    // not actually need: each kept one becomes a burden on
-                    // the initialization phase.
-                    self.minimize_state_decisions(net, restr, image);
-                    let obs = self
-                        .forward_success(net, image)
-                        .expect("minimization preserves success");
-                    return Step::Found(self.extract(net, image, obs, backtracks));
+                // The image observes only where the network does (module
+                // docs); debug builds check that on every skipped step.
+                let observed = self.observation(net, net.sets()).is_some();
+                if observed || cfg!(debug_assertions) {
+                    restr.clear();
+                    restr.extend(stack.iter().map(|d| (d.node, d.applied)));
+                    self.forward_image(net, restr, image);
+                    let found = self.observation(net, &image.f).is_some();
+                    debug_assert!(observed || !found, "image observes beyond the network");
+                    if found {
+                        // Drop every state-bit decision the observation
+                        // does not actually need: each kept one becomes a
+                        // burden on the initialization phase.
+                        self.minimize_state_decisions(net, restr, image);
+                        let obs = self
+                            .observation(net, &image.f)
+                            .expect("minimization preserves success");
+                        return Step::Found(self.extract(net, image, obs, backtracks));
+                    }
                 }
                 if !self.may_reach_observable(net) {
                     return Step::Branch(None);
@@ -244,7 +263,8 @@ impl<'c> TdGen<'c> {
     /// which makes the success check conservative (sound).
     ///
     /// The image is a pure function of the decided leaves, so it is kept
-    /// from one call to the next and brought up to date by events: each
+    /// from one call to the next (however many steps lie between them) and
+    /// brought up to date by events: each
     /// pass re-evaluates, in level order, only the gates with a changed
     /// fanin, starting from the sources whose value changed. The
     /// PPO-initial → PPI-final coupling is one more edge from pass 1 to
@@ -351,20 +371,23 @@ impl<'c> TdGen<'c> {
         net.algebra().edge_view(d, dff, 0, sets[d.index()])
     }
 
-    /// Declares success only from the forward image (PO first, then PPO).
-    fn forward_success<const R: bool>(
+    /// The first observation point (POs first, then PPOs) at which the
+    /// nets, holding `sets`, show a definite fault effect. Success is
+    /// declared only on the forward image's sets; on the network's it
+    /// tells whether the image can succeed at all.
+    fn observation<const R: bool>(
         &self,
         net: &Net<'_, R>,
-        image: &ForwardImage,
+        sets: &[DelaySet],
     ) -> Option<LocalObservation> {
         for &po in self.circuit.outputs() {
-            let s = net.algebra().stem_view(po, image.f[po.index()]);
+            let s = net.algebra().stem_view(po, sets[po.index()]);
             if !s.is_empty() && s.must_carry_fault() {
                 return Some(LocalObservation::AtPo(po));
             }
         }
         for i in 0..self.circuit.num_dffs() {
-            match self.ppo_set(net, &image.f, i).as_singleton() {
+            match self.ppo_set(net, sets, i).as_singleton() {
                 Some(DelayValue::Rc) => {
                     return Some(LocalObservation::AtPpo {
                         dff: i,
@@ -402,7 +425,7 @@ impl<'c> TdGen<'c> {
             }
             let dropped = restr.remove(idx);
             self.forward_image(net, restr, image);
-            if self.forward_success(net, image).is_none() {
+            if self.observation(net, &image.f).is_none() {
                 restr.insert(idx, dropped);
             }
         }

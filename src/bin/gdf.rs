@@ -102,6 +102,7 @@ OPTIONS:
     --resume                                      (campaign) reuse artifacts
     --cache                                       (campaign) exact result cache
     --fleet <H1:P1,H2:P2,...>                     (campaign) shard across nodes
+                                                  (without --time-budget, --cache)
     --units <N>                                   (fleet) units per circuit
     --steal-after <SECS>                          (fleet) slow-node patience
     --diff                                        (report) compare two runs
@@ -738,7 +739,9 @@ fn cmd_campaign(args: &[String]) -> Result<ExitCode, String> {
             }
         }
     }
-    Ok(if report.stopped {
+    // As `gdf run` does: a circuit its stop left with nothing to resume
+    // fails the command (the report's warnings name it).
+    Ok(if report.stopped || !report.unsaved.is_empty() {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
@@ -778,6 +781,28 @@ fn cmd_campaign_fleet(opts: &Opts, nodes_arg: &str) -> Result<ExitCode, String> 
         .collect();
     if nodes.is_empty() {
         return Err("--fleet needs a comma-separated HOST:PORT list".into());
+    }
+    // The fleetless campaign's options the fleet path does not read must
+    // fail loudly here, before a plan is written, not be dropped.
+    for (name, given, hint) in [
+        (
+            "time-budget",
+            opts.value("time-budget").is_some(),
+            "nodes run their units unbudgeted; interrupt the coordinator and continue \
+             later with --resume",
+        ),
+        (
+            "cache",
+            opts.switch("cache"),
+            "the result cache holds whole runs, not fleet units; run the campaign \
+             without --fleet to use it",
+        ),
+    ] {
+        if given {
+            return Err(format!(
+                "--{name} is not supported by `gdf campaign --fleet`; {hint}"
+            ));
+        }
     }
     let dir = PathBuf::from(opts.value("dir").unwrap_or("gdf-fleet"));
     let mut coordinator = if opts.switch("resume") && Coordinator::plan_path(&dir).exists() {

@@ -27,19 +27,22 @@
 //!
 //! The scalar functions ([`and_n`], [`or_n`], [`xor_n`]) are the only
 //! definition of the algebra. The set operations the implication engine
-//! runs ([`eval_gate_sets`], [`narrow_inputs`]) are lookups in tables built
-//! once from them: for each core op (AND, OR, XOR), value `a` and set `B`,
-//! the image of `a` against every value of `B` — 3 × 8 × 256 bytes. A
-//! set-by-set image is the union of the rows of the first set's values, and
-//! [`DelaySet::not`] swaps the bit pairs Table 2 maps onto each other.
+//! runs ([`eval_gate_sets`], [`narrow_inputs`]) are word operations on
+//! tables built once from them: for each core op (AND, OR, XOR) and set
+//! `B`, one `u64` whose byte `a` is the image of value `a` against every
+//! value of `B` — 3 × 256 words. A set-by-set image masks the word to the
+//! first set's bytes and ORs them; a narrowing keeps the values whose byte
+//! meets the target. [`DelaySet::not`] swaps the bit pairs Table 2 maps
+//! onto each other.
 //!
 //! The non-robust model has one scalar definition too,
 //! [`eval_gate_nonrobust`]. Its set functions ([`eval_gate_sets_nonrobust`],
 //! [`narrow_inputs_nonrobust`]) fold 16 states per gate — the robust core
-//! value times the faulty machine's final bit — through the same rows, and
-//! map the folded states to output values through a 3 KiB table built once
-//! from [`eval_gate_nonrobust`].
+//! value times the faulty machine's final bit — through the same words,
+//! and map the folded states to output values through a 3 KiB table built
+//! once from [`eval_gate_nonrobust`].
 
+use crate::kernel::{self, core_op, Core, Fold, Tables, CORE_OPS};
 use gdf_netlist::GateKind;
 use std::fmt;
 use std::sync::OnceLock;
@@ -453,7 +456,7 @@ impl DelaySet {
     /// `R↔F`, `0h↔1h`, `Rc↔Fc`), so inverting a set swaps bit pairs.
     #[allow(clippy::should_implement_trait)] // method-call syntax without importing std::ops::Not
     pub fn not(self) -> DelaySet {
-        DelaySet((self.0 & 0x55) << 1 | (self.0 >> 1) & 0x55)
+        DelaySet(kernel::not_bits(self.0))
     }
 
     /// The values whose first-frame value is `b`.
@@ -490,110 +493,39 @@ impl FromIterator<DelayValue> for DelaySet {
     }
 }
 
-/// The three associative core operations the gate kinds reduce to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CoreOp {
-    And,
-    Or,
-    Xor,
-}
-
-/// Maps a gate kind to `(core op, output inverted)`; `None` for BUF/NOT.
-fn core_of(kind: GateKind) -> Option<(CoreOp, bool)> {
-    match kind {
-        GateKind::And => Some((CoreOp::And, false)),
-        GateKind::Nand => Some((CoreOp::And, true)),
-        GateKind::Or => Some((CoreOp::Or, false)),
-        GateKind::Nor => Some((CoreOp::Or, true)),
-        GateKind::Xor => Some((CoreOp::Xor, false)),
-        GateKind::Xnor => Some((CoreOp::Xor, true)),
-        _ => None,
-    }
-}
-
-fn core2(op: CoreOp, a: DelayValue, b: DelayValue) -> DelayValue {
-    match op {
-        CoreOp::And => and_n(&[a, b]),
-        CoreOp::Or => or_n(&[a, b]),
-        CoreOp::Xor => xor_n(&[a, b]),
-    }
-}
-
-/// `rows[a][B]` is the image `{core2(op, a, b) : b ∈ B}` of value `a`
-/// against every set `B`, as a raw bitmask.
-type SetRows = [[u8; 256]; 8];
-
-/// The set tables of the three core ops (And, Or, Xor), 6 KiB in all,
-/// built once from the scalar [`core2`] — which stays the only definition
-/// of the algebra.
-fn set_rows(op: CoreOp) -> &'static SetRows {
-    static TABLES: OnceLock<[SetRows; 3]> = OnceLock::new();
-    let tables = TABLES.get_or_init(|| {
-        let mut tables = [[[0u8; 256]; 8]; 3];
-        for (op, rows) in [CoreOp::And, CoreOp::Or, CoreOp::Xor]
-            .into_iter()
-            .zip(&mut tables)
-        {
-            for (a, row) in DelayValue::ALL.into_iter().zip(rows.iter_mut()) {
-                // A set's image is the image of the set without its lowest
-                // value, plus that value's.
-                for set in 1..256usize {
-                    let low = DelayValue::from_index(set.trailing_zeros() as u8);
-                    row[set] = row[set & (set - 1)] | 1 << core2(op, a, low).index();
-                }
-            }
-        }
-        tables
-    });
-    &tables[op as usize]
-}
-
-/// The set image `{core2(op, a, b) : a ∈ A, b ∈ B}`: the union of the
-/// table rows of the values of `A`.
-fn set_core2(rows: &SetRows, a: DelaySet, b: DelaySet) -> DelaySet {
-    let mut out = 0;
-    let mut values = a.0;
-    while values != 0 {
-        out |= rows[values.trailing_zeros() as usize][b.0 as usize];
-        values &= values - 1;
-    }
-    DelaySet(out)
+/// The word tables of the three core ops (AND, OR, XOR), 6 KiB in all,
+/// built once from the scalar [`eval2`] — which stays the only definition
+/// of the algebra — and read as the core of `kind`.
+fn core(kind: GateKind) -> Core {
+    static TABLES: OnceLock<Tables<256>> = OnceLock::new();
+    TABLES
+        .get_or_init(|| {
+            Tables::build(|kind, a, b| {
+                eval2(kind, DelayValue::from_index(a), DelayValue::from_index(b)).index()
+            })
+        })
+        .core(kind)
 }
 
 /// Forward implication: the set of output values reachable from the given
 /// input sets. Exact (not an over-approximation): the two-input table is
 /// associative, so the pairwise fold enumerates precisely the n-ary results
-/// (property-tested in this module).
+/// (property-tested in this module). Each step is a word of the table
+/// masked to the accumulated set's bytes and OR-folded.
 ///
 /// # Panics
 ///
 /// Panics if `kind` is `Input`/`Dff` or `ins` is empty.
 pub fn eval_gate_sets(kind: GateKind, ins: &[DelaySet]) -> DelaySet {
-    debug_assert!(!ins.is_empty());
-    match kind {
-        GateKind::Buf => ins[0],
-        GateKind::Not => ins[0].not(),
-        GateKind::Input | GateKind::Dff => {
-            panic!("eval_gate_sets called on non-combinational kind {kind:?}")
-        }
-        _ => {
-            let (op, inv) = core_of(kind).expect("combinational kind");
-            let rows = set_rows(op);
-            let folded = ins[1..]
-                .iter()
-                .fold(ins[0], |acc, &b| set_core2(rows, acc, b));
-            if inv {
-                folded.not()
-            } else {
-                folded
-            }
-        }
-    }
+    kernel::image(core(kind), ins)
 }
 
 /// Backward implication: narrows every input set to the values that can
-/// still produce an output inside `out_allowed`, and narrows `out_allowed`
-/// itself to what the inputs can still produce.
+/// still produce an output inside `out_allowed` against some values of
+/// the other inputs, and narrows `out_allowed` itself to what the inputs
+/// can still produce. Each input is narrowed in a few word operations
+/// against the fold of the others, taken from prefix and suffix folds, so
+/// a gate costs O(arity).
 ///
 /// Returns `true` if any set changed. An emptied set signals a conflict the
 /// caller must detect via [`DelaySet::is_empty`].
@@ -602,81 +534,7 @@ pub fn eval_gate_sets(kind: GateKind, ins: &[DelaySet]) -> DelaySet {
 ///
 /// Panics if `kind` is `Input`/`Dff` or `ins` is empty.
 pub fn narrow_inputs(kind: GateKind, out_allowed: &mut DelaySet, ins: &mut [DelaySet]) -> bool {
-    debug_assert!(!ins.is_empty());
-    let mut changed = false;
-    match kind {
-        GateKind::Buf => {
-            let meet = out_allowed.intersect(ins[0]);
-            changed |= meet != ins[0] || meet != *out_allowed;
-            ins[0] = meet;
-            *out_allowed = meet;
-        }
-        GateKind::Not => {
-            let meet_in = ins[0].intersect(out_allowed.not());
-            let meet_out = out_allowed.intersect(ins[0].not());
-            changed |= meet_in != ins[0] || meet_out != *out_allowed;
-            ins[0] = meet_in;
-            *out_allowed = meet_out;
-        }
-        GateKind::Input | GateKind::Dff => {
-            panic!("narrow_inputs called on non-combinational kind {kind:?}")
-        }
-        _ => {
-            let (op, inv) = core_of(kind).expect("combinational kind");
-            let rows = set_rows(op);
-            let target = if inv { out_allowed.not() } else { *out_allowed };
-            // The core op is associative and commutative, so input `i`
-            // keeps `v` iff `v` against the fold of all *other* (original)
-            // inputs can reach the target. `prefix` folds the inputs before
-            // `i`; the ones after it are folded in place.
-            let mut prefix: Option<DelaySet> = None;
-            for i in 0..ins.len() {
-                let own = ins[i];
-                let suffix = ins[i + 1..]
-                    .iter()
-                    .copied()
-                    .reduce(|acc, b| set_core2(rows, acc, b));
-                let others = match (prefix, suffix) {
-                    (Some(p), Some(s)) => Some(set_core2(rows, p, s)),
-                    (p, s) => p.or(s),
-                };
-                let keep = match others {
-                    // A one-input core gate passes its value through.
-                    None => own.intersect(target),
-                    Some(o) => {
-                        let mut keep = DelaySet::EMPTY;
-                        let mut values = own.0;
-                        while values != 0 {
-                            let v = values.trailing_zeros() as usize;
-                            if rows[v][o.0 as usize] & target.0 != 0 {
-                                keep.0 |= 1 << v;
-                            }
-                            values &= values - 1;
-                        }
-                        keep
-                    }
-                };
-                if keep != own {
-                    ins[i] = keep;
-                    changed = true;
-                }
-                prefix = Some(prefix.map_or(own, |p| set_core2(rows, p, own)));
-            }
-            // Narrow the output to what is actually producible.
-            let producible_core = prefix.expect("non-empty inputs");
-            let producible = if inv {
-                producible_core.not()
-            } else {
-                producible_core
-            };
-            let meet = out_allowed.intersect(producible);
-            if meet != *out_allowed {
-                *out_allowed = meet;
-                changed = true;
-            }
-        }
-    }
-    changed
+    kernel::narrow(core(kind), out_allowed, ins)
 }
 
 // ---------------------------------------------------------------------------
@@ -720,7 +578,7 @@ fn faulty_final(v: DelayValue) -> bool {
 /// The values whose faulty-machine final bit is 1: `1`, `R`, `1h`, `Fc`.
 const FAULTY_FINAL_ONE: u8 = 0b1010_0110;
 
-/// The six multi-input gate kinds, in [`NrTables`] order.
+/// The six multi-input gate kinds, in [`nr_tables`] order.
 const MULTI_INPUT_KINDS: [GateKind; 6] = [
     GateKind::And,
     GateKind::Nand,
@@ -730,70 +588,76 @@ const MULTI_INPUT_KINDS: [GateKind; 6] = [
     GateKind::Xnor,
 ];
 
-/// The fold state of a set of input tuples under the non-robust model:
-/// per faulty-machine final bit of the core op (index 0 or 1), the robust
+/// The non-robust fold of one multi-input kind. Its state is, per
+/// faulty-machine final bit of the core op (index 0 or 1), the robust
 /// core values reachable with it. A gate's non-robust value is a function
 /// of its robust core value and that bit, and both fold associatively, so
 /// these 16 states replace the Cartesian product of the input sets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct NrState([DelaySet; 2]);
+#[derive(Debug, Clone, Copy)]
+struct NrFold {
+    /// The robust core op.
+    core: Core,
+    /// The kind's tables.
+    kind: &'static NrKind,
+}
 
-impl NrState {
-    /// The states of one input set: its values, split by faulty final bit.
-    fn of(s: DelaySet) -> NrState {
-        NrState([
-            DelaySet(s.0 & !FAULTY_FINAL_ONE),
-            DelaySet(s.0 & FAULTY_FINAL_ONE),
-        ])
+/// What [`nr_tables`] holds per multi-input kind.
+#[derive(Debug)]
+struct NrKind {
+    /// `[faulty bit][core set]`: the non-robust output values of the
+    /// states `(v, bit)` for `v` in the core set, as a raw bitmask.
+    output: [[u8; 256]; 2],
+    /// The faulty final bit of the core op over two faulty bits.
+    bit: [[usize; 2]; 2],
+}
+
+impl Fold for NrFold {
+    type State = [u8; 2];
+
+    fn state(self, set: u8) -> [u8; 2] {
+        [set & !FAULTY_FINAL_ONE, set & FAULTY_FINAL_ONE]
     }
 
-    /// The states of every pair of a state of `self` and one of `other`
-    /// under `op`.
-    fn fold(self, op: CoreOp, rows: &SetRows, other: NrState) -> NrState {
-        let mut out = [DelaySet::EMPTY; 2];
-        for (fa, &a) in self.0.iter().enumerate() {
-            for (fb, &b) in other.0.iter().enumerate() {
-                if !a.is_empty() && !b.is_empty() {
-                    let f = usize::from(nr_bit(op, fa == 1, fb == 1));
-                    out[f] = out[f].union(set_core2(rows, a, b));
-                }
+    fn join(self, a: [u8; 2], b: [u8; 2]) -> [u8; 2] {
+        let mut out = [0; 2];
+        for (fa, &a) in a.iter().enumerate() {
+            for (fb, &b) in b.iter().enumerate() {
+                out[self.kind.bit[fa][fb]] |= self.core.join(a, b);
             }
         }
-        NrState(out)
+        out
     }
 
-    /// The output values of the states for gate `kind` (table index `k`).
-    fn output(self, k: usize) -> DelaySet {
-        let out = &nr_tables()[k];
-        DelaySet(out[0][self.0[0].0 as usize] | out[1][self.0[1].0 as usize])
+    fn unit(self) -> [u8; 2] {
+        self.state(self.core.unit())
+    }
+
+    fn output(self, state: [u8; 2]) -> u8 {
+        self.kind.output[0][state[0] as usize] | self.kind.output[1][state[1] as usize]
     }
 }
 
-/// The faulty-machine final bit of the core op over two faulty bits.
-fn nr_bit(op: CoreOp, a: bool, b: bool) -> bool {
-    let kind = match op {
-        CoreOp::And => GateKind::And,
-        CoreOp::Or => GateKind::Or,
-        CoreOp::Xor => GateKind::Xor,
-    };
-    kind.eval_bools([a, b])
+/// The non-robust fold of a multi-input kind; `None` for BUF and NOT,
+/// whose non-robust values are their robust ones.
+fn nr_fold(kind: GateKind) -> Option<NrFold> {
+    let k = MULTI_INPUT_KINDS.iter().position(|&m| m == kind)?;
+    Some(NrFold {
+        core: core(CORE_OPS[core_op(kind).0]),
+        kind: &nr_tables()[k],
+    })
 }
 
-/// `[kind][faulty bit][core set]`: the non-robust output values of the
-/// states `(v, bit)` for `v` in the core set, as a raw bitmask.
-type NrTables = [[[u8; 256]; 2]; 6];
-
-/// The non-robust output tables of the six multi-input kinds, 3 KiB in
-/// all, built once. Each state the core fold can reach gets a shortest
-/// input tuple that reaches it, and its output is [`eval_gate_nonrobust`]
-/// of that tuple — which stays the only definition of the model. A state
-/// no tuple reaches never arises in a fold and maps to no value.
-fn nr_tables() -> &'static NrTables {
-    static TABLES: OnceLock<NrTables> = OnceLock::new();
+/// The non-robust tables of the six multi-input kinds, 3 KiB in all,
+/// built once. Each state the core fold can reach gets a shortest input
+/// tuple that reaches it, and its output is [`eval_gate_nonrobust`] of
+/// that tuple — which stays the only definition of the model. A state no
+/// tuple reaches never arises in a fold and maps to no value.
+fn nr_tables() -> &'static [NrKind; 6] {
+    static TABLES: OnceLock<[NrKind; 6]> = OnceLock::new();
     TABLES.get_or_init(|| {
-        let mut tables = [[[0u8; 256]; 2]; 6];
-        for (kind, table) in MULTI_INPUT_KINDS.into_iter().zip(&mut tables) {
-            let (op, _) = core_of(kind).expect("multi-input kind");
+        MULTI_INPUT_KINDS.map(|kind| {
+            let op = CORE_OPS[core_op(kind).0];
+            let bit = |a: bool, b: bool| usize::from(op.eval_bools([a, b]));
             // Breadth-first over states `(bit, core value)`, from the
             // single values, extending a reached state's tuple by a value.
             let mut tuple: [[Option<Vec<DelayValue>>; 8]; 2] = Default::default();
@@ -807,8 +671,8 @@ fn nr_tables() -> &'static NrTables {
             }
             while let Some((f, c)) = queue.pop_front() {
                 for v in DelayValue::ALL {
-                    let nf = usize::from(nr_bit(op, f == 1, faulty_final(v)));
-                    let nc = core2(op, DelayValue::from_index(c as u8), v).index() as usize;
+                    let nf = bit(f == 1, faulty_final(v));
+                    let nc = eval2(op, DelayValue::from_index(c as u8), v).index() as usize;
                     if tuple[nf][nc].is_none() {
                         let mut longer = tuple[f][c].clone().expect("reached state");
                         longer.push(v);
@@ -817,7 +681,8 @@ fn nr_tables() -> &'static NrTables {
                     }
                 }
             }
-            for (row, tuples) in table.iter_mut().zip(&tuple) {
+            let mut output = [[0u8; 256]; 2];
+            for (row, tuples) in output.iter_mut().zip(&tuple) {
                 let value: [u8; 8] = std::array::from_fn(|c| {
                     tuples[c]
                         .as_deref()
@@ -827,8 +692,14 @@ fn nr_tables() -> &'static NrTables {
                     row[set] = row[set & (set - 1)] | value[set.trailing_zeros() as usize];
                 }
             }
-        }
-        tables
+            NrKind {
+                output,
+                bit: [
+                    [bit(false, false), bit(false, true)],
+                    [bit(true, false), bit(true, true)],
+                ],
+            }
+        })
     })
 }
 
@@ -842,26 +713,16 @@ fn nr_tables() -> &'static NrTables {
 ///
 /// Panics if `kind` is `Input`/`Dff` or `ins` is empty.
 pub fn eval_gate_sets_nonrobust(kind: GateKind, ins: &[DelaySet]) -> DelaySet {
-    debug_assert!(!ins.is_empty());
-    match kind {
-        GateKind::Buf | GateKind::Not => eval_gate_sets(kind, ins),
-        _ => {
-            let (k, op, rows) = nr_kind(kind);
-            ins[1..]
-                .iter()
-                .fold(NrState::of(ins[0]), |acc, &b| {
-                    acc.fold(op, rows, NrState::of(b))
-                })
-                .output(k)
-        }
+    match nr_fold(kind) {
+        Some(fold) => kernel::image(fold, ins),
+        None => eval_gate_sets(kind, ins),
     }
 }
 
 /// Backward implication under the non-robust model, with the contract of
-/// [`narrow_inputs`]: input `i` keeps `v` iff some completion (inputs
-/// `0..i` as already narrowed, the rest as given) maps into
-/// `out_allowed`, and `out_allowed` shrinks to what the narrowed inputs
-/// produce. Returns `true` if any set changed.
+/// [`narrow_inputs`]: input `i` keeps `v` iff some completion of the
+/// other inputs maps into `out_allowed`, and `out_allowed` shrinks to
+/// what the inputs produce. Returns `true` if any set changed.
 ///
 /// # Panics
 ///
@@ -871,59 +732,10 @@ pub fn narrow_inputs_nonrobust(
     out_allowed: &mut DelaySet,
     ins: &mut [DelaySet],
 ) -> bool {
-    debug_assert!(!ins.is_empty());
-    if matches!(kind, GateKind::Buf | GateKind::Not) {
-        return narrow_inputs(kind, out_allowed, ins);
+    match nr_fold(kind) {
+        Some(fold) => kernel::narrow(fold, out_allowed, ins),
+        None => narrow_inputs(kind, out_allowed, ins),
     }
-    let (k, op, rows) = nr_kind(kind);
-    let mut changed = false;
-    let mut prefix: Option<NrState> = None;
-    for i in 0..ins.len() {
-        let own = ins[i];
-        let suffix = ins[i + 1..]
-            .iter()
-            .map(|&b| NrState::of(b))
-            .reduce(|acc, b| acc.fold(op, rows, b));
-        let others = match (prefix, suffix) {
-            (Some(p), Some(s)) => Some(p.fold(op, rows, s)),
-            (p, s) => p.or(s),
-        };
-        let mut keep = DelaySet::EMPTY;
-        for v in own.iter() {
-            let pinned = NrState::of(DelaySet::singleton(v));
-            let state = others.map_or(pinned, |o| pinned.fold(op, rows, o));
-            if !state.output(k).intersect(*out_allowed).is_empty() {
-                keep.insert(v);
-            }
-        }
-        if keep != own {
-            ins[i] = keep;
-            changed = true;
-        }
-        let kept = NrState::of(keep);
-        prefix = Some(prefix.map_or(kept, |p| p.fold(op, rows, kept)));
-    }
-    let producible = prefix.expect("non-empty inputs").output(k);
-    let meet = out_allowed.intersect(producible);
-    if meet != *out_allowed {
-        *out_allowed = meet;
-        changed = true;
-    }
-    changed
-}
-
-/// The table index, core op and core set rows of a multi-input kind.
-///
-/// # Panics
-///
-/// Panics if `kind` is not one of the six multi-input kinds.
-fn nr_kind(kind: GateKind) -> (usize, CoreOp, &'static SetRows) {
-    let k = MULTI_INPUT_KINDS
-        .iter()
-        .position(|&m| m == kind)
-        .unwrap_or_else(|| panic!("non-robust set evaluation of non-combinational kind {kind:?}"));
-    let (op, _) = core_of(kind).expect("multi-input kind");
-    (k, op, set_rows(op))
 }
 
 #[cfg(test)]

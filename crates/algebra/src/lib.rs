@@ -19,9 +19,10 @@
 //! [`delay::narrow_inputs`] (and their `static5` twins) perform forward and
 //! backward implications over those sets. The scalar gate functions
 //! ([`delay::eval_gate`], [`static5::eval_gate`]) are the only definition of
-//! each algebra; the set operations are lookups in tables built once from
-//! them (the image of each value against each set, per AND/OR/XOR core op),
-//! so an implication costs a few byte lookups and no allocation.
+//! each algebra; the set operations are word operations on tables built
+//! once from them (per AND/OR/XOR core op and set, one `u64` holding each
+//! value's image against the set in its own byte lane), so an implication
+//! costs a handful of word operations per input and no allocation.
 //!
 //! [`logic3`] holds the plain 3-valued Kleene logic used by the good-machine
 //! simulator and the synchronizing-sequence search.
@@ -48,6 +49,7 @@
 //! ```
 
 pub mod delay;
+mod kernel;
 pub mod logic3;
 pub mod packed;
 pub mod search;

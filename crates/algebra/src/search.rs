@@ -20,11 +20,13 @@
 //! decision variables.
 //!
 //! * [`SetNet`] holds one set per net, records every narrowing on an undo
-//!   trail and runs implications to a fixpoint. A constraint whose one
-//!   pass is its own fixpoint (a gate whose pins read distinct nets, a
-//!   flip-flop coupling whose D net is not its own Q) is not woken again
-//!   by its own narrowings; the fixpoint is unique, so no set and no
-//!   conflict changes.
+//!   trail and runs implications to a fixpoint, lowest level first. A
+//!   constraint whose one pass is its own fixpoint (a gate whose pins read
+//!   distinct nets, a flip-flop coupling whose D net is not its own Q) is
+//!   not woken again by its own narrowings; the fixpoint is unique, so
+//!   neither the order nor the skipped passes change a set or a conflict.
+//!   What it reads per net and per constraint comes from the circuit's
+//!   [`ImplicationTable`], built once per circuit.
 //! * [`branch_and_bound`] is the search loop: a decision stack, a
 //!   backtrack count against the limit, and rollback and retry of the
 //!   next alternative.
@@ -36,11 +38,11 @@
 use crate::delay::{DelaySet, DelayValue};
 use crate::static5::{StaticSet, StaticValue};
 use gdf_netlist::scoap::Testability;
-use gdf_netlist::{Circuit, FaultSite, GateKind, NodeId};
-use std::collections::VecDeque;
+use gdf_netlist::{Circuit, FaultSite, GateKind, ImplicationTable, NodeId};
 use std::ops::ControlFlow;
 
-/// A set of still-possible values of one algebra.
+/// A set of still-possible values of one algebra, as a bitmask: value
+/// `i` of the table order is bit `i`.
 pub trait ValueSet: Copy + Eq + std::fmt::Debug {
     /// The values.
     type Value: Copy + Eq + 'static;
@@ -48,23 +50,55 @@ pub trait ValueSet: Copy + Eq + std::fmt::Debug {
     const EMPTY: Self;
     /// The fault-carrying values (`{Rc, Fc}` or `{D, D̄}`).
     const CARRYING: Self;
+    /// Every value, in table order.
+    const VALUES: &'static [Self::Value];
     /// The order in which backtrace tries a helping value: steady clean
     /// values first (cheap to justify), fault-carrying ones last.
     const HELPING: &'static [Self::Value];
+    /// The position of `v` in the table order.
+    fn index(v: Self::Value) -> u8;
+    /// The raw bitmask.
+    fn bits(self) -> u8;
+    /// The set of a raw bitmask.
+    fn from_bits(bits: u8) -> Self;
+
     /// The singleton set `{v}`.
-    fn singleton(v: Self::Value) -> Self;
+    fn singleton(v: Self::Value) -> Self {
+        Self::from_bits(1 << Self::index(v))
+    }
+
     /// Whether `v` is still possible.
-    fn contains(self, v: Self::Value) -> bool;
+    fn contains(self, v: Self::Value) -> bool {
+        self.bits() >> Self::index(v) & 1 == 1
+    }
+
     /// Set union.
-    fn union(self, other: Self) -> Self;
+    fn union(self, other: Self) -> Self {
+        Self::from_bits(self.bits() | other.bits())
+    }
+
     /// Set intersection.
-    fn intersect(self, other: Self) -> Self;
+    fn intersect(self, other: Self) -> Self {
+        Self::from_bits(self.bits() & other.bits())
+    }
+
     /// Whether the set is empty (an implication conflict).
-    fn is_empty(self) -> bool;
+    fn is_empty(self) -> bool {
+        self.bits() == 0
+    }
+
     /// Number of values in the set.
-    fn len(self) -> usize;
+    fn len(self) -> usize {
+        self.bits().count_ones() as usize
+    }
+
     /// The values in the set, in table order.
-    fn iter(self) -> impl Iterator<Item = Self::Value>;
+    fn iter(self) -> impl Iterator<Item = Self::Value> {
+        Self::VALUES
+            .iter()
+            .copied()
+            .filter(move |&v| self.contains(v))
+    }
 
     /// Whether some value carries the fault effect.
     fn may_carry(self) -> bool {
@@ -81,6 +115,7 @@ impl ValueSet for DelaySet {
     type Value = DelayValue;
     const EMPTY: Self = DelaySet::EMPTY;
     const CARRYING: Self = DelaySet::CARRYING;
+    const VALUES: &'static [DelayValue] = &DelayValue::ALL;
     const HELPING: &'static [DelayValue] = &[
         DelayValue::S1,
         DelayValue::S0,
@@ -92,32 +127,16 @@ impl ValueSet for DelaySet {
         DelayValue::Fc,
     ];
     #[inline]
-    fn singleton(v: DelayValue) -> Self {
-        DelaySet::singleton(v)
+    fn index(v: DelayValue) -> u8 {
+        v.index()
     }
     #[inline]
-    fn contains(self, v: DelayValue) -> bool {
-        DelaySet::contains(self, v)
+    fn bits(self) -> u8 {
+        DelaySet::bits(self)
     }
     #[inline]
-    fn union(self, other: Self) -> Self {
-        DelaySet::union(self, other)
-    }
-    #[inline]
-    fn intersect(self, other: Self) -> Self {
-        DelaySet::intersect(self, other)
-    }
-    #[inline]
-    fn is_empty(self) -> bool {
-        DelaySet::is_empty(self)
-    }
-    #[inline]
-    fn len(self) -> usize {
-        DelaySet::len(self)
-    }
-    #[inline]
-    fn iter(self) -> impl Iterator<Item = DelayValue> {
-        DelaySet::iter(self)
+    fn from_bits(bits: u8) -> Self {
+        DelaySet::from_bits(bits)
     }
 }
 
@@ -125,6 +144,7 @@ impl ValueSet for StaticSet {
     type Value = StaticValue;
     const EMPTY: Self = StaticSet::EMPTY;
     const CARRYING: Self = StaticSet::FAULT_EFFECT;
+    const VALUES: &'static [StaticValue] = &StaticValue::ALL;
     const HELPING: &'static [StaticValue] = &[
         StaticValue::S1,
         StaticValue::S0,
@@ -132,32 +152,16 @@ impl ValueSet for StaticSet {
         StaticValue::Db,
     ];
     #[inline]
-    fn singleton(v: StaticValue) -> Self {
-        StaticSet::singleton(v)
+    fn index(v: StaticValue) -> u8 {
+        v.index()
     }
     #[inline]
-    fn contains(self, v: StaticValue) -> bool {
-        StaticSet::contains(self, v)
+    fn bits(self) -> u8 {
+        StaticSet::bits(self)
     }
     #[inline]
-    fn union(self, other: Self) -> Self {
-        StaticSet::union(self, other)
-    }
-    #[inline]
-    fn intersect(self, other: Self) -> Self {
-        StaticSet::intersect(self, other)
-    }
-    #[inline]
-    fn is_empty(self) -> bool {
-        StaticSet::is_empty(self)
-    }
-    #[inline]
-    fn len(self) -> usize {
-        StaticSet::len(self)
-    }
-    #[inline]
-    fn iter(self) -> impl Iterator<Item = StaticValue> {
-        StaticSet::iter(self)
+    fn from_bits(bits: u8) -> Self {
+        StaticSet::from_bits(bits)
     }
 }
 
@@ -231,26 +235,39 @@ pub trait SetAlgebra {
     }
 }
 
+/// The end of a level's list in [`SetNet`]'s agenda.
+const END: u32 = u32::MAX;
+
 /// The implication network for one target fault.
 ///
 /// Holds one set per net (pre-conversion at the fault stem), records every
 /// narrowing on an undo trail, and propagates implications to a fixpoint
 /// through gates, the fault-site conversion and (in a coupled algebra)
-/// the flip-flops.
+/// the flip-flops. Its agenda runs the queued constraint of lowest level
+/// first (a gate's combinational level, 0 for a flip-flop coupling); the
+/// wake lists, levels and flip-flop indices come from the circuit's
+/// [`ImplicationTable`].
 #[derive(Debug)]
 pub struct SetNet<'c, A: SetAlgebra> {
     circuit: &'c Circuit,
     testability: &'c Testability,
+    table: &'c ImplicationTable,
     algebra: A,
     sets: Vec<A::Set>,
     trail: Vec<(NodeId, A::Set)>,
-    /// Constraints to imply, by number: gate `g` is `g.index()`, the
-    /// coupling of flip-flop `i` is `num_nodes + i`.
-    queue: VecDeque<u32>,
-    /// Set iff the constraint is in `queue`.
+    /// The agenda of constraints to imply, by number (gate `g` is
+    /// `g.index()`, the coupling of flip-flop `i` is `num_nodes + i`):
+    /// `head[l]` starts level `l`'s list, linked through `next`, and no
+    /// level below `lowest` holds one.
+    head: Vec<u32>,
+    next: Vec<u32>,
+    lowest: usize,
+    /// Set iff the constraint is on the agenda, or runs and settles in
+    /// one pass.
     queued: Vec<bool>,
-    /// Flip-flop index of each DFF node (unused for other nodes).
-    dff_index: Vec<u32>,
+    /// Whether gate `g` reads the fault site through a converting edge;
+    /// every other gate reads its pins' sets as they are.
+    converting: Vec<bool>,
     /// Input sets of the gate being implied, reused across gates.
     ins: Vec<A::Set>,
     conflict: bool,
@@ -258,24 +275,29 @@ pub struct SetNet<'c, A: SetAlgebra> {
 
 impl<'c, A: SetAlgebra> SetNet<'c, A> {
     /// Builds the network over the initial domains `sets` (one per node)
-    /// and queues every constraint once: the gates in topological order,
-    /// then each coupled flip-flop.
+    /// and queues every constraint once.
     pub fn new(circuit: &'c Circuit, algebra: A, sets: Vec<A::Set>) -> Self {
         let n = circuit.num_nodes();
         assert_eq!(sets.len(), n, "one initial set per node");
-        let mut dff_index = vec![u32::MAX; n];
-        for (i, &ff) in circuit.dffs().iter().enumerate() {
-            dff_index[ff.index()] = i as u32;
+        let mut converting = vec![false; n];
+        if let Some(site) = algebra.site() {
+            for &(sink, pin) in circuit.node(site.stem).fanout() {
+                converting[sink.index()] |= algebra.converts(site.stem, sink, pin);
+            }
         }
+        let levels = circuit.max_level() as usize + 1;
         let mut net = SetNet {
             circuit,
             testability: circuit.testability(),
+            table: circuit.implication_table(),
             algebra,
             sets,
             trail: Vec::new(),
-            queue: VecDeque::new(),
+            head: vec![END; levels],
+            next: vec![END; n + circuit.num_dffs()],
+            lowest: levels,
             queued: vec![false; n + circuit.num_dffs()],
-            dff_index,
+            converting,
             ins: Vec::new(),
             conflict: false,
         };
@@ -312,7 +334,7 @@ impl<'c, A: SetAlgebra> SetNet<'c, A> {
 
     /// The index of flip-flop `ff` in [`Circuit::dffs`].
     pub fn dff_index(&self, ff: NodeId) -> usize {
-        self.dff_index[ff.index()] as usize
+        self.table.dff_index(ff)
     }
 
     /// The set a sink gate sees on one of its input pins.
@@ -341,31 +363,36 @@ impl<'c, A: SetAlgebra> SetNet<'c, A> {
         true
     }
 
-    /// Queues every constraint adjacent to a changed net.
+    /// Queues every constraint adjacent to a changed net: the net's wake
+    /// list, its gates followed (in a coupled algebra) by its flip-flop
+    /// couplings.
     fn touch(&mut self, id: NodeId) {
-        let circuit = self.circuit;
-        let node = circuit.node(id);
-        let n = self.sets.len();
-        if node.kind().is_combinational() {
-            self.enqueue(id.index());
-        }
-        if A::COUPLED && node.kind() == GateKind::Dff {
-            self.enqueue(n + self.dff_index(id));
-        }
-        for &(sink, _) in node.fanout() {
-            match circuit.node(sink).kind() {
-                GateKind::Dff if A::COUPLED => self.enqueue(n + self.dff_index(sink)),
-                k if k.is_combinational() => self.enqueue(sink.index()),
-                _ => {}
-            }
+        let table = self.table;
+        for &c in table.wakes(id, A::COUPLED) {
+            self.enqueue(c as usize);
         }
     }
 
     fn enqueue(&mut self, c: usize) {
         if !self.queued[c] {
             self.queued[c] = true;
-            self.queue.push_back(c as u32);
+            let level = self.table.level(c);
+            self.next[c] = self.head[level];
+            self.head[level] = c as u32;
+            self.lowest = self.lowest.min(level);
         }
+    }
+
+    /// Takes a queued constraint of the lowest level off the agenda.
+    fn pop(&mut self) -> Option<usize> {
+        while let Some(&c) = self.head.get(self.lowest) {
+            if c != END {
+                self.head[self.lowest] = self.next[c as usize];
+                return Some(c as usize);
+            }
+            self.lowest += 1;
+        }
+        None
     }
 
     /// Number of trail entries — pass to [`SetNet::rollback`].
@@ -381,13 +408,15 @@ impl<'c, A: SetAlgebra> SetNet<'c, A> {
         }
         self.conflict = false;
         // Only queued constraints carry a flag, so draining clears them all.
-        while let Some(c) = self.queue.pop_front() {
-            self.queued[c as usize] = false;
+        while let Some(c) = self.pop() {
+            self.queued[c] = false;
         }
     }
 
     /// Runs implications to a fixpoint; returns `false` on a conflict.
     ///
+    /// The queued constraint of lowest level runs first, so a gate
+    /// usually runs after the narrowings of its fanin cone have settled.
     /// A constraint whose one pass is already its own fixpoint keeps its
     /// queued flag while it runs, so its own narrowings do not wake it
     /// again. A gate's narrowing is exact per pin (a pin keeps exactly the
@@ -398,21 +427,15 @@ impl<'c, A: SetAlgebra> SetNet<'c, A> {
     /// between its Q and D nets and settles likewise unless D is Q itself.
     /// A gate that reads one net on several pins narrows each pin against
     /// the other's old set, and may narrow again. The fixpoint of these
-    /// monotone narrowings is unique, so skipping those passes changes no
-    /// set and no conflict.
+    /// monotone narrowings is unique, so neither the order nor skipping
+    /// those passes changes a set or a conflict.
     pub fn propagate(&mut self) -> bool {
         while !self.conflict {
-            let Some(c) = self.queue.pop_front() else {
+            let Some(c) = self.pop() else {
                 break;
             };
-            let c = c as usize;
             let gate = c < self.sets.len();
-            let settles = if gate {
-                self.circuit.node(NodeId(c as u32)).has_distinct_fanins()
-            } else {
-                let q = self.circuit.dffs()[c - self.sets.len()];
-                self.circuit.ppo_of_dff(q) != q
-            };
+            let settles = self.table.settles(c);
             self.queued[c] = settles;
             if gate {
                 self.imply_gate(NodeId(c as u32));
@@ -429,23 +452,31 @@ impl<'c, A: SetAlgebra> SetNet<'c, A> {
     /// One pass of gate `g`'s constraint: one [`SetAlgebra::narrow`] cuts
     /// its output to what its pins produce and each pin to what the output
     /// allows. Returns `false` on a conflict.
+    ///
+    /// Only a gate that reads the fault site through a converting edge
+    /// maps its pins through the conversion; every other gate reads its
+    /// pins' sets and assigns them back as they are. A narrowing that
+    /// changes nothing assigns nothing.
     pub fn imply_gate(&mut self, g: NodeId) -> bool {
         let node = self.circuit.node(g);
-        let kind = node.kind();
         let fanin = node.fanin();
+        let converting = self.converting[g.index()];
         let mut ins = std::mem::take(&mut self.ins);
         ins.clear();
-        ins.extend(fanin.iter().enumerate().map(|(p, &stem)| {
-            self.algebra
-                .edge_view(stem, g, p as u8, self.sets[stem.index()])
-        }));
+        if converting {
+            ins.extend(fanin.iter().enumerate().map(|(p, &stem)| {
+                self.algebra
+                    .edge_view(stem, g, p as u8, self.sets[stem.index()])
+            }));
+        } else {
+            ins.extend(fanin.iter().map(|&stem| self.sets[stem.index()]));
+        }
         let mut out = self.sets[g.index()];
-        self.algebra.narrow(kind, &mut out, &mut ins);
-        if self.assign(g, out) {
+        if self.algebra.narrow(node.kind(), &mut out, &mut ins) && self.assign(g, out) {
             for (p, &stem) in fanin.iter().enumerate() {
                 // `assign` meets the current set, so an unconverted pin
                 // needs no intersection here.
-                let pre = if self.algebra.converts(stem, g, p as u8) {
+                let pre = if converting && self.algebra.converts(stem, g, p as u8) {
                     self.algebra
                         .unconvert_within(ins[p], self.sets[stem.index()])
                 } else {
@@ -830,5 +861,47 @@ mod tests {
         });
         assert_eq!(choice, None);
         assert!(calls <= 4, "the cycle ran {calls} times");
+    }
+
+    #[test]
+    fn conflict_partway_through_a_level_leaves_no_flag() {
+        // x, y, z = AND(a, ·) on level 1, o = OR(x, y, z) on level 2.
+        // With x and y pinned to 1, a = 0 wakes all three gates: one of x
+        // and y conflicts while the other (and o) may still be queued.
+        let mut b = CircuitBuilder::new("level");
+        for name in ["a", "b", "c", "d"] {
+            b.add_input(name);
+        }
+        b.add_gate("x", GateKind::And, &["a", "b"]);
+        b.add_gate("y", GateKind::And, &["a", "c"]);
+        b.add_gate("z", GateKind::And, &["a", "d"]);
+        b.add_gate("o", GateKind::Or, &["x", "y", "z"]);
+        b.mark_output("o");
+        let c = b.build().unwrap();
+        let id = |name| c.node_by_name(name).unwrap();
+        let (zero, one) = (
+            StaticSet::singleton(StaticValue::S0),
+            StaticSet::singleton(StaticValue::S1),
+        );
+        let fresh = || {
+            let mut net = SetNet::new(&c, FaultFree, vec![StaticSet::GOOD; c.num_nodes()]);
+            assert!(net.propagate());
+            net
+        };
+        let mut net = fresh();
+        let mark = net.checkpoint();
+        assert!(net.assign(id("x"), one) && net.assign(id("y"), one));
+        assert!(net.assign(id("a"), zero), "the conflict comes in a gate");
+        assert!(!net.propagate());
+        net.rollback(mark);
+        assert!(net.queued.iter().all(|&q| !q), "a flag outlived rollback");
+        assert_eq!(net.pop(), None, "rollback drains the agenda");
+        // A stale flag would keep x from waking: b = 0 must force it to 0.
+        let mut reference = fresh();
+        for net in [&mut net, &mut reference] {
+            assert!(net.assign(id("b"), zero) && net.propagate());
+        }
+        assert_eq!(net.set(id("x")), zero);
+        assert_eq!(net.sets(), reference.sets());
     }
 }

@@ -9,10 +9,12 @@
 //! set.
 //!
 //! [`eval_gate`] is the only definition of the algebra. The set operations
-//! ([`eval_gate_sets`], [`narrow_inputs`]) are lookups in tables built once
-//! from it: for each core op (AND, OR, XOR), value `a` and set `B`, the
-//! image of `a` against every value of `B` — 3 × 4 × 16 bytes.
+//! ([`eval_gate_sets`], [`narrow_inputs`]) run the word kernel of
+//! [`crate::delay`] on tables built once from it: for each core op (AND,
+//! OR, XOR) and set `B`, one `u64` whose byte `a` is the image of value
+//! `a` against every value of `B` — 3 × 16 words, four byte lanes each.
 
+use crate::kernel::{self, Core, Tables};
 use gdf_netlist::GateKind;
 use std::fmt;
 use std::sync::OnceLock;
@@ -227,7 +229,7 @@ impl StaticSet {
     /// negating a set swaps bit pairs.
     #[allow(clippy::should_implement_trait)] // method-call syntax without importing std::ops::Not
     pub fn not(self) -> StaticSet {
-        StaticSet((self.0 & 0b0101) << 1 | (self.0 >> 1) & 0b0101)
+        StaticSet(kernel::not_bits(self.0))
     }
 
     /// Restriction to the good-machine bit `b` (e.g. for slow-clock frames
@@ -260,185 +262,41 @@ impl FromIterator<StaticValue> for StaticSet {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CoreOp {
-    And,
-    Or,
-    Xor,
-}
-
-fn core_of(kind: GateKind) -> Option<(CoreOp, bool)> {
-    match kind {
-        GateKind::And => Some((CoreOp::And, false)),
-        GateKind::Nand => Some((CoreOp::And, true)),
-        GateKind::Or => Some((CoreOp::Or, false)),
-        GateKind::Nor => Some((CoreOp::Or, true)),
-        GateKind::Xor => Some((CoreOp::Xor, false)),
-        GateKind::Xnor => Some((CoreOp::Xor, true)),
-        _ => None,
-    }
-}
-
-fn core2(op: CoreOp, a: StaticValue, b: StaticValue) -> StaticValue {
-    let kind = match op {
-        CoreOp::And => GateKind::And,
-        CoreOp::Or => GateKind::Or,
-        CoreOp::Xor => GateKind::Xor,
-    };
-    eval2(kind, a, b)
-}
-
-/// `rows[a][B]` is the image `{core2(op, a, b) : b ∈ B}` of value `a`
-/// against every set `B`, as a raw bitmask.
-type SetRows = [[u8; 16]; 4];
-
-/// The set tables of the three core ops (And, Or, Xor), 192 bytes in all,
-/// built once from the scalar [`core2`] — the component-wise
-/// [`eval_gate`] stays the only definition of the algebra.
-fn set_rows(op: CoreOp) -> &'static SetRows {
-    static TABLES: OnceLock<[SetRows; 3]> = OnceLock::new();
-    let tables = TABLES.get_or_init(|| {
-        let mut tables = [[[0u8; 16]; 4]; 3];
-        for (op, rows) in [CoreOp::And, CoreOp::Or, CoreOp::Xor]
-            .into_iter()
-            .zip(&mut tables)
-        {
-            for (a, row) in StaticValue::ALL.into_iter().zip(rows.iter_mut()) {
-                // A set's image is the image of the set without its lowest
-                // value, plus that value's.
-                for set in 1..16usize {
-                    let low = StaticValue::from_index(set.trailing_zeros() as u8);
-                    row[set] = row[set & (set - 1)] | 1 << core2(op, a, low).index();
-                }
-            }
-        }
-        tables
-    });
-    &tables[op as usize]
-}
-
-/// The set image `{core2(op, a, b) : a ∈ A, b ∈ B}`: the union of the
-/// table rows of the values of `A`.
-fn set_core2(rows: &SetRows, a: StaticSet, b: StaticSet) -> StaticSet {
-    let mut out = 0;
-    let mut values = a.0;
-    while values != 0 {
-        out |= rows[values.trailing_zeros() as usize][b.0 as usize];
-        values &= values - 1;
-    }
-    StaticSet(out)
+/// The word tables of the three core ops (AND, OR, XOR), built once from
+/// the scalar [`eval2`] — the component-wise [`eval_gate`] stays the only
+/// definition of the algebra — and read as the core of `kind`. A set has
+/// four values, so each word fills four byte lanes.
+fn core(kind: GateKind) -> Core {
+    static TABLES: OnceLock<Tables<16>> = OnceLock::new();
+    TABLES
+        .get_or_init(|| {
+            Tables::build(|kind, a, b| {
+                eval2(kind, StaticValue::from_index(a), StaticValue::from_index(b)).index()
+            })
+        })
+        .core(kind)
 }
 
 /// Forward implication over sets; exact because the component-wise algebra
-/// is associative.
+/// is associative. Runs the word kernel of [`crate::delay::eval_gate_sets`]
+/// on four lanes.
 ///
 /// # Panics
 ///
 /// Panics if `kind` is `Input`/`Dff` or `ins` is empty.
 pub fn eval_gate_sets(kind: GateKind, ins: &[StaticSet]) -> StaticSet {
-    debug_assert!(!ins.is_empty());
-    match kind {
-        GateKind::Buf => ins[0],
-        GateKind::Not => ins[0].not(),
-        GateKind::Input | GateKind::Dff => {
-            panic!("eval_gate_sets called on non-combinational kind {kind:?}")
-        }
-        _ => {
-            let (op, inv) = core_of(kind).expect("combinational kind");
-            let rows = set_rows(op);
-            let folded = ins[1..]
-                .iter()
-                .fold(ins[0], |acc, &b| set_core2(rows, acc, b));
-            if inv {
-                folded.not()
-            } else {
-                folded
-            }
-        }
-    }
+    kernel::image(core(kind), ins)
 }
 
 /// Backward implication: narrows input sets and the output set; returns
 /// `true` if anything changed. See [`crate::delay::narrow_inputs`] for the
-/// contract.
+/// contract and the word kernel, here on four lanes.
 ///
 /// # Panics
 ///
 /// Panics if `kind` is `Input`/`Dff` or `ins` is empty.
 pub fn narrow_inputs(kind: GateKind, out_allowed: &mut StaticSet, ins: &mut [StaticSet]) -> bool {
-    debug_assert!(!ins.is_empty());
-    let mut changed = false;
-    match kind {
-        GateKind::Buf => {
-            let meet = out_allowed.intersect(ins[0]);
-            changed |= meet != ins[0] || meet != *out_allowed;
-            ins[0] = meet;
-            *out_allowed = meet;
-        }
-        GateKind::Not => {
-            let meet_in = ins[0].intersect(out_allowed.not());
-            let meet_out = out_allowed.intersect(ins[0].not());
-            changed |= meet_in != ins[0] || meet_out != *out_allowed;
-            ins[0] = meet_in;
-            *out_allowed = meet_out;
-        }
-        GateKind::Input | GateKind::Dff => {
-            panic!("narrow_inputs called on non-combinational kind {kind:?}")
-        }
-        _ => {
-            let (op, inv) = core_of(kind).expect("combinational kind");
-            let rows = set_rows(op);
-            let target = if inv { out_allowed.not() } else { *out_allowed };
-            // As in the delay algebra: input `i` keeps `v` iff `v` against
-            // the fold of all other (original) inputs can reach the target.
-            let mut prefix: Option<StaticSet> = None;
-            for i in 0..ins.len() {
-                let own = ins[i];
-                let suffix = ins[i + 1..]
-                    .iter()
-                    .copied()
-                    .reduce(|acc, b| set_core2(rows, acc, b));
-                let others = match (prefix, suffix) {
-                    (Some(p), Some(s)) => Some(set_core2(rows, p, s)),
-                    (p, s) => p.or(s),
-                };
-                let keep = match others {
-                    // A one-input core gate passes its value through.
-                    None => own.intersect(target),
-                    Some(o) => {
-                        let mut keep = StaticSet::EMPTY;
-                        let mut values = own.0;
-                        while values != 0 {
-                            let v = values.trailing_zeros() as usize;
-                            if rows[v][o.0 as usize] & target.0 != 0 {
-                                keep.0 |= 1 << v;
-                            }
-                            values &= values - 1;
-                        }
-                        keep
-                    }
-                };
-                if keep != own {
-                    ins[i] = keep;
-                    changed = true;
-                }
-                prefix = Some(prefix.map_or(own, |p| set_core2(rows, p, own)));
-            }
-            // Narrow the output to what is actually producible.
-            let producible_core = prefix.expect("non-empty inputs");
-            let producible = if inv {
-                producible_core.not()
-            } else {
-                producible_core
-            };
-            let meet = out_allowed.intersect(producible);
-            if meet != *out_allowed {
-                *out_allowed = meet;
-                changed = true;
-            }
-        }
-    }
-    changed
+    kernel::narrow(core(kind), out_allowed, ins)
 }
 
 #[cfg(test)]

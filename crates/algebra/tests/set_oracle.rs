@@ -8,9 +8,15 @@
 //! algebra, against the scalar `eval_gate_nonrobust`:
 //!
 //! * every pair of 2-input sets, all six multi-input gate kinds;
+//! * every singleton against every set on either pin of a 2-input gate,
+//!   against every target, all six kinds: the narrowing keeps or drops
+//!   each value on its own, so this checks every value's support in
+//!   every context;
 //! * every 1-input set for BUF and NOT;
 //! * seeded 1-, 3- and 4-input cases with arbitrary targets (1 to 5
-//!   inputs for the non-robust functions);
+//!   inputs for the non-robust functions), and seeded 2- to 9-input and
+//!   17-input cases over small sets, past the kernel's 2-input path and
+//!   across its chunks of suffix folds;
 //! * every set under `not()`.
 //!
 //! The brute force never folds or reuses a set image: it enumerates the
@@ -30,7 +36,7 @@ const MULTI_INPUT: [GateKind; 6] = [
 ];
 
 /// Largest arity the oracle drives (fixed-size conversion buffers).
-const MAX_ARITY: usize = 5;
+const MAX_ARITY: usize = 17;
 
 /// One algebra seen through raw bitmasks: value `i` is bit `i` of a set.
 struct Algebra {
@@ -350,9 +356,40 @@ impl SplitMix {
     }
 }
 
-/// Seeded cases of the given arities (including arity-1 core gates) with
-/// arbitrary input sets and targets, against full enumeration.
-fn seeded_wide(alg: &Algebra, seed: u64, cases: usize, arities: &[usize]) {
+/// Every singleton `{a}` against every set `B`, on pin 0 and on pin 1 of
+/// every multi-input kind, narrowed against every target.
+fn exhaustive_singletons(alg: &Algebra) {
+    let full = alg.full();
+    let v = alg.values;
+    for kind in MULTI_INPUT {
+        for a in 0..v {
+            // `row[b]`: the output of `a` against value `b`.
+            let row: Vec<u8> = (0..v).map(|b| (alg.scalar)(kind, &[a, b])).collect();
+            for set in 0..=full {
+                let image = (0..v)
+                    .filter(|&b| set >> b & 1 == 1)
+                    .fold(0u8, |acc, b| acc | 1 << row[b as usize]);
+                for target in 0..=full {
+                    let set_keep = (0..v)
+                        .filter(|&b| set >> b & 1 == 1 && target >> row[b as usize] & 1 == 1)
+                        .fold(0u8, |acc, b| acc | 1 << b);
+                    let own_keep = if set_keep == 0 { 0 } else { 1 << a };
+                    let single = 1u8 << a;
+                    let (ins, keep) = ([single, set], [own_keep, set_keep]);
+                    check_narrow_against(alg, kind, &ins, target, image, &keep);
+                    let (ins, keep) = ([set, single], [set_keep, own_keep]);
+                    check_narrow_against(alg, kind, &ins, target, image, &keep);
+                }
+            }
+        }
+    }
+}
+
+/// Seeded cases of the given arities (including arity-1 core gates)
+/// against full enumeration, with arbitrary targets. Each input set is
+/// arbitrary, or with `small` a union of two random values, so that wide
+/// gates keep their Cartesian product small; an empty one now and then.
+fn seeded_wide(alg: &Algebra, seed: u64, cases: usize, arities: &[usize], small: bool) {
     let mut rng = SplitMix(seed);
     let full = alg.full();
     for _ in 0..cases {
@@ -361,10 +398,12 @@ fn seeded_wide(alg: &Algebra, seed: u64, cases: usize, arities: &[usize]) {
         let n = arities[((r >> 8) % arities.len() as u64) as usize];
         let mut ins = [0u8; MAX_ARITY];
         for s in ins.iter_mut().take(n) {
-            // Mostly non-empty sets; an empty one now and then.
             let bits = rng.next();
             *s = if bits.is_multiple_of(16) {
                 0
+            } else if small {
+                let values = u64::from(alg.values);
+                1 << ((bits >> 8) % values) | 1 << ((bits >> 16) % values)
             } else {
                 (bits >> 8) as u8 & full
             };
@@ -409,13 +448,33 @@ fn single_input_kinds_match_enumeration() {
 }
 
 #[test]
+fn singletons_against_every_set_and_target() {
+    exhaustive_singletons(&delay_algebra());
+    exhaustive_singletons(&static_algebra());
+}
+
+#[test]
 fn delay_wide_gates_match_enumeration() {
-    seeded_wide(&delay_algebra(), 1995, 3000, &[1, 3, 4]);
+    seeded_wide(&delay_algebra(), 1995, 3000, &[1, 3, 4], false);
+    seeded_wide(
+        &delay_algebra(),
+        27,
+        3000,
+        &[2, 3, 4, 5, 6, 7, 8, 9, 17],
+        true,
+    );
 }
 
 #[test]
 fn static_wide_gates_match_enumeration() {
-    seeded_wide(&static_algebra(), 1995, 3000, &[1, 3, 4]);
+    seeded_wide(&static_algebra(), 1995, 3000, &[1, 3, 4], false);
+    seeded_wide(
+        &static_algebra(),
+        27,
+        3000,
+        &[2, 3, 4, 5, 6, 7, 8, 9, 17],
+        true,
+    );
 }
 
 #[test]
@@ -426,7 +485,14 @@ fn nonrobust_pairs_match_enumeration() {
 
 #[test]
 fn nonrobust_wide_gates_match_enumeration() {
-    seeded_wide(&nonrobust_algebra(), 1995, 2000, &[1, 2, 3, 4, 5]);
+    seeded_wide(&nonrobust_algebra(), 1995, 2000, &[1, 2, 3, 4, 5], false);
+    seeded_wide(
+        &nonrobust_algebra(),
+        27,
+        2000,
+        &[2, 3, 4, 5, 6, 7, 8, 9, 17],
+        true,
+    );
 }
 
 #[test]

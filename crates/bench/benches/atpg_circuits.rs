@@ -1,14 +1,18 @@
 //! Criterion benchmarks for the test generators: TDgen per-fault search
 //! (robust and non-robust), the SEMILET per-frame engine and multi-frame
-//! propagation, the synchronizer, and the whole non-scan driver loop.
+//! propagation, the synchronizer, and the whole non-scan driver loop;
+//! below them, the set implication both generators run: a network's
+//! first fixpoint and one gate narrowing.
 
+use gdf_algebra::delay::{narrow_inputs, DelaySet};
 use gdf_algebra::static5::{StaticSet, StaticValue};
 use gdf_bench::criterion::{black_box, criterion_group, criterion_main, Criterion};
 use gdf_core::DelayAtpg;
-use gdf_netlist::{suite, DelayFault, DelayFaultKind, FaultSite, FaultUniverse};
+use gdf_netlist::{suite, DelayFault, DelayFaultKind, FaultSite, FaultUniverse, GateKind};
 use gdf_semilet::frame::{FrameEngine, FrameGoal, PpiConstraint};
 use gdf_semilet::justify::{synchronize, SyncLimits};
 use gdf_semilet::propagate::{propagate_to_po, PropagateLimits};
+use gdf_tdgen::network::DelayAlgebra;
 use gdf_tdgen::{Sensitization, TdGen, TdGenConfig, TdGenOutcome};
 
 fn bench_tdgen(c: &mut Criterion) {
@@ -113,5 +117,39 @@ fn bench_driver(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_tdgen, bench_semilet, bench_driver);
+fn bench_implication(c: &mut Criterion) {
+    // TDgen's initial network of every fault: build it and reach its
+    // first fixpoint.
+    let s344 = suite::table3_circuit("s344").expect("suite circuit");
+    let faults = FaultUniverse::default().delay_faults(&s344);
+    c.bench_function("implication fixpoint s344_syn", |b| {
+        b.iter(|| {
+            for &f in &faults {
+                black_box(DelayAlgebra::<true>::new(f).network(&s344).propagate());
+            }
+        })
+    });
+
+    // Every pair of input sets of a 2-input AND against the carrying
+    // values, the propagation objective.
+    c.bench_function("narrow_inputs delay 2-input", |b| {
+        b.iter(|| {
+            for a in 0..=255 {
+                for x in 0..=255 {
+                    let mut out = DelaySet::CARRYING;
+                    let mut ins = [DelaySet::from_bits(a), DelaySet::from_bits(x)];
+                    black_box(narrow_inputs(GateKind::And, &mut out, black_box(&mut ins)));
+                }
+            }
+        })
+    });
+}
+
+criterion_group!(
+    benches,
+    bench_tdgen,
+    bench_semilet,
+    bench_driver,
+    bench_implication
+);
 criterion_main!(benches);

@@ -8,6 +8,7 @@
 //! whether that clock tick is "slow" or "fast".
 
 use crate::gate::GateKind;
+use crate::implication::ImplicationTable;
 use crate::scoap::Testability;
 use std::collections::HashMap;
 use std::fmt;
@@ -166,6 +167,9 @@ pub struct Circuit {
     /// SCOAP measures, computed on first use: every test generator over
     /// the circuit reads the same ones.
     testability: std::sync::OnceLock<Testability>,
+    /// The set implication network's wiring, built on first use by the
+    /// first test generator to search the circuit.
+    implication: std::sync::OnceLock<ImplicationTable>,
     /// Fanout-free regions: the single `(sink, pin)` of each node inside
     /// a region, `None` for a region root.
     region_sink: Vec<Option<(NodeId, u8)>>,
@@ -382,6 +386,17 @@ impl Circuit {
     /// share one copy.
     pub fn testability(&self) -> &Testability {
         self.testability.get_or_init(|| Testability::compute(self))
+    }
+
+    /// The wiring the set implication network reads
+    /// ([`ImplicationTable::compute`]): each net's wake list, each
+    /// constraint's level and one-pass flag, and the flip-flop indices.
+    /// Computed on first use and cached for the circuit's lifetime, so
+    /// every network built per fault shares one copy, and a circuit that
+    /// is never searched never builds it.
+    pub fn implication_table(&self) -> &ImplicationTable {
+        self.implication
+            .get_or_init(|| ImplicationTable::compute(self))
     }
 
     /// Builds the full cone table: one pass in reverse topological order —
@@ -770,6 +785,7 @@ impl CircuitBuilder {
             cone_words: std::sync::OnceLock::new(),
             cone_stride,
             testability: std::sync::OnceLock::new(),
+            implication: std::sync::OnceLock::new(),
             region_sink,
             region_root,
         })

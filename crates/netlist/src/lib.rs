@@ -21,6 +21,8 @@
 //!   implementation per model.
 //! * [`scoap`] — SCOAP-style controllability/observability measures used to
 //!   guide backtracing in both test generators.
+//! * [`implication`] — the per-circuit wiring the test generators' set
+//!   implication network reads (wake lists, levels, flip-flop indices).
 //! * [`generator`] and [`suite`] — the benchmark suite: the exact `s27`
 //!   netlist plus a deterministic synthetic family matching the published
 //!   profiles of the remaining ISCAS'89 circuits used in Table 3.
@@ -41,6 +43,7 @@ pub mod collapse;
 pub mod fault;
 pub mod gate;
 pub mod generator;
+pub mod implication;
 pub mod model;
 pub mod parser;
 pub mod scoap;
@@ -56,6 +59,7 @@ pub use fault::{
     TransitionFault,
 };
 pub use gate::GateKind;
+pub use implication::ImplicationTable;
 pub use model::{DelayModel, FaultModel, FaultSet, ModelKind, StuckModel, TransitionModel};
 pub use parser::{parse_bench, ParseBenchError};
 pub use writer::to_bench;

@@ -237,6 +237,14 @@ pub(crate) fn usize_field(j: &Json, key: &str) -> Result<usize, ArtifactError> {
         .ok_or_else(|| schema(format!("missing integer field `{key}`")))
 }
 
+/// A `u32` field: an integer past `u32::MAX` is a schema error, never a
+/// value wrapped into range.
+pub(crate) fn u32_field(j: &Json, key: &str) -> Result<u32, ArtifactError> {
+    let value = usize_field(j, key)?;
+    u32::try_from(value)
+        .map_err(|_| schema(format!("integer field `{key}` = {value} out of range")))
+}
+
 fn bool_field(j: &Json, key: &str) -> Result<bool, ArtifactError> {
     j.get(key)
         .and_then(Json::as_bool)
@@ -585,8 +593,8 @@ fn decode_config_rest(
     };
     let l = j.get("limits").ok_or_else(|| schema("missing `limits`"))?;
     let limits = Limits::new()
-        .with_local_backtrack_limit(usize_field(l, "local_backtrack_limit")? as u32)
-        .with_sequential_backtrack_limit(usize_field(l, "sequential_backtrack_limit")? as u32)
+        .with_local_backtrack_limit(u32_field(l, "local_backtrack_limit")?)
+        .with_sequential_backtrack_limit(u32_field(l, "sequential_backtrack_limit")?)
         .with_max_propagation_frames(usize_field(l, "max_propagation_frames")?)
         .with_max_sync_frames(usize_field(l, "max_sync_frames")?)
         .with_max_observation_retries(usize_field(l, "max_observation_retries")?)
@@ -997,7 +1005,7 @@ impl RunArtifact {
                 .ok_or_else(|| schema("missing `circuit`"))?,
         )?;
         let partial = bool_field(&j, "partial")?;
-        let dropped = usize_field(&j, "dropped")? as u32;
+        let dropped = u32_field(&j, "dropped")?;
         let rng_arr = j
             .get("rng_state")
             .and_then(Json::as_array)
@@ -1158,23 +1166,18 @@ pub fn encode_coverage(c: &Coverage) -> Json {
 
 /// Decodes the object produced by [`encode_coverage`].
 pub fn decode_coverage(j: &Json) -> Result<Coverage, ArtifactError> {
-    let count = |name: &str| -> Result<u32, ArtifactError> { Ok(usize_field(j, name)? as u32) };
-    let collapsed = match (
-        j.get("classes").and_then(Json::as_usize),
-        j.get("classes_detected").and_then(Json::as_usize),
-    ) {
-        (Some(classes), Some(detected)) => Some(ClassCounts {
-            classes: classes as u32,
-            detected: detected as u32,
-        }),
+    // The class counts are optional: absent, or not a `u32`, is none.
+    let optional = |key: &str| j.get(key).and_then(|v| u32::try_from(v.as_usize()?).ok());
+    let collapsed = match (optional("classes"), optional("classes_detected")) {
+        (Some(classes), Some(detected)) => Some(ClassCounts { classes, detected }),
         _ => None,
     };
     Ok(Coverage {
-        detected: count("detected")?,
-        possibly_detected: count("possibly_detected")?,
-        untestable: count("untestable")?,
-        aborted: count("aborted")?,
-        total: count("total")?,
+        detected: u32_field(j, "detected")?,
+        possibly_detected: u32_field(j, "possibly_detected")?,
+        untestable: u32_field(j, "untestable")?,
+        aborted: u32_field(j, "aborted")?,
+        total: u32_field(j, "total")?,
         collapsed,
     })
 }
@@ -1206,18 +1209,18 @@ fn decode_report(
                 .and_then(Json::as_str)
                 .unwrap_or(default_circuit)
                 .to_string(),
-            tested: usize_field(j, "tested")? as u32,
-            untestable: usize_field(j, "untestable")? as u32,
-            aborted: usize_field(j, "aborted")? as u32,
-            patterns: usize_field(j, "patterns")? as u32,
+            tested: u32_field(j, "tested")?,
+            untestable: u32_field(j, "untestable")?,
+            aborted: u32_field(j, "aborted")?,
+            patterns: u32_field(j, "patterns")?,
             elapsed: Duration::from_nanos(parse_hex_u64(
                 j.get("elapsed_ns")
                     .ok_or_else(|| schema("missing `elapsed_ns`"))?,
                 "elapsed_ns",
             )?),
         },
-        dropped_by_simulation: usize_field(j, "dropped_by_simulation")? as u32,
-        sequences: usize_field(j, "sequences")? as u32,
+        dropped_by_simulation: u32_field(j, "dropped_by_simulation")?,
+        sequences: u32_field(j, "sequences")?,
         coverage,
     })
 }

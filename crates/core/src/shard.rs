@@ -31,8 +31,8 @@
 //! [`AtpgBuilder::speculation`]: crate::engine::AtpgBuilder::speculation
 
 use crate::artifact::{
-    decode_config, decode_outcome, encode_config, encode_outcome, schema, str_field, usize_field,
-    write_atomic, ArtifactError, CircuitSource, RunArtifact,
+    decode_config, decode_outcome, encode_config, encode_outcome, schema, str_field, u32_field,
+    usize_field, write_atomic, ArtifactError, CircuitSource, RunArtifact,
 };
 use crate::engine::{Atpg, AtpgError, FaultOutcome, RunConfig};
 use crate::json::{Json, ParseLimits};
@@ -210,7 +210,7 @@ impl ShardArtifact {
         if str_field(&j, "schema")? != "gdf-shard" {
             return Err(schema("not a gdf-shard document"));
         }
-        let version = usize_field(&j, "version")? as u32;
+        let version = u32_field(&j, "version")?;
         if !(SHARD_VERSION_MIN..=SHARD_VERSION).contains(&version) {
             return Err(schema(format!(
                 "unsupported shard version {version} (supported: \

@@ -73,7 +73,7 @@ use gdf_obs::{
     Counter, Gauge, Histogram, PhaseRecord, ProfileData, ProfileHandle, Profiler, Registry,
     RegistrySink, TraceCtx, Tracer, PHASE_HELP, PHASE_METRIC, TRACE_HEADER,
 };
-use gdf_store::{CacheKey, Store};
+use gdf_store::{lookup_run, Store};
 use gdf_tenant::{TenantRegistry, TokenBucket};
 use std::collections::BTreeMap;
 use std::io::BufReader;
@@ -970,8 +970,7 @@ fn worker_loop(state: Arc<ServerState>) {
 /// Publishes a completed run's canonical bytes into the result cache.
 /// Best-effort: a store failure costs future cache hits, never the job.
 fn publish_run(state: &ServerState, spec: &JobSpec, artifact: &RunArtifact) {
-    let name = CacheKey::new(&spec.source, &spec.config).run_name();
-    if let Err(e) = state.store.publish(&name, &artifact.canonical_encode()) {
+    if let Err(e) = gdf_store::publish_run(&state.store, &spec.source, &spec.config, artifact) {
         eprintln!("gdf-serve: result-cache publish failed: {e}");
     }
 }
@@ -1569,19 +1568,9 @@ fn handle_submit(state: &Arc<ServerState>, request: &Request, tenant: Option<&st
     // compute (the determinism invariant), so answer it as an
     // instantly-Done job instead of burning a generation run. Any
     // validation failure falls through to the normal queue path.
-    let cached: Option<(String, RunArtifact)> = match &spec.shard {
+    let cached = match &spec.shard {
         Some(_) => None,
-        None => state
-            .store
-            .get_named(&CacheKey::new(&spec.source, &spec.config).run_name())
-            .ok()
-            .flatten()
-            .and_then(|text| {
-                RunArtifact::decode(&text)
-                    .ok()
-                    .filter(|a| a.config() == spec.config && !a.partial && a.circuit == spec.source)
-                    .map(|artifact| (text, artifact))
-            }),
+        None => lookup_run(&state.store, &spec.source, &spec.config),
     };
 
     let id = state.next_id.fetch_add(1, Ordering::AcqRel);

@@ -8,8 +8,14 @@
 //! is indistinguishable from recomputing. Shard entries additionally pin
 //! the `[lo, hi)` fault range, since a shard artifact's content depends
 //! on it.
+//!
+//! [`lookup_run`] and [`publish_run`] hold the one rule for full runs,
+//! which `gdf serve` and `gdf campaign --cache` share: an entry counts
+//! only as the complete run of the same circuit source under the same
+//! configuration.
 
-use gdf_core::artifact::CircuitSource;
+use crate::store::{Store, StoreError};
+use gdf_core::artifact::{CircuitSource, RunArtifact};
 use gdf_core::digest::{config_digest, Digest};
 use gdf_core::engine::RunConfig;
 
@@ -40,6 +46,43 @@ impl CacheKey {
     pub fn shard_name(&self, lo: usize, hi: usize) -> String {
         format!("shard-{}-{}-{lo}-{hi}", self.circuit, self.config)
     }
+}
+
+/// Whether `artifact` is the complete run of `source` under `config`.
+fn is_full_run(artifact: &RunArtifact, source: &CircuitSource, config: &RunConfig) -> bool {
+    !artifact.partial && artifact.config() == *config && artifact.circuit == *source
+}
+
+/// The cached complete run of `source` under `config`: its stored text
+/// and the decoded artifact. A miss, an unreadable or undecodable entry,
+/// and an entry that is not that exact run all answer `None`, so the
+/// caller runs the job instead.
+pub fn lookup_run(
+    store: &Store,
+    source: &CircuitSource,
+    config: &RunConfig,
+) -> Option<(String, RunArtifact)> {
+    let text = store
+        .get_named(&CacheKey::new(source, config).run_name())
+        .ok()??;
+    let artifact = RunArtifact::decode(&text).ok()?;
+    is_full_run(&artifact, source, config).then_some((text, artifact))
+}
+
+/// Publishes `artifact`'s canonical bytes under the `(source, config)`
+/// key, if it is the complete run of `source` under `config`; anything
+/// else is skipped, since [`lookup_run`] would never serve it.
+pub fn publish_run(
+    store: &Store,
+    source: &CircuitSource,
+    config: &RunConfig,
+    artifact: &RunArtifact,
+) -> Result<(), StoreError> {
+    if is_full_run(artifact, source, config) {
+        let name = CacheKey::new(source, config).run_name();
+        store.publish(&name, &artifact.canonical_encode())?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]

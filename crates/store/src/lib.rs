@@ -15,10 +15,12 @@
 //! * [`CacheKey`] — the exact result cache key,
 //!   `(circuit digest, RunConfig digest)`. A hit is not a heuristic: the
 //!   stored bytes are the bytes a fresh run would produce.
+//!   [`lookup_run`] and [`publish_run`] read and write full runs under
+//!   it by one rule.
 
 pub mod cache;
 pub mod store;
 
-pub use cache::CacheKey;
+pub use cache::{lookup_run, publish_run, CacheKey};
 pub use gdf_core::digest::Digest;
 pub use store::{GcReport, Store, StoreError, StoreStats};

@@ -48,7 +48,7 @@ use gdf::fleet::{Coordinator, FleetPlan};
 use gdf::netlist::{parse_bench, suite, Circuit, FaultUniverse};
 use gdf::serve::server::{submission_for_bench, submission_for_suite, submission_with_runtime};
 use gdf::serve::{Client, JobServer, ServeConfig};
-use gdf::store::{CacheKey, Store};
+use gdf::store::{lookup_run, publish_run, Store};
 use gdf::tenant::TenantRegistry;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -697,16 +697,9 @@ fn cmd_campaign(args: &[String]) -> Result<ExitCode, String> {
             if path.exists() {
                 continue;
             }
-            let key = CacheKey::new(source, &config).run_name();
-            let Ok(Some(text)) = store.get_named(&key) else {
+            let Some((text, _)) = lookup_run(store, source, &config) else {
                 continue;
             };
-            let Ok(artifact) = RunArtifact::decode(&text) else {
-                continue;
-            };
-            if artifact.partial || artifact.config() != config || artifact.circuit != *source {
-                continue;
-            }
             if gdf::core::io::write_atomic(&path, &text).is_ok() {
                 seeded += 1;
             }
@@ -730,11 +723,7 @@ fn cmd_campaign(args: &[String]) -> Result<ExitCode, String> {
             let Ok(artifact) = RunArtifact::load(&path) else {
                 continue;
             };
-            if artifact.partial || artifact.config() != config {
-                continue;
-            }
-            let key = CacheKey::new(source, &config).run_name();
-            if let Err(e) = store.publish(&key, &artifact.canonical_encode()) {
+            if let Err(e) = publish_run(store, source, &config, &artifact) {
                 eprintln!("cache: publish {} failed: {e}", circuit.name());
             }
         }

@@ -69,9 +69,10 @@
 //!   without a registry the server runs open, exactly as before. Over-
 //!   quota submissions get `429 + Retry-After` (the tenant's problem),
 //!   saturation keeps `503` (the server's problem), and per-tenant
-//!   `gdf_tenant_*` metrics join `/metrics` and `gdf top`. The
-//!   `bench_serve` bin load-tests the whole stack with thousands of
-//!   concurrent clients.
+//!   `gdf_tenant_*` metrics join `/metrics` and `gdf top`.
+//!   `tests/tenant_quotas.rs` checks the auth gate, the quotas, the 2:1
+//!   weighted fairness of a saturated server and byte-identical results
+//!   under contention.
 //!
 //! ## Quickstart
 //!

@@ -90,6 +90,11 @@ fn corrupt_field_values_error_instead_of_panicking() {
         ("\"class\": \"tested\"", "\"class\": \"vibes\""),
         // Bad hex.
         ("\"seed\": \"0x", "\"seed\": \"0xZZ"),
+        // A limit past `u32::MAX` (2^32 + 100), which must not wrap to 100.
+        (
+            "\"local_backtrack_limit\": 100",
+            "\"local_backtrack_limit\": 4294967396",
+        ),
     ];
     for (from, to) in corruptions {
         assert!(

@@ -156,14 +156,18 @@ fn truncated_shards_error_instead_of_panicking() {
 #[test]
 fn future_shard_versions_are_rejected() {
     let circuit = suite::s27();
+    let pristine = sample_shard();
     // Shard documents use the compact encoding (no space after `:`).
-    let future = sample_shard().replacen("\"version\":1", "\"version\":99", 1);
-    assert_ne!(future, sample_shard(), "version field not found");
-    match ShardArtifact::decode(&future, &circuit) {
-        Err(ArtifactError::Schema(message)) => {
-            assert!(message.contains("99"), "{message}")
+    // 2^32 + 1 must not wrap to the supported version 1.
+    for version in ["99", "4294967297"] {
+        let future = pristine.replacen("\"version\":1", &format!("\"version\":{version}"), 1);
+        assert_ne!(future, pristine, "version field not found");
+        match ShardArtifact::decode(&future, &circuit) {
+            Err(ArtifactError::Schema(message)) => {
+                assert!(message.contains(version), "{message}")
+            }
+            other => panic!("expected a schema error for version {version}, got {other:?}"),
         }
-        other => panic!("expected a schema error, got {other:?}"),
     }
 }
 

@@ -7,10 +7,11 @@
 //! * the weighted fair scheduler serves a saturated server 2:1 by
 //!   weight regardless of arrival order,
 //! * and tenancy never touches result bytes: contended multi-tenant
-//!   artifacts are byte-identical to a serial open-mode run.
+//!   artifacts are byte-identical to a serial open-mode run, while
+//!   anonymous `/events` streams follow contended jobs to their end.
 
 use gdf::core::json::Json;
-use gdf::core::{Backend, Limits, RunConfig};
+use gdf::core::{Backend, Limits, ProgressEvent, RunConfig};
 use gdf::netlist::FaultUniverse;
 use gdf::serve::server::submission_for_suite;
 use gdf::serve::{Client, JobId, JobServer, ServeConfig, ServeError};
@@ -343,11 +344,35 @@ fn contended_tenant_artifacts_match_serial_open_mode() {
         noise.push(acme.submit(&quick_job(300 + seed)).expect("noise"));
         noise.push(zeta.submit(&quick_job(400 + seed)).expect("noise"));
     }
+    // Two tokenless streamers follow one distinct-seed job per tenant
+    // (never a cache hit, which streams no events): reads stay open, and
+    // each stream runs to its job's `finished` event under contention.
+    let streamers: Vec<_> = noise[..2]
+        .iter()
+        .map(|&id| {
+            let streamer =
+                Client::new(server.local_addr().to_string()).with_timeout(Duration::from_secs(30));
+            std::thread::spawn(move || {
+                let mut finished = false;
+                streamer
+                    .events(id, |event| {
+                        finished = matches!(event, ProgressEvent::Finished { .. });
+                        !finished
+                    })
+                    .expect("the /events stream opens without a token");
+                finished
+            })
+        })
+        .collect();
     let acme_id = acme.submit(&submission).expect("acme submit");
     let zeta_id = zeta.submit(&submission).expect("zeta submit");
     for id in noise.into_iter().chain([acme_id, zeta_id]) {
         acme.wait(id, Duration::from_millis(5), Some(Duration::from_secs(300)))
             .expect("job done");
+    }
+    for streamer in streamers {
+        let finished = streamer.join().expect("streamer thread");
+        assert!(finished, "an /events stream ended before its job finished");
     }
     let acme_artifact = acme.artifact(acme_id).expect("acme artifact");
     let zeta_artifact = zeta.artifact(zeta_id).expect("zeta artifact");
